@@ -1,6 +1,6 @@
 # Developer workflow for the safeland reproduction.
 #
-#   make check       # tier-1 gate + race detector (shuffled) + bench smoke
+#   make check       # tier-1 gate + race detector (shuffled) + bench smoke + bench module
 #   make bench       # benchmarks; engine + fleet + hot-path numbers land in BENCH_*.json
 #   make bench-smoke # one iteration of each perception benchmark (keeps the harness honest)
 #   make grid        # E11 grid coverage standalone (quick scale)
@@ -16,16 +16,16 @@ GO ?= go
 # the full monitor verdict. One regex so bench and bench-smoke never drift.
 NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion)$$
 
-# The frame-context benchmarks: a crop verdict served from an already-primed
-# frame stem, and the tiled whole-frame verdict E12's acceptance budget is
-# written against — BenchmarkFullFrameVerdict's "crop-verdicts" metric
-# (whole frame measured against an interleaved single-crop MCStats pass,
-# so machine-load drift cancels out of the ratio) must stay < 10.
-MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkCropVerdictCachedStem|BenchmarkFullFrameVerdict)$$
+# The whole-frame monitoring benchmarks: the tiled whole-frame verdict E12's
+# acceptance budget is written against — BenchmarkFullFrameVerdict's
+# "crop-verdicts" metric (whole frame measured against an interleaved
+# single-crop MCStats pass, so machine-load drift cancels out of the ratio)
+# must stay < 10.
+MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkFullFrameVerdict)$$
 
-.PHONY: check fmt vet build test race race-experiments bench bench-smoke grid e12 e13 chaos fuzz-smoke
+.PHONY: check fmt vet build test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
 
-check: fmt vet build race bench-smoke
+check: fmt vet build race bench-smoke bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -78,6 +78,12 @@ bench:
 	$(GO) test -bench='$(NN_BENCH)' -benchmem -run=^$$ -json ./internal/nn ./internal/monitor > BENCH_nn.json
 	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -benchtime=10x -run=^$$ -json ./internal/monitor > BENCH_monitor.json
 
+# The EL-service benchmark under bench/ is a module of its own, compiled
+# against this package's public API, so the root build never sees it: vet
+# and test it here so an API change cannot break it unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # One short iteration of each perception benchmark: cheap enough for every
 # check run, and it keeps the bench harness itself from rotting.
 bench-smoke:
@@ -90,12 +96,13 @@ grid:
 	$(GO) run ./cmd/elbench -quick -run E11
 
 # E12 full-frame monitoring standalone: crop-only vs whole-frame Bayesian
-# verdicts over a shared per-frame stem, at quick scale.
+# verdicts tiled from crop verdicts, at quick scale.
 e12:
 	$(GO) run ./cmd/elbench -quick -run E12
 
 # E13 descent-session fleet study standalone: per-frame recompute vs
-# session temporal reuse over synthetic descents, at quick scale.
+# sessions re-verifying the previous zone over synthetic descents, at quick
+# scale.
 e13:
 	$(GO) run ./cmd/elbench -quick -run E13
 
@@ -111,6 +118,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSpecKey -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzAxesEnumerate -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzConvForwardMatchesReference -fuzztime=5s ./internal/nn
-	$(GO) test -run=^$$ -fuzz=FuzzCropStemMatchesPrefix -fuzztime=5s ./internal/nn
-	$(GO) test -run=^$$ -fuzz=FuzzStemReprimeMatchesPrime -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults

@@ -1,8 +1,8 @@
 // Command elbench regenerates every table and figure of the paper
 // (experiments E1–E10, see DESIGN.md) plus the E11 grid-coverage
 // experiment over the scenario axes, the E12 full-frame monitoring
-// study (crop-only vs whole-frame Bayesian verdicts over a shared
-// per-frame stem), the E13 descent-session fleet study (per-frame
+// study (crop-only vs whole-frame Bayesian verdicts tiled from crop
+// verdicts), the E13 descent-session fleet study (per-frame
 // recompute vs session temporal reuse) and the E14 chaos drill (the
 // descent fleet under a published fault schedule with degraded-mode
 // serving and health-aware failover). The model-dependent experiments

@@ -2,6 +2,7 @@ package safeland
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -125,11 +126,11 @@ type EngineStats struct {
 	// Frames counts session frames served successfully by Session.Advance.
 	Frames int64
 	// FramesReused counts the subset of Frames served by the temporal fast
-	// path: the previous confirmed zone re-verified over a re-primed stem
+	// path: the previous monitor-confirmed zone re-verified on the new frame
 	// instead of a full candidate search.
 	FramesReused int64
 	// Preempted counts routine session advances cancelled mid-trial so
-	// their worker replica could be handed to a safety-class advance.
+	// their worker could be handed to a safety-class advance.
 	Preempted int64
 	// Degraded counts requests and session frames answered by the
 	// fault-tolerant fallback after their compute budget was exhausted
@@ -274,9 +275,9 @@ func DefaultWorkers() int {
 }
 
 // DefaultMaxSessionsPerWorker scales the default session admission limit
-// (WithMaxSessions) with the worker pool: session state (a cached stem per
-// vehicle) is only useful if the pool can revisit it before the fleet
-// churns, so the bound grows with serving capacity.
+// (WithMaxSessions) with the worker pool: a session holds only its previous
+// result, so what the limit bounds is the frame load every open session
+// puts on the shared workers, and it grows with them.
 const DefaultMaxSessionsPerWorker = 64
 
 // Engine is the concurrent request/response front end for landing-zone
@@ -307,9 +308,6 @@ type Engine struct {
 	backoffMax  time.Duration
 	// health is the per-shard circuit breaker gating session placement.
 	health *breaker
-	// samples is the WithMonitorSamples override, re-applied to the replica
-	// each NewSession builds (worker replicas get it at construction).
-	samples int
 	// maxSessions is the admission limit behind NewSession.
 	maxSessions int
 	// release returns this pool's nn.ReserveWorkers share; idempotent.
@@ -392,7 +390,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	e := &Engine{
 		sys:         sys,
 		workers:     cfg.workers,
-		samples:     cfg.samples,
 		maxSessions: cfg.maxSessions,
 		release:     release,
 		corpusStats: cfg.corpusStats,
@@ -404,7 +401,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		backoffMax:  cfg.backoffMax,
 	}
 	e.health = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown, &e.breakerOpened)
-	sels := make([]Selector, 0, cfg.workers)
+	ws := make([]*worker, 0, cfg.workers)
 	for i := 0; i < cfg.workers; i++ {
 		rep, err := sys.Replica()
 		if err != nil {
@@ -422,9 +419,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		if i == 0 {
 			e.selector = sel.Name()
 		}
-		sels = append(sels, sel)
+		ws = append(ws, &worker{sel: sel, pipe: rep.Pipeline})
 	}
-	e.pool = newReplicaPool(sels)
+	e.pool = newReplicaPool(ws)
 	return e, nil
 }
 
@@ -497,97 +494,198 @@ func (e *Engine) Select(ctx context.Context, req SelectRequest) SelectResponse {
 
 func (e *Engine) run(ctx context.Context, req SelectRequest, idx int) SelectResponse {
 	e.requests.Add(1)
-	resp := SelectResponse{Index: idx, Selector: e.selector}
-	defer func() {
-		if resp.Err != nil {
-			e.failed.Add(1)
-		}
-	}()
-	// By default the request deadline only bounds queueing, so it guards
-	// the wait but never reaches the backend: once a worker starts, the
-	// selection runs under the caller's context alone. In degraded mode it
-	// is the whole compute budget instead (see SelectRequest.Deadline).
+	o := e.serve(ctx, call{req: req, point: e.name, frame: int(e.chaosSeq.Add(1) - 1)})
+	if o.err != nil {
+		e.failed.Add(1)
+	}
+	return SelectResponse{
+		Result: o.res, Index: idx, Selector: e.selector, Queued: o.queued, Elapsed: o.elapsed,
+		Retried: o.retried, Degraded: o.degraded, DegradedCause: o.cause, Err: o.err,
+	}
+}
+
+// call is one unit of work for the attempt loop: a Select request or one
+// session frame.
+type call struct {
+	req SelectRequest
+	// point and frame key fault injection and retry jitter: the shard name
+	// and request sequence for Select, the vehicle ID and the session's
+	// frame counter for a session frame.
+	point string
+	frame int
+	// session marks a session frame: it leaves Requests, Served and Failed
+	// alone, and it is preemptible while it runs in the routine class.
+	session bool
+	// trigger promotes a session frame to the safety class once fired.
+	trigger *SafetyTrigger
+	// prior, when set, is a monitor-confirmed result on a frame the size of
+	// img: the first attempt re-verifies its zone on img before it falls
+	// back to the Selector.
+	prior *core.Result
+	img   *imaging.Image
+}
+
+// outcome is what the attempt loop hands back to run and Advance.
+type outcome struct {
+	res      core.Result
+	reused   bool // res re-verified the prior's zone
+	safety   bool // the last attempt ran in the safety class
+	served   bool // some attempt reached a worker
+	retried  int
+	degraded bool
+	cause    string
+	queued   time.Duration
+	elapsed  time.Duration
+	err      error
+}
+
+// serve is the attempt loop behind Select and Session.Advance. The request
+// deadline bounds queueing — and in degraded mode the whole compute budget,
+// retries included. A transient fault gets the bounded retry with backoff,
+// the breaker observes how the call ended, and in degraded mode a failure
+// the shard caused is answered by the FT fallback.
+func (e *Engine) serve(ctx context.Context, c call) outcome {
+	var o outcome
 	waitCtx := ctx
-	if !req.Deadline.IsZero() {
+	if !c.req.Deadline.IsZero() {
 		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithDeadline(ctx, req.Deadline)
+		waitCtx, cancel = context.WithDeadline(ctx, c.req.Deadline)
 		defer cancel()
 	}
-	frame := int(e.chaosSeq.Add(1) - 1)
-	var served bool
-	var lastErr error
+	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			e.retried.Add(1)
-			resp.Retried++
-			if err := sleepCtx(waitCtx, e.retryDelay(e.name, frame, attempt)); err != nil {
-				lastErr = err
+			o.retried++
+			if err = sleepCtx(waitCtx, e.retryDelay(c.point, c.frame, attempt)); err != nil {
 				break
 			}
 		}
-		err := e.selectOnce(ctx, waitCtx, req, frame, attempt, &served, &resp)
-		if err == nil {
+		if err = e.attempt(ctx, waitCtx, c, attempt, &o); err == nil {
 			e.health.observe(true)
-			return resp
+			return o
 		}
-		lastErr = err
 		if attempt >= e.retryBudget() || !e.retryableFault(err) || waitCtx.Err() != nil {
 			break
 		}
 	}
-	if shardFault(lastErr, ctx) {
+	if shardFault(err, ctx) {
 		e.health.observe(false)
 	}
-	if e.degrade && degradable(lastErr, ctx) {
-		if img, mpp, ferr := req.frame(); ferr == nil {
+	if e.degrade && degradable(err, ctx) {
+		if img, mpp, ferr := c.req.frame(); ferr == nil {
 			e.degraded.Add(1)
-			resp.Degraded = true
-			resp.DegradedCause = degradedCause(lastErr)
-			resp.Result = e.ftFallback(req, img, mpp)
-			resp.Err = nil
-			return resp
+			o.res = e.ftFallback(c.req, img, mpp)
+			o.degraded, o.cause = true, degradedCause(err)
+			return o
 		}
 	}
-	resp.Err = lastErr
-	return resp
+	o.err = err
+	return o
 }
 
-// selectOnce runs one attempt at a stateless selection: blackout check,
-// slot acquisition, transient injection (first attempts only), backend
-// call. Queued/Elapsed accumulate across attempts on resp.
-func (e *Engine) selectOnce(ctx, waitCtx context.Context, req SelectRequest, frame, attempt int, served *bool, resp *SelectResponse) error {
-	if err := e.blackedOut(frame); err != nil {
+// attempt runs one try of a call: blackout check, worker acquisition in the
+// call's priority class, preemption registration for routine session work,
+// transient injection on first attempts, then the selection. Queued and
+// Elapsed accumulate across attempts; Safety reflects the last one (a
+// trigger can fire between attempts and promote the retry).
+func (e *Engine) attempt(ctx, waitCtx context.Context, c call, attempt int, o *outcome) error {
+	safety := c.trigger != nil && c.trigger.Triggered()
+	o.safety = safety
+
+	// A blacked-out shard fails every attempt of the frame — retries
+	// included — so a blackout frame resolves by degrading, not retrying.
+	if err := e.blackedOut(c.frame); err != nil {
 		return err
 	}
+
 	enqueued := time.Now()
-	sel, err := e.pool.acquire(waitCtx, false)
-	resp.Queued += time.Since(enqueued)
+	var w *worker
+	var err error
+	if safety {
+		// No free worker: preempt the oldest routine session frame, then
+		// wait at safety priority for the first release (the preempted
+		// frame aborts within one layer's work).
+		if w = e.pool.tryAcquire(); w == nil {
+			e.preemptOneRoutine()
+		}
+	}
+	if w == nil {
+		w, err = e.pool.acquire(waitCtx, safety)
+	}
+	o.queued += time.Since(enqueued)
 	if err != nil {
 		return err
 	}
-	defer e.pool.release(sel)
+	defer e.pool.release(w)
 	if err := waitCtx.Err(); err != nil {
 		return err
 	}
-	if !*served {
-		*served = true
+	if !c.session && !o.served {
+		o.served = true
 		e.served.Add(1)
 	}
-	// In degraded mode the budget bounds the compute too.
+
+	// In degraded mode the budget bounds the compute too; otherwise the
+	// deadline keeps guarding queueing only.
 	cctx := ctx
 	if e.degrade {
 		cctx = waitCtx
 	}
+	if c.session && !safety {
+		// Routine session work is preemptible: register a cancel-with-cause
+		// so a safety-class frame can take the worker, and abort when the
+		// session's own trigger fires mid-frame.
+		var cancel context.CancelCauseFunc
+		cctx, cancel = context.WithCancelCause(cctx)
+		defer cancel(nil)
+		id := e.registerPreemptible(cancel)
+		defer e.unregisterPreemptible(id)
+		if c.trigger != nil {
+			stop := context.AfterFunc(c.trigger.ctx, func() { cancel(ErrPreempted) })
+			defer stop()
+		}
+	}
+
 	start := time.Now()
-	defer func() { resp.Elapsed += time.Since(start) }()
+	defer func() { o.elapsed += time.Since(start) }()
 	if attempt == 0 {
-		if err := e.injectTransient(cctx, e.name, frame); err != nil {
+		if err := e.injectTransient(cctx, c.point, c.frame); err != nil {
 			return err
 		}
 	}
-	var serr error
-	resp.Result, serr = sel.Select(cctx, req)
-	return serr
+	o.res, o.reused, err = c.selectOn(cctx, w, attempt)
+	if err != nil && c.session && errors.Is(context.Cause(cctx), ErrPreempted) {
+		err = fmt.Errorf("%w (vehicle %q)", ErrPreempted, c.point)
+	}
+	return err
+}
+
+// selectOn computes one attempt's result on worker w. The first attempt of
+// a call with a prior re-verifies the prior's zone on w's monitor and keeps
+// the zone when the monitor confirms it again. Otherwise — and on every
+// retry, since a failed attempt drops the prior — the Selector runs.
+func (c call) selectOn(ctx context.Context, w *worker, attempt int) (core.Result, bool, error) {
+	if c.prior != nil && attempt == 0 {
+		p := w.pipe
+		x0, y0, size := c.prior.Zone.CropRect(c.img.W, c.img.H)
+		v, err := p.Monitor.VerifyRegionCtx(ctx, c.img.Crop(x0, y0, size, size), p.Rule)
+		if err != nil {
+			return core.Result{}, false, err
+		}
+		if v.Confirmed {
+			return core.Result{
+				Confirmed:      true,
+				Zone:           c.prior.Zone,
+				Trials:         []core.Trial{{Candidate: c.prior.Zone, Verdict: v}},
+				CandidateCount: 1,
+				State:          core.Landing,
+				UsedBufferM:    c.prior.UsedBufferM,
+			}, true, nil
+		}
+	}
+	res, err := w.sel.Select(ctx, c.req)
+	return res, false, err
 }
 
 // SelectBatch serves a batch of requests across the worker pool and

@@ -91,14 +91,14 @@ func TestEngineMonitorSamplesOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, ok := eng.pool.tryAcquire()
-	if !ok {
+	w := eng.pool.tryAcquire()
+	if w == nil {
 		t.Fatal("no free replica in a fresh pool")
 	}
-	defer eng.pool.release(sel)
-	rep, ok := sel.(*pipelineSelector)
+	defer eng.pool.release(w)
+	rep, ok := w.sel.(*pipelineSelector)
 	if !ok {
-		t.Fatalf("default selector is %T, want *pipelineSelector", sel)
+		t.Fatalf("default selector is %T, want *pipelineSelector", w.sel)
 	}
 	if rep.pipe.Monitor.Samples != 3 {
 		t.Errorf("replica MC samples = %d, want 3", rep.pipe.Monitor.Samples)
@@ -459,13 +459,13 @@ func TestEngineReplicasShareWeights(t *testing.T) {
 	}
 	src := sys.Pipeline.Model.Net.Params()
 	for w := 0; w < eng.Workers(); w++ {
-		sel, free := eng.pool.tryAcquire()
-		if !free {
+		wk := eng.pool.tryAcquire()
+		if wk == nil {
 			t.Fatalf("worker %d: no free replica in a fresh pool", w)
 		}
-		rep, ok := sel.(*pipelineSelector)
+		rep, ok := wk.sel.(*pipelineSelector)
 		if !ok {
-			t.Fatalf("worker %d selector is %T", w, sel)
+			t.Fatalf("worker %d selector is %T", w, wk.sel)
 		}
 		if rep.pipe.Model == sys.Pipeline.Model {
 			t.Fatalf("worker %d shares the model instance (must be a clone)", w)
@@ -479,7 +479,7 @@ func TestEngineReplicasShareWeights(t *testing.T) {
 				t.Fatalf("worker %d param %d (%s) copied instead of shared", w, i, src[i].Name)
 			}
 		}
-		defer eng.pool.release(sel)
+		defer eng.pool.release(wk)
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 var ErrShardUnhealthy = errors.New("safeland: shard circuit breaker open")
 
 // WithFaultInjector attaches a chaos injector to the engine: the named
-// injection points of the serving and perception layers (selector error,
-// replica stall, stem corruption on re-prime, shard blackout) consult it
-// per frame. The injector is deterministic and seed-keyed (internal/faults),
-// so a chaos run against the engine is reproducible byte-for-byte. nil (the
+// injection points of the attempt loop (selector error and replica stall
+// per vehicle or request, shard blackout per shard) consult it per frame.
+// The injector is deterministic and seed-keyed (internal/faults), so a
+// chaos run against the engine is reproducible byte-for-byte. nil (the
 // default) injects nothing and costs nothing.
 func WithFaultInjector(inj *faults.Injector) Option {
 	return func(c *engineConfig) { c.inj = inj }
@@ -49,8 +49,8 @@ func WithShardName(name string) Option {
 //
 //   - the request deadline (SelectRequest.Deadline) becomes a per-request
 //     compute budget — it bounds the selection itself, not just queueing;
-//   - transient faults (injected selector errors, replica stalls, stem
-//     corruption, a preempted routine advance) get one bounded retry with
+//   - transient faults (injected selector errors, replica stalls, a
+//     preempted routine advance) get one bounded retry with
 //     deterministic-jitter exponential backoff (WithRetryBackoff);
 //   - on budget exhaustion the engine answers with the paper's
 //     fault-tolerant baseline zone (FT-center, or flatness when the request
@@ -258,17 +258,11 @@ func shardFault(err error, callerCtx context.Context) bool {
 }
 
 // degradable classifies failures the FT fallback may answer for: anything
-// the shard did to the request. The caller's own cancellation and a
-// session closed underneath it stay errors — degrading those would invent
-// an answer nobody is waiting for.
+// the shard did to the request. The caller's own cancellation stays an
+// error — degrading it would invent an answer nobody is waiting for — and
+// so does a malformed request, which no shard can serve.
 func degradable(err error, callerCtx context.Context) bool {
-	if err == nil {
-		return false
-	}
-	if callerCtx.Err() != nil {
-		return false
-	}
-	return !errors.Is(err, ErrSessionClosed)
+	return err != nil && callerCtx.Err() == nil && !errors.Is(err, errBadRequest)
 }
 
 // degradedCause renders the budget-exhausting fault for the response

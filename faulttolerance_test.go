@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"safeland/internal/baseline"
 	"safeland/internal/core"
 	"safeland/internal/faults"
 	"safeland/internal/imaging"
@@ -177,11 +178,44 @@ func TestEngineFaultSurfacesWithoutDegradedMode(t *testing.T) {
 	}
 }
 
+// TestDegradedModeRefusesMalformedRequest pins that degraded mode answers
+// for the shard's failures only: a request the backend rejects as
+// malformed (no Scene for a baseline selector) stays an error on both
+// Select and Session.Advance, exactly as with degradation off.
+func TestDegradedModeRefusesMalformedRequest(t *testing.T) {
+	eng, err := NewEngine(
+		WithSystem(stubSystem()), WithWorkers(1), WithSelector(BaselineSelector(baseline.Flatness{})),
+		WithDegradedFallback(true),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	req := SelectRequest{Image: imaging.NewImage(64, 64), MPP: 0.5}
+
+	resp := eng.Select(context.Background(), req)
+	if resp.Err == nil || resp.Degraded {
+		t.Fatalf("Select: Err=%v Degraded=%v cause=%q, want an error", resp.Err, resp.Degraded, resp.DegradedCause)
+	}
+	sess, err := eng.NewSession("uav-malformed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	adv := sess.Advance(context.Background(), req)
+	if adv.Err == nil || adv.Degraded {
+		t.Fatalf("Advance: Err=%v Degraded=%v cause=%q, want an error", adv.Err, adv.Degraded, adv.DegradedCause)
+	}
+	if st := eng.Stats(); st.Degraded != 0 || st.Failed != 1 || st.Frames != 0 {
+		t.Errorf("stats Degraded=%d Failed=%d Frames=%d, want 0/1/0", st.Degraded, st.Failed, st.Frames)
+	}
+}
+
 // TestSessionChaosRetryAndDegrade drives a descent session through the
-// perception fault points: a stem corruption on a warm frame recovers via
-// one cold retry, a shard blackout degrades the frame to the FT fallback,
-// and the whole faulted descent replays byte-identically under the same
-// injector seed and schedule.
+// fault points: a selector error on a warm frame recovers via one cold
+// retry, a shard blackout degrades the frame to the FT fallback, and the
+// whole faulted descent replays byte-identically under the same injector
+// seed and schedule.
 func TestSessionChaosRetryAndDegrade(t *testing.T) {
 	sys := quickSystem(t)
 	scene := descentScene(42)
@@ -189,7 +223,7 @@ func TestSessionChaosRetryAndDegrade(t *testing.T) {
 
 	run := func() []SessionResponse {
 		inj := faults.NewInjector(7, faults.Rates{})
-		inj.ScheduleFault(faults.StemCorrupt, "uav-chaos", 1)
+		inj.ScheduleFault(faults.SelectorError, "uav-chaos", 1)
 		inj.ScheduleFault(faults.ShardBlackout, "shardZ", 2)
 		eng, err := NewEngine(
 			WithSystem(sys), WithWorkers(1),
@@ -416,7 +450,7 @@ func TestSessionRunStream(t *testing.T) {
 
 // TestSessionFleetChaosHammer is the -race chaos drill: a two-shard fleet
 // serves concurrent descents under random injected faults (selector
-// errors, stem corruption, shard blackouts) while safety triggers fire on
+// errors, replica stalls, shard blackouts) while safety triggers fire on
 // random sessions mid-advance and the faulted shard's breaker flaps. It
 // asserts the degraded-mode availability contract — no hard-failed frames,
 // no degraded frame claiming a confirmed zone, no lost responses — and
@@ -428,7 +462,7 @@ func TestSessionFleetChaosHammer(t *testing.T) {
 
 	newShard := func(name string) *Engine {
 		inj := faults.NewInjector(99, faults.Rates{
-			SelectorError: 0.15, ReplicaStall: 0.1, StemCorrupt: 0.15, ShardBlackout: 0.1,
+			SelectorError: 0.15, ReplicaStall: 0.1, ShardBlackout: 0.1,
 		})
 		eng, err := NewEngine(
 			WithSystem(sys), WithWorkers(2),

@@ -335,10 +335,10 @@ func TestLandable(t *testing.T) {
 	}
 }
 
-// TestPipelineTrialVerdictsMatchNaivePath pins the pipeline's frame-context
-// integration: every verdict recorded in a selection's trials must be
+// TestPipelineTrialVerdictsMatchNaivePath pins the pipeline's monitor
+// wiring: every verdict recorded in a selection's trials must be
 // byte-identical to the naive per-crop VerifyRegion over the candidate's
-// CropRect — the stem cache is a cost optimization, never a behavior change.
+// CropRect.
 func TestPipelineTrialVerdictsMatchNaivePath(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	trialsChecked := 0

@@ -103,28 +103,10 @@ func (p *Pipeline) SelectWithConfig(img *imaging.Image, mpp float64, cfg ZoneCon
 // SelectWithConfig run: cancellation never perturbs the Monte-Carlo
 // sequences of surviving calls, because the monitor reseeds per trial.
 //
-// The whole selection runs inside one monitor.FrameContext: the
-// deterministic frame stem is computed once and shared by the segmentation
-// pass and every candidate verdict, whose crop stems are sliced from it
-// (nn.StemCache). The frame-context parity tests pin both against the
-// per-crop formulation bit-for-bit, so this is purely a cost change.
+// The monitor verifies each candidate as its own crop, exactly as the
+// paper's Figure 2 draws it.
 func (p *Pipeline) SelectWithConfigCtx(ctx context.Context, img *imaging.Image, mpp float64, cfg ZoneConfig) (Result, error) {
-	fc := p.Monitor.NewFrameContext(img)
-	defer fc.Close()
-	return p.SelectInFrame(ctx, fc, mpp, cfg)
-}
-
-// SelectInFrame runs the full selection inside an existing frame context —
-// the seam descent sessions use to keep one context alive across a frame
-// stream (monitor.FrameContext.Advance re-primes only changed tiles). The
-// image is the context's current frame; the caller keeps ownership of fc
-// and must Close it eventually. Because an advanced context is bit-identical
-// to a fresh one and the monitor reseeds per trial, a selection through a
-// carried-over context is byte-identical to SelectWithConfigCtx on the same
-// frame — the session parity tests pin this.
-func (p *Pipeline) SelectInFrame(ctx context.Context, fc *monitor.FrameContext, mpp float64, cfg ZoneConfig) (Result, error) {
-	img := fc.Image()
-	pred, err := fc.PredictCtx(ctx)
+	pred, err := p.Model.PredictCtx(ctx, img)
 	if err != nil {
 		return Result{}, err
 	}
@@ -143,7 +125,7 @@ func (p *Pipeline) SelectInFrame(ctx context.Context, fc *monitor.FrameContext, 
 	dm := NewDecisionModule(p.MaxTrials)
 	for _, cand := range cands {
 		x0, y0, size := cand.CropRect(img.W, img.H)
-		verdict, err := fc.VerifyZoneCtx(ctx, x0, y0, size, size, p.Rule)
+		verdict, err := p.Monitor.VerifyRegionCtx(ctx, img.Crop(x0, y0, size, size), p.Rule)
 		if err != nil {
 			return res, err
 		}

@@ -16,7 +16,6 @@ import (
 var chaosRates = faults.Rates{
 	SelectorError: 0.25,
 	ReplicaStall:  0.10,
-	StemCorrupt:   0.25,
 }
 
 // chaosInjector builds the E14 injector: seed-keyed transient faults plus
@@ -41,8 +40,8 @@ func chaosInjector(seed int64) *faults.Injector {
 // fault-tolerant maneuver rather than trusting a degraded perception
 // stack; Guerin et al. 2022 (PAPERS.md) evaluate exactly this kind of
 // runtime monitoring under injected faults. E14 extends that contract to
-// the serving layer: under injected selector errors, replica stalls, stem
-// corruption and shard blackouts, the fleet must report zero hard-failed
+// the serving layer: under injected selector errors, replica stalls and
+// shard blackouts, the fleet must report zero hard-failed
 // frames — every faulted frame resolves as retried, spilled to a healthy
 // shard, or explicitly Degraded with the FT baseline fallback — and a
 // degraded verdict must never claim a confirmed zone.
@@ -74,8 +73,8 @@ func RunE14(e *Env, w io.Writer) error {
 	// Published fault schedule: enumerated up front from the injector —
 	// a pure function of (seed, kind, point, frame) — so the chaos run is
 	// reviewable evidence, not a dice roll. A listed transient fires when
-	// serving exercises its injection point (a blacked-out or cold frame
-	// never reaches the re-prime hook, for instance).
+	// serving exercises its injection point (a blacked-out frame never
+	// reaches the transient faults, for instance).
 	seed := e.Cfg.Seed + 140
 	inj := chaosInjector(seed)
 	var points []string
@@ -85,9 +84,9 @@ func RunE14(e *Env, w io.Writer) error {
 		}
 	}
 	points = append(points, "shard0", "shard1")
-	fmt.Fprintf(w, "\nPublished fault schedule (seed %d; selector-error %.2f, replica-stall %.2f,\n",
+	fmt.Fprintf(w, "\nPublished fault schedule (seed %d; selector-error %.2f, replica-stall %.2f\n",
 		seed, chaosRates.SelectorError, chaosRates.ReplicaStall)
-	fmt.Fprintf(w, "stem-corrupt %.2f per vehicle-frame; blackouts scheduled explicitly):\n", chaosRates.StemCorrupt)
+	fmt.Fprintln(w, "per vehicle-frame; blackouts scheduled explicitly):")
 	fmt.Fprint(w, faults.FormatSchedule(inj.Schedule(points, framesPerDescent)))
 
 	// Chaos arm: two shards sharing the injector, degraded-mode serving,

@@ -5,7 +5,7 @@
 // the Figure 4 segmentation/monitoring study, the baseline comparison, the
 // sub-image timing argument, and the monitor ablations — plus the E12
 // full-frame monitoring study that revisits the Section V-B sub-image
-// restriction with a shared per-frame stem.
+// restriction by tiling the frame into crop verdicts.
 //
 // The model-dependent experiments (E5, E7–E12) run as scenario fleets over
 // a safeland.Engine: scene requests stream through Engine.Serve (or
@@ -326,7 +326,7 @@ func All() []Experiment {
 		{ID: "E9", Title: "Section V-B — Bayesian inference timing: sub-image vs full frame", Run: RunE9},
 		{ID: "E10", Title: "Conclusion/future work — quantitative monitor study (τ, samples, σ, dropout)", Run: RunE10},
 		{ID: "E11", Title: "Grid coverage — mission fleets over the full scenario axes (2022 populated-area validation)", Run: RunE11},
-		{ID: "E12", Title: "Beyond Section V-B — full-frame Bayesian monitoring over a shared per-frame stem", Run: RunE12},
+		{ID: "E12", Title: "Beyond Section V-B — full-frame Bayesian monitoring as tiled crop verdicts", Run: RunE12},
 		{ID: "E13", Title: "Fleet service — descent sessions with temporal reuse vs per-frame recompute", Run: RunE13},
 		{ID: "E14", Title: "Chaos drill — fleet serving under injected faults, degraded-mode FT fallback (2022 runtime-monitoring evaluation)", Run: RunE14},
 	}

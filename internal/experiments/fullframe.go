@@ -14,11 +14,11 @@ import (
 // RunE12 breaks the paper's Section V-B constraint. The paper rules out
 // whole-frame Bayesian monitoring as prohibitively slow and verifies only
 // pre-selected sub-images; E9 reproduces that argument for the naive path.
-// E12 measures what the per-frame stem cache changes: the deterministic
-// prefix (every layer before the first dropout) is computed once per frame,
-// so a tiled whole-frame verdict costs roughly one stochastic suffix replay
-// per tile (monitor.FrameContext.VerifyFrameCtx) instead of a full forward
-// per Monte-Carlo sample per tile.
+// E12 measures what tiling changes: a whole-frame verdict verifies the
+// frame as overlapping crop-sized tiles (monitor.Bayesian.VerifyFrameCtx),
+// so it costs one crop verdict per tile — and each verdict already computes
+// the deterministic prefix once and replays only the stochastic suffix per
+// Monte-Carlo sample.
 //
 // The experiment compares the two monitoring regimes on the held-out
 // splits:
@@ -27,9 +27,7 @@ import (
 //     through Engine.Serve and only the candidate crops the Decision Module
 //     offered are ever monitored;
 //   - full-frame: the same frames verified wall-to-wall as overlapping
-//     tiles over one shared frame stem, every tile byte-identical to a
-//     per-crop verdict of the same rectangle (the framecontext parity
-//     tests pin this).
+//     tiles, each tile one per-crop verdict of its rectangle.
 //
 // Reported per split: how much of the frame each regime monitors, the
 // frame-wide coverage of core-model busy-road misses, the frame-wide false
@@ -51,7 +49,7 @@ func RunE12(e *Env, w io.Writer) error {
 	_, testSpecs, oodSpecs := e.datasetSpecs()
 	tile := evenInt(e.Cfg.CropSize)
 
-	fmt.Fprintf(w, "Full-frame Bayesian monitoring over a shared per-frame stem (%d MC samples,\n", e.Cfg.MCSamples)
+	fmt.Fprintf(w, "Full-frame Bayesian monitoring as tiled crop verdicts (%d MC samples,\n", e.Cfg.MCSamples)
 	fmt.Fprintf(w, "%dpx tiles). Crop-only rows monitor exactly what the pipeline's Decision\n", tile)
 	fmt.Fprintln(w, "Module offered; full-frame rows verify every pixel of the same frames.")
 	fmt.Fprintln(w)
@@ -64,12 +62,11 @@ func RunE12(e *Env, w io.Writer) error {
 	}
 
 	type tally struct {
-		monitored, total         int64 // pixels under any monitor verdict
-		missed, missedFlagged    int64 // core-model busy-road misses, flagged
-		safe, safeFlagged        int64 // truly-safe pixels, flagged
-		flagged                  int64
-		confirmed, disputed      int64 // crop-confirmed zones vs the frame map
-		cachedCrops, fallbackTot int
+		monitored, total      int64 // pixels under any monitor verdict
+		missed, missedFlagged int64 // core-model busy-road misses, flagged
+		safe, safeFlagged     int64 // truly-safe pixels, flagged
+		flagged               int64
+		confirmed, disputed   int64 // crop-confirmed zones vs the frame map
 	}
 
 	splits := []struct {
@@ -98,16 +95,11 @@ func RunE12(e *Env, w io.Writer) error {
 				mergeFlagsAt(cropFlags, tr.Verdict.Flags, x0, y0)
 			}
 
-			// Full-frame regime: one frame context, tiled wall-to-wall.
-			fc := b.NewFrameContext(s.Image)
-			fv, err := fc.VerifyFrameCtx(context.Background(), tile, rule)
+			// Full-frame regime: the frame tiled wall-to-wall.
+			fv, err := b.VerifyFrameCtx(context.Background(), s.Image, tile, rule)
 			if err != nil {
-				fc.Close()
 				return fmt.Errorf("E12 %s scene %d full-frame: %w", split.name, si, err)
 			}
-			full.cachedCrops += fc.CachedCrops
-			full.fallbackTot += fc.FallbackCrops
-			fc.Close()
 
 			pred := resp.Result.Pred
 			for i, truth := range s.Labels.Pix {
@@ -178,19 +170,16 @@ func RunE12(e *Env, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "  %-18s confirmed zones: %d, disputed by the full-frame map: %d\n",
 			split.name, crop.confirmed, full.disputed)
-		if full.fallbackTot != 0 {
-			fmt.Fprintf(w, "  %-18s WARNING: %d tiles fell back to the naive per-crop path\n",
-				split.name, full.fallbackTot)
-		}
 	}
 
-	// In-experiment parity spot check: one tile re-verified through the
-	// naive per-crop path must be byte-identical (the unit tests pin the
-	// full matrix; this guards the wiring actually used above).
+	// In-experiment parity spot check: one tile re-verified on its own must
+	// be byte-identical (the unit tests pin the full matrix; this guards
+	// the wiring actually used above). The tiled run is also the latency
+	// sample.
 	s := e.Corpus.Scene(testSpecs[0])
-	fc := b.NewFrameContext(s.Image)
-	fv, err := fc.VerifyFrameCtx(context.Background(), tile, rule)
-	fc.Close()
+	t0 := time.Now()
+	fv, err := b.VerifyFrameCtx(context.Background(), s.Image, tile, rule)
+	fullTime := time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("E12 parity: %w", err)
 	}
@@ -200,37 +189,27 @@ func RunE12(e *Env, w io.Writer) error {
 		return fmt.Errorf("E12 parity: %w", err)
 	}
 	if !sameVerdict(tl.Verdict, naive) {
-		return fmt.Errorf("E12: cached-stem tile (%d,%d) diverged from the per-crop path", tl.X0, tl.Y0)
+		return fmt.Errorf("E12: tile (%d,%d) diverged from the per-crop path", tl.X0, tl.Y0)
 	}
 	fmt.Fprintf(w, "\nParity spot check: tile (%d,%d) %dx%d byte-identical to the naive per-crop verdict.\n",
 		tl.X0, tl.Y0, tl.W, tl.H)
 
-	// Latency: what Section V-B's "prohibitively slow" becomes with the
-	// stem shared. The steady-state per-crop number is BenchmarkMCStats in
-	// BENCH_nn.json; BenchmarkFullFrameVerdict in BENCH_monitor.json tracks
-	// the acceptance budget (full frame < 10x one crop verdict).
-	sub := s.Image.Crop(0, 0, tile, tile)
-	t0 := time.Now()
-	b.VerifyRegion(sub, rule)
-	cropTime := time.Since(t0)
+	// Latency: what Section V-B's "prohibitively slow" becomes when tiled.
+	// The steady-state per-crop number is BenchmarkMCStats in BENCH_nn.json;
+	// BenchmarkFullFrameVerdict in BENCH_monitor.json tracks the acceptance
+	// budget (full frame < 10x one crop verdict).
 	t0 = time.Now()
-	fc = b.NewFrameContext(s.Image)
-	if _, err := fc.VerifyFrameCtx(context.Background(), tile, rule); err != nil {
-		fc.Close()
-		return fmt.Errorf("E12 timing: %w", err)
-	}
-	fc.Close()
-	fullTime := time.Since(t0)
-	tiles := len(fv.Tiles)
-	fmt.Fprintf(w, "\nLatency (%dx%d frame, %d tiles of %dpx):\n", s.Image.W, s.Image.H, tiles, tile)
-	fmt.Fprintf(w, "  one crop verdict (stem recomputed): %10v\n", cropTime)
-	fmt.Fprintf(w, "  whole frame (shared stem, tiled):   %10v  = %.1fx one crop\n",
+	b.VerifyRegion(s.Image.Crop(0, 0, tile, tile), rule)
+	cropTime := time.Since(t0)
+	fmt.Fprintf(w, "\nLatency (%dx%d frame, %d tiles of %dpx):\n", s.Image.W, s.Image.H, len(fv.Tiles), tile)
+	fmt.Fprintf(w, "  one crop verdict:      %10v\n", cropTime)
+	fmt.Fprintf(w, "  whole frame (tiled):   %10v  = %.1fx one crop\n",
 		fullTime, float64(fullTime)/float64(cropTime))
 	fmt.Fprintln(w, "  acceptance budget: whole frame < 10x one crop verdict (BENCH_monitor.json)")
 
-	fmt.Fprintln(w, "\nConclusion: with the frame stem computed once and crop stems sliced from it,")
-	fmt.Fprintln(w, "whole-frame Bayesian monitoring costs a few crop verdicts, not hundreds — the")
-	fmt.Fprintln(w, "Section V-B sub-image restriction is an optimization choice, not a constraint.")
+	fmt.Fprintln(w, "\nConclusion: tiled into crop verdicts, whole-frame Bayesian monitoring costs one")
+	fmt.Fprintln(w, "crop verdict per tile, not hundreds — the Section V-B sub-image restriction is an")
+	fmt.Fprintln(w, "optimization choice, not a constraint.")
 	return nil
 }
 

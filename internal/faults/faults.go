@@ -1,6 +1,6 @@
 // Package faults is the deterministic chaos layer of the serving stack:
 // a seed-keyed fault injector with named injection points threaded through
-// the perception and serving layers, so the fault-tolerance evidence the
+// the serving layer, so the fault-tolerance evidence the
 // paper's argument rests on (Figure 1 escalates a monitor refusal to the
 // fault-tolerant maneuver; Guerin et al. 2022 evaluate monitoring under
 // injected runtime faults) can be reproduced byte-for-byte.
@@ -37,21 +37,18 @@ const (
 	// injector's configured stall duration) and then fails it, modeling a
 	// replica that blew its compute budget. Transient like SelectorError.
 	ReplicaStall
-	// StemCorrupt corrupts the session's cached stem as it re-primes
-	// (monitor.FrameContext.FaultHook at the "reprime" point): the carried
-	// temporal state is dropped and the frame recomputes cold on retry.
-	StemCorrupt
+	// A kind's value keys the firing hash, so a retired kind keeps its slot
+	// and published schedules stay byte-identical.
+	_
 	// ShardBlackout takes the whole shard down for the frame: every
 	// attempt on the shard fails, retries included, so the serving layer
 	// must degrade (or the fleet layer must route around the shard).
 	ShardBlackout
-
-	numKinds
 )
 
 // Kinds returns every fault kind, in schedule order.
 func Kinds() []Kind {
-	return []Kind{SelectorError, ReplicaStall, StemCorrupt, ShardBlackout}
+	return []Kind{SelectorError, ReplicaStall, ShardBlackout}
 }
 
 // String names the kind as it appears in published schedules.
@@ -61,8 +58,6 @@ func (k Kind) String() string {
 		return "selector-error"
 	case ReplicaStall:
 		return "replica-stall"
-	case StemCorrupt:
-		return "stem-corrupt"
 	case ShardBlackout:
 		return "shard-blackout"
 	default:
@@ -80,7 +75,6 @@ func (k Kind) Transient() bool { return k != ShardBlackout }
 type Rates struct {
 	SelectorError float64
 	ReplicaStall  float64
-	StemCorrupt   float64
 	ShardBlackout float64
 }
 
@@ -90,8 +84,6 @@ func (r Rates) rate(k Kind) float64 {
 		return r.SelectorError
 	case ReplicaStall:
 		return r.ReplicaStall
-	case StemCorrupt:
-		return r.StemCorrupt
 	case ShardBlackout:
 		return r.ShardBlackout
 	default:

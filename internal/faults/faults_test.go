@@ -46,7 +46,7 @@ func TestRateEndpoints(t *testing.T) {
 // depend on query order, repetition, or interleaved queries about other
 // points.
 func TestFireIsStateless(t *testing.T) {
-	in := NewInjector(42, Rates{SelectorError: 0.3, ReplicaStall: 0.2, StemCorrupt: 0.1, ShardBlackout: 0.15})
+	in := NewInjector(42, Rates{SelectorError: 0.3, ReplicaStall: 0.2, ShardBlackout: 0.15})
 	type q struct {
 		k     Kind
 		p     string
@@ -62,7 +62,7 @@ func TestFireIsStateless(t *testing.T) {
 		}
 	}
 	// Replay backwards, twice each, against a fresh injector.
-	fresh := NewInjector(42, Rates{SelectorError: 0.3, ReplicaStall: 0.2, StemCorrupt: 0.1, ShardBlackout: 0.15})
+	fresh := NewInjector(42, Rates{SelectorError: 0.3, ReplicaStall: 0.2, ShardBlackout: 0.15})
 	for i := len(forward) - 1; i >= 0; i-- {
 		for rep := 0; rep < 2; rep++ {
 			if fresh.Fire(forward[i].k, forward[i].p, forward[i].f) != forward[i].fired {
@@ -120,7 +120,7 @@ func TestScheduleFaultComposesWithRates(t *testing.T) {
 
 func TestScheduleEnumeratesExactlyWhatFires(t *testing.T) {
 	in := NewInjector(11, Rates{SelectorError: 0.4, ShardBlackout: 0.3}).
-		ScheduleFault(StemCorrupt, "shard1", 2)
+		ScheduleFault(ReplicaStall, "shard1", 2)
 	points := []string{"shard0", "shard1"}
 	const frames = 25
 	plan := in.Schedule(points, frames)
@@ -143,7 +143,7 @@ func TestScheduleEnumeratesExactlyWhatFires(t *testing.T) {
 	if !reflect.DeepEqual(plan, sorted) {
 		t.Error("Schedule output not in canonical order")
 	}
-	if !strings.Contains(FormatSchedule(plan), "stem-corrupt@shard1") {
+	if !strings.Contains(FormatSchedule(plan), "replica-stall@shard1") {
 		t.Errorf("formatted schedule missing explicit entry:\n%s", FormatSchedule(plan))
 	}
 	if FormatSchedule(nil) != "  (no faults scheduled)\n" {
@@ -165,7 +165,7 @@ func TestErrorClassification(t *testing.T) {
 	if AsInjected(wrapped) == nil {
 		t.Error("wrapped injected error not classified")
 	}
-	if !ReplicaStall.Transient() || !SelectorError.Transient() || !StemCorrupt.Transient() {
+	if !ReplicaStall.Transient() || !SelectorError.Transient() {
 		t.Error("attempt-scoped kinds must be transient")
 	}
 	if ShardBlackout.Transient() {
@@ -206,22 +206,22 @@ func TestBackoffBoundedAndDeterministic(t *testing.T) {
 // queried in reverse) produce the identical fault sequence, and the
 // published Schedule matches the Fire answers entry for entry.
 func FuzzInjectorDeterminism(f *testing.F) {
-	f.Add(int64(1), 0.3, 0.2, 0.1, 0.15, "shard0", uint8(20), uint8(3))
-	f.Add(int64(-7), 1.0, 0.0, 0.5, 0.9, "uav-0042", uint8(5), uint8(1))
-	f.Add(int64(0), 0.0, 0.0, 0.0, 0.0, "", uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, r1, r2, r3, r4 float64, point string, frames, schedFrame uint8) {
-		for _, r := range []float64{r1, r2, r3, r4} {
+	f.Add(int64(1), 0.3, 0.2, 0.15, "shard0", uint8(20), uint8(3))
+	f.Add(int64(-7), 1.0, 0.0, 0.9, "uav-0042", uint8(5), uint8(1))
+	f.Add(int64(0), 0.0, 0.0, 0.0, "", uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, r1, r2, r3 float64, point string, frames, schedFrame uint8) {
+		for _, r := range []float64{r1, r2, r3} {
 			if math.IsNaN(r) || r < 0 || r > 1 {
 				t.Skip()
 			}
 		}
-		rates := Rates{SelectorError: r1, ReplicaStall: r2, StemCorrupt: r3, ShardBlackout: r4}
+		rates := Rates{SelectorError: r1, ReplicaStall: r2, ShardBlackout: r3}
 		mk := func() *Injector {
-			return NewInjector(seed, rates).ScheduleFault(StemCorrupt, point, int(schedFrame))
+			return NewInjector(seed, rates).ScheduleFault(ReplicaStall, point, int(schedFrame))
 		}
 		a, b := mk(), mk()
 		n := int(frames) + 1
-		seq := make([]bool, 0, n*int(numKinds))
+		seq := make([]bool, 0, n*len(Kinds()))
 		for fr := 0; fr < n; fr++ {
 			for _, k := range Kinds() {
 				seq = append(seq, a.Fire(k, point, fr))
@@ -237,7 +237,7 @@ func FuzzInjectorDeterminism(f *testing.F) {
 				i--
 			}
 		}
-		if !a.Fire(StemCorrupt, point, int(schedFrame)) {
+		if !a.Fire(ReplicaStall, point, int(schedFrame)) {
 			t.Fatal("explicitly scheduled fault did not fire")
 		}
 		planned := map[Entry]bool{}

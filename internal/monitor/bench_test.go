@@ -55,41 +55,14 @@ func BenchmarkVerifyRegion(b *testing.B) {
 	}
 }
 
-// BenchmarkCropVerdictCachedStem times one 64×64 zone verdict served from
-// an already-primed frame stem — the steady-state cost of every candidate
-// after the first on one frame. Compare against BenchmarkMCStats /
-// BenchmarkVerifyRegion, which pay the per-crop stem each time.
-func BenchmarkCropVerdictCachedStem(b *testing.B) {
-	bay := benchBayesian()
-	frame := benchImage(192)
-	rule := DefaultRule()
-	fc := bay.NewFrameContext(frame)
-	defer fc.Close()
-	ctx := context.Background()
-	if _, err := fc.VerifyZoneCtx(ctx, 64, 64, 64, 64, rule); err != nil {
-		b.Fatal(err)
-	}
-	if fc.CachedCrops != 1 {
-		b.Fatalf("warmup crop not served from the stem cache (%d cached, %d fallback)",
-			fc.CachedCrops, fc.FallbackCrops)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fc.VerifyZoneCtx(ctx, 64, 64, 64, 64, rule); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFullFrameVerdict times the whole-frame Bayesian verdict the
 // paper's Section V-B rules out as prohibitively slow: a 192×192 frame
-// verified as 64×64 tiles over one shared frame stem, frame-context setup
-// included. ns/op is the whole-frame cost alone; the E12 acceptance budget
-// (full frame < 10 crop verdicts) is recorded as the crop-verdicts metric,
-// measured against a single-crop MCStats pass interleaved with every
-// iteration so machine-load drift hits both sides of the ratio equally —
-// two benchmarks run a minute apart on a loaded box do not.
+// verified as 64×64 tiles, each tile one crop verdict. ns/op is the
+// whole-frame cost alone; the E12 acceptance budget (full frame < 10 crop
+// verdicts) is recorded as the crop-verdicts metric, measured against a
+// single-crop MCStats pass interleaved with every iteration so
+// machine-load drift hits both sides of the ratio equally — two benchmarks
+// run a minute apart on a loaded box do not.
 func BenchmarkFullFrameVerdict(b *testing.B) {
 	bay := benchBayesian()
 	frame := benchImage(192)
@@ -97,13 +70,8 @@ func BenchmarkFullFrameVerdict(b *testing.B) {
 	rule := DefaultRule()
 	ctx := context.Background()
 	run := func() {
-		fc := bay.NewFrameContext(frame)
-		defer fc.Close()
-		if _, err := fc.VerifyFrameCtx(ctx, 64, rule); err != nil {
+		if _, err := bay.VerifyFrameCtx(ctx, frame, 64, rule); err != nil {
 			b.Fatal(err)
-		}
-		if fc.FallbackCrops != 0 {
-			b.Fatalf("%d tiles fell back to the naive path", fc.FallbackCrops)
 		}
 	}
 	run() // warm caches outside the timer

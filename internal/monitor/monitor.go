@@ -68,17 +68,20 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 }
 
 // mcRun drives the Monte-Carlo sample loop: dropout forced AlwaysOn and
-// reseeded, then the deterministic prefix — every layer before the first
-// Dropout, whose inference output cannot vary across samples — is computed
-// once and only the stochastic suffix is replayed per sample
-// (nn.SplitAtFirstDropout). Dropout layers draw exactly the same RNG
-// stream as a full replay, so the per-sample probabilities are
-// byte-identical to running the whole network each time; the prefix-reuse
-// tests pin this against a naive full replay.
+// reseeded from b.Seed, then the deterministic prefix — every layer before
+// the first Dropout, whose inference output cannot vary across samples — is
+// computed once and only the stochastic suffix is replayed per sample
+// (nn.SplitAtFirstDropout), with a softmax over each. Dropout layers draw
+// exactly the same RNG stream as a full replay, so the per-sample
+// probabilities are byte-identical to running the whole network each time;
+// the prefix-reuse tests pin this against a naive full replay.
 //
 // each borrows probs for the duration of the call only: the buffer returns
 // to the model's arena for the next sample.
 func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(probs *nn.Tensor)) error {
+	if b.Samples < 2 {
+		panic(fmt.Sprintf("monitor: need at least 2 MC samples, have %d", b.Samples))
+	}
 	sc := b.Model.Scratch()
 	in := segment.ToTensorScratch(img, sc)
 	stem, suffix := in, nn.Layer(b.Model.Net)
@@ -93,30 +96,14 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(prob
 			sc.Put(in)
 		}
 	}
-	return b.mcReplay(ctx, stem, suffix, each)
-}
 
-// mcReplay replays the stochastic suffix over a precomputed stem: dropout
-// forced AlwaysOn and reseeded from b.Seed, then Samples suffix passes with
-// a softmax over each. The stem tensor is borrowed — suffix chains never
-// recycle their chain input — so callers may replay the same stem (or crops
-// sliced from a frame-level one) any number of times; each call draws an
-// identical RNG stream, which is what makes cached-stem verdicts
-// byte-identical to per-crop ones.
-//
-// each borrows probs for the duration of the call only: the buffer returns
-// to the model's arena for the next sample.
-func (b *Bayesian) mcReplay(ctx context.Context, stem *nn.Tensor, suffix nn.Layer, each func(probs *nn.Tensor)) error {
-	if b.Samples < 2 {
-		panic(fmt.Sprintf("monitor: need at least 2 MC samples, have %d", b.Samples))
-	}
 	net := b.Model.Net
 	nn.SetDropoutMode(net, nn.AlwaysOn)
 	defer nn.SetDropoutMode(net, nn.Auto)
 	nn.ReseedDropout(net, b.Seed)
-
-	sc := b.Model.Scratch()
 	for s := 0; s < b.Samples; s++ {
+		// Suffix chains never recycle their chain input, so the stem
+		// survives every sample.
 		out, err := nn.ForwardCtx(ctx, suffix, stem, false)
 		if err != nil {
 			return err
@@ -130,31 +117,14 @@ func (b *Bayesian) mcReplay(ctx context.Context, stem *nn.Tensor, suffix nn.Laye
 	return nil
 }
 
-// mcMoments accumulates per-pixel mean and standard deviation over the
-// Monte-Carlo samples. When sc is non-nil the moment buffers are drawn from
-// it — callers doing so must Put Mean and Std back once read, which is what
-// makes a steady-state VerifyRegionCtx allocation-free; pass nil when the
-// statistics escape.
+// mcMoments accumulates per-pixel Σp and Σp² over the Monte-Carlo samples
+// and finalizes them into mean and standard deviation. When sc is non-nil
+// the moment buffers are drawn from it — callers doing so must Put Mean and
+// Std back once read, which is what makes a steady-state VerifyRegionCtx
+// allocation-free; pass nil when the statistics escape.
 func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (Stats, error) {
-	return b.momentsOver(sc, func(each func(*nn.Tensor)) error {
-		return b.mcRun(ctx, img, each)
-	})
-}
-
-// stemMoments is mcMoments over a precomputed stem (a frame stem or a crop
-// sliced from one): the suffix replay replaces the full per-image run, the
-// Σp/Σp² accumulation is shared, so the two paths cannot drift.
-func (b *Bayesian) stemMoments(ctx context.Context, stem *nn.Tensor, suffix nn.Layer, sc *nn.Scratch) (Stats, error) {
-	return b.momentsOver(sc, func(each func(*nn.Tensor)) error {
-		return b.mcReplay(ctx, stem, suffix, each)
-	})
-}
-
-// momentsOver accumulates per-pixel Σp and Σp² over whatever sample stream
-// run produces and finalizes them into mean and standard deviation.
-func (b *Bayesian) momentsOver(sc *nn.Scratch, run func(each func(*nn.Tensor)) error) (Stats, error) {
 	var sum, sumSq *nn.Tensor
-	err := run(func(probs *nn.Tensor) {
+	err := b.mcRun(ctx, img, func(probs *nn.Tensor) {
 		if sum == nil {
 			sum = sc.Get(probs.Shape...)
 			sum.Zero()

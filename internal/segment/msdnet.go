@@ -145,24 +145,6 @@ func ToTensorScratch(img *imaging.Image, sc *nn.Scratch) *nn.Tensor {
 	return t
 }
 
-// UpdateTensorRect rewrites the (x0, y0, w, h) window of a ToTensor-shaped
-// [1,3,H,W] tensor from the same window of img, leaving every element
-// outside the window untouched. Updating a previous frame's tensor at the
-// changed rectangles is value-identical to converting the new frame from
-// scratch — the descent-session temporal path depends on exactly that.
-func UpdateTensorRect(t *nn.Tensor, img *imaging.Image, x0, y0, w, h int) {
-	hw := img.H * img.W
-	for y := y0; y < y0+h; y++ {
-		for x := x0; x < x0+w; x++ {
-			i := y*img.W + x
-			p := img.Pix[i]
-			t.Data[i] = p.R - 0.5
-			t.Data[hw+i] = p.G - 0.5
-			t.Data[2*hw+i] = p.B - 0.5
-		}
-	}
-}
-
 // checkEven panics when a downsampling model receives odd spatial dims; the
 // stride-2 stem plus 2× upsample would silently change the output size.
 func (m *Model) checkEven(img *imaging.Image) {
@@ -237,15 +219,6 @@ func labelMap(scores *nn.Tensor, w, h int) *imaging.LabelMap {
 		out.Pix[i] = imaging.Class(c)
 	}
 	return out
-}
-
-// LabelMapFromScores converts raw class scores ([1,C,H,W]) into the label
-// map Predict would produce for a w×h input. It lets callers that obtain
-// scores without going through Logits — the monitor's frame context runs
-// the suffix over a cached stem — share the exact argmax-and-cast path, so
-// their predictions cannot drift from Predict's.
-func LabelMapFromScores(scores *nn.Tensor, w, h int) *imaging.LabelMap {
-	return labelMap(scores, w, h)
 }
 
 // Clone returns a frozen shared-weights replica: a fresh network of the

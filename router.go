@@ -8,16 +8,15 @@ import (
 )
 
 // Router shards descent sessions across several Engines by vehicle ID, so a
-// fleet service scales past one replica pool: every vehicle hashes to a
+// fleet service scales past one worker pool: every vehicle hashes to a
 // fixed home shard (FNV-1a mod shard count), keeping all frames of one
-// descent — and therefore the session's cached stem — on the same engine.
+// descent — and the session's prior — on the same engine.
 //
 // Placement is health-aware: when the home shard rejects the vehicle —
 // saturated (ErrSessionLimit) or breaker-open (ErrShardUnhealthy) — the
 // router spills the session to the least-loaded healthy shard instead of
 // surfacing the rejection. A spilled session is sticky for its lifetime
-// (the Session binds to the engine that admitted it), so the descent's
-// cached stem never migrates mid-stream; the home shard's
+// (the Session binds to the engine that admitted it); the home shard's
 // EngineStats.Spilled counts the vehicles it shed. Only when every shard
 // rejects does NewSession fail, with the home shard's error.
 type Router struct {

@@ -2,6 +2,7 @@ package safeland
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -37,6 +38,10 @@ type Selector interface {
 // backend without any locking.
 type SelectorFactory func(sys *System) (Selector, error)
 
+// errBadRequest marks request-validation failures: they are the caller's
+// fault, so degraded mode answers them with an error, never a fallback.
+var errBadRequest = errors.New("safeland: malformed request")
+
 // frame resolves the image and scale of a request, defaulting from the
 // attached scene when the caller supplied one.
 func (r SelectRequest) frame() (*imaging.Image, float64, error) {
@@ -50,10 +55,10 @@ func (r SelectRequest) frame() (*imaging.Image, float64, error) {
 		}
 	}
 	if img == nil {
-		return nil, 0, fmt.Errorf("safeland: request has neither Image nor Scene")
+		return nil, 0, fmt.Errorf("%w: neither Image nor Scene", errBadRequest)
 	}
 	if mpp <= 0 {
-		return nil, 0, fmt.Errorf("safeland: request needs a positive MPP (have %v)", mpp)
+		return nil, 0, fmt.Errorf("%w: MPP must be positive (have %v)", errBadRequest, mpp)
 	}
 	return img, mpp, nil
 }
@@ -103,7 +108,7 @@ func (s *hybridSelector) Name() string { return "hybrid-gis" }
 
 func (s *hybridSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
 	if req.Scene == nil {
-		return core.Result{}, fmt.Errorf("safeland: %s selector requires SelectRequest.Scene", s.Name())
+		return core.Result{}, fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
 	}
 	zones := s.h.Pipeline.Zones
 	zones.HomeX, zones.HomeY = req.HomeX, req.HomeY
@@ -144,7 +149,7 @@ func (s *baselineSelector) Name() string { return "baseline-" + s.sel.Name() }
 
 func (s *baselineSelector) Select(_ context.Context, req SelectRequest) (core.Result, error) {
 	if req.Scene == nil {
-		return core.Result{}, fmt.Errorf("safeland: %s selector requires SelectRequest.Scene", s.Name())
+		return core.Result{}, fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
 	}
 	_, mpp, err := req.frame()
 	if err != nil {

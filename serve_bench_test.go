@@ -86,13 +86,14 @@ func sessionFleetStreams(b *testing.B, vehicles, framesPerVehicle int) ([][]*ima
 }
 
 // benchmarkSessionFleet serves a synthetic fleet of staggered descents —
-// `vehicles` sessions sharded over a two-engine router, each advancing a
+// `vehicles` vehicles sharded over a two-engine router, each advancing a
 // deterministic per-vehicle frame stream over a corpus scene, frames
-// interleaved round-robin across the fleet so every session's temporal
-// state survives arbitrary interleaving. The reuse arm carries the frame
-// stem across frames; the full arm recomputes every frame (reuse
-// disabled). The headline metric is ns/frame; make bench lands both arms
-// in BENCH_serve.json.
+// interleaved round-robin across the fleet so every session's prior
+// survives arbitrary interleaving. The reuse arm serves each vehicle
+// through a session, which re-verifies the previous zone; the full arm
+// sends every frame to the vehicle's home shard as an independent Select.
+// The headline metric is ns/frame; make bench lands both arms in
+// BENCH_serve.json.
 func benchmarkSessionFleet(b *testing.B, vehicles int) {
 	sys := serveSystem()
 	const framesPerVehicle = 3
@@ -124,29 +125,36 @@ func benchmarkSessionFleet(b *testing.B, vehicles int) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sessions := make([]*safeland.Session, vehicles)
-				for v := range sessions {
-					sessions[v], err = router.NewSession(
-						fmt.Sprintf("uav-%04d", v),
-						safeland.WithSessionReuse(arm.reuse),
-					)
-					if err != nil {
-						b.Fatal(err)
+				ids := make([]string, vehicles)
+				var sessions []*safeland.Session
+				for v := range ids {
+					ids[v] = fmt.Sprintf("uav-%04d", v)
+					if arm.reuse {
+						sess, err := router.NewSession(ids[v])
+						if err != nil {
+							b.Fatal(err)
+						}
+						sessions = append(sessions, sess)
 					}
 				}
 				b.StartTimer()
 				for k := 0; k < framesPerVehicle; k++ {
-					for v, sess := range sessions {
-						resp := sess.Advance(ctx, safeland.SelectRequest{
-							Image: streams[v][k], MPP: mpps[v],
-						})
-						if resp.Err != nil {
-							b.Fatalf("vehicle %d frame %d: %v", v, k, resp.Err)
+					for v, id := range ids {
+						req := safeland.SelectRequest{Image: streams[v][k], MPP: mpps[v]}
+						var err error
+						if arm.reuse {
+							resp := sessions[v].Advance(ctx, req)
+							err = resp.Err
+							if resp.Reused {
+								reused++
+							}
+						} else {
+							err = router.Engine(id).Select(ctx, req).Err
+						}
+						if err != nil {
+							b.Fatalf("vehicle %d frame %d: %v", v, k, err)
 						}
 						frames++
-						if resp.Reused {
-							reused++
-						}
 					}
 				}
 				b.StopTimer()
@@ -166,8 +174,8 @@ func BenchmarkSessionFleet100(b *testing.B)  { benchmarkSessionFleet(b, 100) }
 func BenchmarkSessionFleet1000(b *testing.B) { benchmarkSessionFleet(b, 1000) }
 
 // BenchmarkSessionFleetChaos flies the 100-vehicle fleet of the reuse arm
-// under a deterministic fault injector — transient selector errors and
-// stem corruption at the vehicle points, shard0 blacked out for frame 1 —
+// under a deterministic fault injector — transient selector errors at the
+// vehicle points, shard0 blacked out for frame 1 —
 // with degraded-mode serving on, measuring what the fault-tolerance
 // machinery costs per frame next to the clean arms in BENCH_serve.json.
 // The serving contract is enforced, not just measured: a hard-failed
@@ -180,7 +188,6 @@ func BenchmarkSessionFleetChaos(b *testing.B) {
 	streams, mpps := sessionFleetStreams(b, vehicles, framesPerVehicle)
 	inj := faults.NewInjector(99, faults.Rates{
 		SelectorError: 0.05,
-		StemCorrupt:   0.05,
 	}).ScheduleFault(faults.ShardBlackout, "shard0", 1)
 
 	ctx := context.Background()

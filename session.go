@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"image"
 	"sync"
 	"time"
 
 	"safeland/internal/core"
-	"safeland/internal/faults"
-	"safeland/internal/imaging"
-	"safeland/internal/monitor"
 )
 
 // ErrSessionLimit is returned by NewSession when the engine's admission
@@ -21,7 +17,7 @@ import (
 var ErrSessionLimit = errors.New("safeland: session limit reached")
 
 // ErrPreempted is the cause a routine session advance is cancelled with
-// when a safety-class advance needs its worker replica. Match it with
+// when a safety-class advance needs its worker. Match it with
 // errors.Is on SessionResponse.Err; the caller retries the frame (its
 // trigger has usually fired by then, promoting the retry to safety class).
 var ErrPreempted = errors.New("safeland: routine selection preempted by a safety-class request")
@@ -33,18 +29,21 @@ var ErrSessionClosed = errors.New("safeland: session is closed")
 // safety priority class: once any goroutine fires it — a failure monitor, a
 // geofence breach, the mission safety switch — every subsequent Advance on
 // sessions bound to it runs in the safety class, and one in-flight routine
-// advance on the engine is preempted to free a replica immediately. The
+// advance on the engine is preempted to free a worker immediately. The
 // first Trigger wins; later calls are no-ops that keep the first reason.
 type SafetyTrigger struct {
 	mu     sync.Mutex
-	fired  bool
 	reason string
-	done   chan struct{}
+	// ctx is done once the trigger fires; routine advances of bound
+	// sessions abort on it through context.AfterFunc.
+	ctx  context.Context
+	fire context.CancelFunc
 }
 
 // NewSafetyTrigger returns an unfired trigger.
 func NewSafetyTrigger() *SafetyTrigger {
-	return &SafetyTrigger{done: make(chan struct{})}
+	ctx, fire := context.WithCancel(context.Background())
+	return &SafetyTrigger{ctx: ctx, fire: fire}
 }
 
 // Trigger latches the trigger with the given reason and reports whether
@@ -53,21 +52,16 @@ func NewSafetyTrigger() *SafetyTrigger {
 func (t *SafetyTrigger) Trigger(reason string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.fired {
+	if t.Triggered() {
 		return false
 	}
-	t.fired = true
 	t.reason = reason
-	close(t.done)
+	t.fire()
 	return true
 }
 
 // Triggered reports whether the trigger has fired.
-func (t *SafetyTrigger) Triggered() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fired
-}
+func (t *SafetyTrigger) Triggered() bool { return t.ctx.Err() != nil }
 
 // Reason returns the reason of the first Trigger call, "" while unfired.
 func (t *SafetyTrigger) Reason() string {
@@ -76,83 +70,51 @@ func (t *SafetyTrigger) Reason() string {
 	return t.reason
 }
 
-// Done returns a channel closed when the trigger fires; an in-flight
-// routine advance on a bound session watches it to abort mid-trial.
-func (t *SafetyTrigger) Done() <-chan struct{} { return t.done }
-
-// DefaultDiffTile is the frame-diff granularity (pixels) sessions use when
-// WithDiffTile is not given.
-const DefaultDiffTile = 32
-
-// sessionConfig collects the SessionOption values.
-type sessionConfig struct {
-	reuse    bool
-	diffTile int
-	trigger  *SafetyTrigger
-}
+// Done returns a channel closed when the trigger fires.
+func (t *SafetyTrigger) Done() <-chan struct{} { return t.ctx.Done() }
 
 // SessionOption configures NewSession.
-type SessionOption func(*sessionConfig)
-
-// WithSessionReuse toggles temporal reuse (default on). With reuse off,
-// every Advance runs the full selection from a cold frame context and is
-// byte-identical to an independent Engine.Select of the same request; with
-// reuse on, only changed tiles are re-primed and an unchanged confirmed
-// zone is re-verified without a new candidate search.
-func WithSessionReuse(on bool) SessionOption {
-	return func(c *sessionConfig) { c.reuse = on }
-}
-
-// WithDiffTile sets the tile size (pixels) of the frame diff that decides
-// which stem regions to re-prime between consecutive frames. Values below 1
-// keep DefaultDiffTile.
-func WithDiffTile(px int) SessionOption {
-	return func(c *sessionConfig) {
-		if px >= 1 {
-			c.diffTile = px
-		}
-	}
-}
+type SessionOption func(*Session)
 
 // WithSessionTrigger binds a safety trigger to the session; see
 // SafetyTrigger. One trigger may be shared by several sessions of the same
 // vehicle's subsystems.
 func WithSessionTrigger(t *SafetyTrigger) SessionOption {
-	return func(c *sessionConfig) { c.trigger = t }
+	return func(s *Session) { s.trigger = t }
 }
 
 // Session is a per-vehicle descent stream over an Engine: a sequence of
-// Advance calls over consecutive frames of one vehicle's descent, carrying
-// the previous frame's primed stem forward so each frame pays only for what
-// changed. A session owns a private System replica (weights shared with the
-// engine's under the frozen-weights invariant, scratch state private), so
-// its cached stem survives between frames without holding a pool slot; the
-// replica only computes while Advance holds one of the engine's worker
-// slots, so the pool still bounds total CPU. Monitor verdicts are reseeded
-// per call, so session verdicts are byte-identical to the engine's
-// stateless path on the same pixels.
+// Advance calls over consecutive frames of one vehicle's descent. Between
+// frames it keeps only a prior — the last successful result and that
+// frame's size. When the prior's zone was confirmed by a monitor trial and
+// the next frame has the same size, Advance first re-verifies that zone on
+// the new frame and keeps it if the monitor confirms it again; otherwise
+// the frame goes to the engine's Selector, exactly like a Select. Either
+// way the work runs on a borrowed pool worker, so sessions cost no model
+// replica and the pool bounds total CPU. Monitor verdicts are reseeded per
+// call, so session verdicts are byte-identical to the stateless path on
+// the same pixels.
 //
 // A Session is safe for concurrent use, but Advance calls serialize on the
 // session — streams are per-vehicle and ordered by construction.
 type Session struct {
 	eng     *Engine
 	vehicle string
-	cfg     sessionConfig
-	pipe    *core.Pipeline
+	trigger *SafetyTrigger
 
-	mu      sync.Mutex
-	closed  bool
-	fc      *monitor.FrameContext
-	prevImg *imaging.Image
-	prev    core.Result
-	hasPrev bool
+	mu     sync.Mutex
+	closed bool
+	// frames numbers the stream's frames as fault-injection coordinates.
+	frames int
+	// prior is the last successful result and its frame's size; nil after
+	// a failed or degraded frame.
+	prior *prior
+}
 
-	// frameSeq numbers the stream's frames as fault-injection coordinates;
-	// curFrame/curAttempt mirror the in-flight advance for the perception
-	// fault hook (read under s.mu, which compute holds).
-	frameSeq   int
-	curFrame   int
-	curAttempt int
+// prior is what a session carries from one frame to the next.
+type prior struct {
+	res  core.Result
+	w, h int
 }
 
 // NewSession opens a descent stream for a vehicle. It is subject to
@@ -163,10 +125,6 @@ type Session struct {
 // rejection is counted in EngineStats.SessionRejects. Close the session
 // when the descent ends.
 func (e *Engine) NewSession(vehicleID string, opts ...SessionOption) (*Session, error) {
-	cfg := sessionConfig{reuse: true, diffTile: DefaultDiffTile}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	if !e.health.admit() {
 		e.sessionRejects.Add(1)
 		return nil, fmt.Errorf("%w: shard %q refusing vehicle %q", ErrShardUnhealthy, e.name, vehicleID)
@@ -176,25 +134,21 @@ func (e *Engine) NewSession(vehicleID string, opts ...SessionOption) (*Session, 
 		e.sessionRejects.Add(1)
 		return nil, fmt.Errorf("%w: engine at %d open sessions, vehicle %q rejected", ErrSessionLimit, e.maxSessions, vehicleID)
 	}
-	rep, err := e.sys.Replica()
-	if err != nil {
-		e.sessions.Add(-1)
-		return nil, fmt.Errorf("safeland: building session replica for %q: %w", vehicleID, err)
+	s := &Session{eng: e, vehicle: vehicleID}
+	for _, o := range opts {
+		o(s)
 	}
-	if e.samples > 0 {
-		rep.Pipeline.Monitor.Samples = e.samples
-	}
-	return &Session{eng: e, vehicle: vehicleID, cfg: cfg, pipe: rep.Pipeline}, nil
+	return s, nil
 }
 
 // Vehicle returns the vehicle ID the session was opened for.
 func (s *Session) Vehicle() string { return s.vehicle }
 
 // Trigger returns the bound safety trigger, nil when none.
-func (s *Session) Trigger() *SafetyTrigger { return s.cfg.trigger }
+func (s *Session) Trigger() *SafetyTrigger { return s.trigger }
 
-// Close ends the stream, releases the cached frame state and frees the
-// session's admission slot. Idempotent.
+// Close ends the stream, drops the prior and frees the session's admission
+// slot. Idempotent.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,21 +156,9 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.resetState()
+	s.prior = nil
 	s.eng.sessions.Add(-1)
 	return nil
-}
-
-// resetState drops the temporal state so the next Advance starts cold.
-// Called with s.mu held.
-func (s *Session) resetState() {
-	if s.fc != nil {
-		s.fc.Close()
-		s.fc = nil
-	}
-	s.prevImg = nil
-	s.prev = core.Result{}
-	s.hasPrev = false
 }
 
 // SessionResponse wraps one Advance outcome with trace metadata.
@@ -231,11 +173,8 @@ type SessionResponse struct {
 	// (the bound trigger had fired when the advance started).
 	Safety bool
 	// Reused is true when the frame was served by the temporal fast path:
-	// changed tiles re-primed, previous confirmed zone re-verified.
+	// the previous monitor-confirmed zone re-verified on this frame.
 	Reused bool
-	// Changed is the number of changed regions re-primed on this frame
-	// (0 on a cold or reuse-disabled frame).
-	Changed int
 	// Retried counts how many extra attempts this frame took after a
 	// transient fault (always 0 outside degraded mode).
 	Retried int
@@ -246,7 +185,7 @@ type SessionResponse struct {
 	Degraded bool
 	// DegradedCause names the budget-exhausting fault; "" unless Degraded.
 	DegradedCause string
-	// Queued is how long the advance waited for a worker slot.
+	// Queued is how long the advance waited for a worker.
 	Queued time.Duration
 	// Elapsed is the processing time, excluding queueing.
 	Elapsed time.Duration
@@ -259,240 +198,48 @@ type SessionResponse struct {
 // shape Select takes; the frame must keep its size across the stream for
 // reuse to engage (a size change restarts the stream cold, it is not an
 // error). When the bound trigger has fired, the advance runs in the safety
-// class: it may preempt a routine advance to get a replica and it jumps the
-// routine queue. On any error the temporal state is dropped, so the next
-// Advance starts from a clean full computation.
+// class: it may preempt a routine advance to get a worker and it jumps the
+// routine queue. A failed attempt drops the prior, so a retry and the next
+// frame start from a full selection.
 func (s *Session) Advance(ctx context.Context, req SelectRequest) SessionResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := SessionResponse{}
 	if s.closed {
-		resp.Err = ErrSessionClosed
-		return resp
+		return SessionResponse{Err: ErrSessionClosed}
 	}
-	img, mpp, err := req.frame()
+	img, _, err := req.frame()
 	if err != nil {
-		resp.Err = err
-		return resp
+		return SessionResponse{Err: err}
 	}
+	c := call{req: req, point: s.vehicle, frame: s.frames, session: true, trigger: s.trigger, img: img}
+	s.frames++
+	if p := s.prior; p != nil && p.w == img.W && p.h == img.H && monitorConfirmed(p.res) {
+		c.prior = &p.res
+	}
+	s.prior = nil
+
 	e := s.eng
-	frame := s.frameSeq
-	s.frameSeq++
-	s.curFrame = frame
-
-	// Like Engine.run, the request deadline bounds queueing — and, in
-	// degraded mode, the frame's whole compute budget including retries.
-	waitCtx := ctx
-	if !req.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithDeadline(ctx, req.Deadline)
-		defer cancel()
-	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			e.retried.Add(1)
-			resp.Retried++
-			if err := sleepCtx(waitCtx, e.retryDelay(s.vehicle, frame, attempt)); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		s.curAttempt = attempt
-		err := s.advanceOnce(ctx, waitCtx, img, mpp, req, frame, attempt, &resp)
-		if err == nil {
-			e.health.observe(true)
-			e.frames.Add(1)
-			if resp.Reused {
-				e.framesReused.Add(1)
-			}
-			s.prevImg = img
-			s.prev = resp.Result
-			s.hasPrev = true
-			return resp
-		}
-		lastErr = err
-		// Any error drops the temporal state, so a retry (and the next
-		// frame) starts from a clean full computation.
-		s.resetState()
-		if attempt >= e.retryBudget() || !e.retryableFault(err) || waitCtx.Err() != nil {
-			break
-		}
-	}
-	if shardFault(lastErr, ctx) {
-		e.health.observe(false)
-	}
-	if e.degrade && degradable(lastErr, ctx) {
-		e.degraded.Add(1)
+	o := e.serve(ctx, c)
+	if o.err == nil {
 		e.frames.Add(1)
-		resp.Degraded = true
-		resp.DegradedCause = degradedCause(lastErr)
-		resp.Result = e.ftFallback(req, img, mpp)
-		resp.Reused, resp.Changed = false, 0
-		resp.Err = nil
-		return resp
+		if o.reused {
+			e.framesReused.Add(1)
+		}
+		if !o.degraded {
+			s.prior = &prior{res: o.res, w: img.W, h: img.H}
+		}
 	}
-	resp.Err = lastErr
-	return resp
+	return SessionResponse{
+		Result: o.res, Safety: o.safety, Reused: o.reused, Retried: o.retried,
+		Degraded: o.degraded, DegradedCause: o.cause, Queued: o.queued, Elapsed: o.elapsed, Err: o.err,
+	}
 }
 
-// advanceOnce runs one attempt at serving the frame: blackout check, slot
-// acquisition (with safety-class preemption), preemption registration,
-// transient injection (first attempts only), compute. Queued/Elapsed
-// accumulate across attempts on resp; Safety reflects the last attempt
-// (a trigger can fire between attempts and promote the retry).
-func (s *Session) advanceOnce(ctx, waitCtx context.Context, img *imaging.Image, mpp float64, req SelectRequest, frame, attempt int, resp *SessionResponse) error {
-	e := s.eng
-	safety := s.cfg.trigger != nil && s.cfg.trigger.Triggered()
-	resp.Safety = safety
-
-	// A blacked-out shard fails every attempt of the frame — retries
-	// included — so a blackout frame resolves by degrading, not retrying.
-	if err := e.blackedOut(frame); err != nil {
-		return err
-	}
-
-	enqueued := time.Now()
-	var slot Selector
-	var err error
-	if safety {
-		if got, ok := e.pool.tryAcquire(); ok {
-			slot = got
-		} else {
-			// No free replica: preempt the oldest routine advance, then
-			// wait at safety priority for the first release (the preempted
-			// advance aborts within one layer's work).
-			e.preemptOneRoutine()
-		}
-	}
-	if slot == nil {
-		slot, err = e.pool.acquire(waitCtx, safety)
-		if err != nil {
-			resp.Queued += time.Since(enqueued)
-			return err
-		}
-	}
-	resp.Queued += time.Since(enqueued)
-	defer e.pool.release(slot)
-	if err := waitCtx.Err(); err != nil {
-		return err
-	}
-
-	// In degraded mode the budget bounds the compute too; otherwise the
-	// deadline keeps guarding queueing only.
-	base := ctx
-	if e.degrade {
-		base = waitCtx
-	}
-	// Routine advances are preemptible: register a cancel-with-cause so a
-	// safety-class advance can take the slot, and watch the session's own
-	// trigger so a mid-frame activation aborts this frame too.
-	cctx := base
-	if !safety {
-		var cancel context.CancelCauseFunc
-		cctx, cancel = context.WithCancelCause(base)
-		defer cancel(nil)
-		id := e.registerPreemptible(cancel)
-		defer e.unregisterPreemptible(id)
-		if s.cfg.trigger != nil {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-s.cfg.trigger.Done():
-					cancel(ErrPreempted)
-				case <-stop:
-				}
-			}()
-		}
-	}
-
-	start := time.Now()
-	defer func() { resp.Elapsed += time.Since(start) }()
-	if attempt == 0 {
-		if err := e.injectTransient(cctx, s.vehicle, frame); err != nil {
-			return err
-		}
-	}
-	res, reused, changed, err := s.compute(cctx, img, mpp, req)
-	resp.Result, resp.Reused, resp.Changed = res, reused, changed
-	if err != nil && errors.Is(context.Cause(cctx), ErrPreempted) {
-		err = fmt.Errorf("%w (vehicle %q)", ErrPreempted, s.vehicle)
-	}
-	return err
-}
-
-// stemFaultHook is the "reprime" perception chaos point: it corrupts the
-// carried stem of the current frame's first attempt when the injector
-// schedules StemCorrupt for this vehicle/frame. The frame context detects
-// the corruption, resets cold, and surfaces the error — the bounded retry
-// then recomputes the frame from scratch. Called by
-// monitor.FrameContext.Advance inside compute, with s.mu held.
-func (s *Session) stemFaultHook(string) error {
-	e := s.eng
-	if s.curAttempt == 0 && e.inj.Fire(faults.StemCorrupt, s.vehicle, s.curFrame) {
-		return e.inj.Errorf(faults.StemCorrupt, s.vehicle, s.curFrame)
-	}
-	return nil
-}
-
-// compute runs one frame's selection. It returns the result, whether the
-// temporal fast path served it, and how many changed regions were
-// re-primed. Called with s.mu held and a pool slot acquired.
-func (s *Session) compute(ctx context.Context, img *imaging.Image, mpp float64, req SelectRequest) (core.Result, bool, int, error) {
-	zones := s.pipe.Zones
-	zones.HomeX, zones.HomeY = req.HomeX, req.HomeY
-
-	if !s.cfg.reuse {
-		// Stateless path: exactly what the engine's pipeline backend runs
-		// for an independent Select — the parity tests pin this.
-		res, err := s.pipe.SelectWithConfigCtx(ctx, img, mpp, zones)
-		return res, false, 0, err
-	}
-
-	warm := s.fc != nil && s.hasPrev && s.prevImg != nil &&
-		s.prevImg.W == img.W && s.prevImg.H == img.H
-	if !warm {
-		if s.fc != nil {
-			s.fc.Close()
-		}
-		s.fc = s.pipe.Monitor.NewFrameContext(img)
-		s.fc.FaultHook = s.stemFaultHook
-		res, err := s.pipe.SelectInFrame(ctx, s.fc, mpp, zones)
-		return res, false, 0, err
-	}
-
-	changed := diffFrames(s.prevImg, img, s.cfg.diffTile)
-	if err := s.fc.Advance(ctx, img, changed); err != nil {
-		return core.Result{}, false, len(changed), err
-	}
-	if s.prev.Confirmed {
-		// Re-verify the previously confirmed zone first: on a quiet frame
-		// this is the whole cost — one monitored crop over a stem that only
-		// re-primed the changed tiles.
-		x0, y0, size := s.prev.Zone.CropRect(img.W, img.H)
-		v, err := s.fc.VerifyZoneCtx(ctx, x0, y0, size, size, s.pipe.Rule)
-		if err != nil {
-			return core.Result{}, false, len(changed), err
-		}
-		if v.Confirmed {
-			res := core.Result{
-				Confirmed:      true,
-				Zone:           s.prev.Zone,
-				Trials:         []core.Trial{{Candidate: s.prev.Zone, Verdict: v}},
-				CandidateCount: 1,
-				State:          core.Landing,
-				UsedBufferM:    s.prev.UsedBufferM,
-			}
-			return res, true, len(changed), nil
-		}
-	}
-	// Previous zone disputed (or none confirmed): fall back to the full
-	// selection over the advanced context — same bytes as a fresh selection
-	// on this frame, the stem reuse only saves the recompute.
-	res, err := s.pipe.SelectInFrame(ctx, s.fc, mpp, zones)
-	return res, false, len(changed), err
+// monitorConfirmed reports whether r's zone was confirmed by a monitor
+// trial — the only kind of zone a session re-verifies. A baseline pick
+// carries no trial, and a degraded answer is never confirmed.
+func monitorConfirmed(r core.Result) bool {
+	return r.Confirmed && len(r.Trials) > 0 && r.Trials[len(r.Trials)-1].Verdict.Confirmed
 }
 
 // Run turns the session into a streaming service over its descent: it
@@ -544,7 +291,7 @@ func (e *Engine) unregisterPreemptible(id int64) {
 }
 
 // preemptOneRoutine cancels the oldest in-flight routine session advance
-// with cause ErrPreempted, freeing its replica for a safety-class advance
+// with cause ErrPreempted, freeing its worker for a safety-class advance
 // within one layer's work. It reports whether an advance was preempted.
 func (e *Engine) preemptOneRoutine() bool {
 	e.preemptMu.Lock()
@@ -566,56 +313,4 @@ func (e *Engine) preemptOneRoutine() bool {
 	cancel(ErrPreempted)
 	e.preempted.Add(1)
 	return true
-}
-
-// diffFrames returns tile-aligned rectangles covering every pixel where
-// prev and next differ (exact float32 RGB comparison). Horizontally
-// adjacent changed tiles merge into one rectangle per tile row; the frames
-// must have equal dimensions.
-func diffFrames(prev, next *imaging.Image, tile int) []image.Rectangle {
-	if tile < 1 {
-		tile = 1
-	}
-	var out []image.Rectangle
-	for y0 := 0; y0 < next.H; y0 += tile {
-		y1 := y0 + tile
-		if y1 > next.H {
-			y1 = next.H
-		}
-		runStart := -1
-		flush := func(end int) {
-			if runStart >= 0 {
-				out = append(out, image.Rect(runStart, y0, end, y1))
-				runStart = -1
-			}
-		}
-		for x0 := 0; x0 < next.W; x0 += tile {
-			x1 := x0 + tile
-			if x1 > next.W {
-				x1 = next.W
-			}
-			if tileChanged(prev, next, x0, y0, x1, y1) {
-				if runStart < 0 {
-					runStart = x0
-				}
-			} else {
-				flush(x0)
-			}
-		}
-		flush(next.W)
-	}
-	return out
-}
-
-func tileChanged(prev, next *imaging.Image, x0, y0, x1, y1 int) bool {
-	for y := y0; y < y1; y++ {
-		a := prev.Pix[y*prev.W+x0 : y*prev.W+x1]
-		b := next.Pix[y*next.W+x0 : y*next.W+x1]
-		for i := range a {
-			if a[i] != b[i] {
-				return true
-			}
-		}
-	}
-	return false
 }

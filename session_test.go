@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"safeland/internal/baseline"
 	"safeland/internal/imaging"
 	"safeland/internal/urban"
 )
@@ -62,32 +64,43 @@ func descentScene(seed int64) *urban.Scene {
 	return urban.Generate(cfg, urban.DefaultConditions(), seed)
 }
 
-// TestSessionReuseDisabledMatchesSelect pins the stateless-parity contract:
-// with reuse off, an N-frame session is byte-identical to N independent
-// Engine.Select calls of the same requests.
+// TestSessionReuseDisabledMatchesSelect pins the cold path: a frame whose
+// size differs from its predecessor's restarts the stream, so it is never
+// reused — even after a confirmed zone — and is byte-identical to an
+// independent Select of the same request.
 func TestSessionReuseDisabledMatchesSelect(t *testing.T) {
 	sys := quickSystem(t)
-	scene := descentScene(42)
+	// Seed 44 is a scene where the quick-trained system confirms a zone, so
+	// the cold restarts below skip a prior that would otherwise be reused.
+	scene := descentScene(44)
 	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	sess, err := eng.NewSession("uav-parity", WithSessionReuse(false))
+	sess, err := eng.NewSession("uav-parity")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
 	ctx := context.Background()
-	for k, f := range descentFrames(scene.Image, 3, 5) {
-		req := SelectRequest{Image: f, MPP: scene.MPP, HomeX: 30, HomeY: 40}
+	skipped := 0
+	prevConfirmed := false
+	for k, f := range descentFrames(scene.Image, 4, 9) {
+		if k%2 == 1 {
+			f = f.Crop(0, 0, f.W-8, f.H-8)
+		}
+		req := SelectRequest{Image: f, MPP: scene.MPP}
 		resp := sess.Advance(ctx, req)
 		if resp.Err != nil {
 			t.Fatalf("frame %d: %v", k, resp.Err)
 		}
 		if resp.Reused {
-			t.Fatalf("frame %d: reuse-disabled session served a reused frame", k)
+			t.Fatalf("frame %d: a frame that changed size was served by the fast path", k)
+		}
+		if prevConfirmed {
+			skipped++
 		}
 		want := eng.Select(ctx, req)
 		if want.Err != nil {
@@ -96,15 +109,19 @@ func TestSessionReuseDisabledMatchesSelect(t *testing.T) {
 		if !reflect.DeepEqual(resp.Result, want.Result) {
 			t.Fatalf("frame %d: session result diverged from independent Select", k)
 		}
+		prevConfirmed = monitorConfirmed(resp.Result)
 	}
-	if st := eng.Stats(); st.Frames != 3 || st.FramesReused != 0 {
-		t.Errorf("stats Frames=%d FramesReused=%d, want 3/0", st.Frames, st.FramesReused)
+	if st := eng.Stats(); st.Frames != 4 || st.FramesReused != 0 {
+		t.Errorf("stats Frames=%d FramesReused=%d, want 4/0", st.Frames, st.FramesReused)
+	}
+	if skipped == 0 {
+		t.Error("no frame followed a confirmed zone; the cold restart was never exercised")
 	}
 }
 
 // TestSessionReuseVerdictParity pins the temporal fast path: a reused
-// frame's re-verification verdict is byte-identical to verifying the same
-// zone on a completely fresh frame context, and non-reused frames stay
+// frame's re-verification verdict is byte-identical to VerifyRegionCtx of
+// the same zone crop on a fresh replica, and non-reused frames stay
 // byte-identical to independent selects.
 func TestSessionReuseVerdictParity(t *testing.T) {
 	sys := quickSystem(t)
@@ -122,7 +139,7 @@ func TestSessionReuseVerdictParity(t *testing.T) {
 	}
 	defer sess.Close()
 
-	// A private replica provides the fresh-context baseline verdicts.
+	// A private replica provides the baseline verdicts.
 	ref, err := sys.Replica()
 	if err != nil {
 		t.Fatal(err)
@@ -147,14 +164,12 @@ func TestSessionReuseVerdictParity(t *testing.T) {
 			if [3]int{x0, y0, size} != prevZone {
 				t.Fatalf("frame %d: fast path verified a different zone than the previous frame confirmed", k)
 			}
-			fc := ref.Pipeline.Monitor.NewFrameContext(f)
-			want, err := fc.VerifyZoneCtx(ctx, x0, y0, size, size, ref.Pipeline.Rule)
-			fc.Close()
+			want, err := ref.Pipeline.Monitor.VerifyRegionCtx(ctx, f.Crop(x0, y0, size, size), ref.Pipeline.Rule)
 			if err != nil {
 				t.Fatalf("frame %d baseline verify: %v", k, err)
 			}
 			if !reflect.DeepEqual(resp.Result.Trials[0].Verdict, want) {
-				t.Fatalf("frame %d: reused verdict diverged from fresh-context verification", k)
+				t.Fatalf("frame %d: reused verdict diverged from the per-crop verification", k)
 			}
 		} else {
 			baseline := eng.Select(ctx, req)
@@ -178,6 +193,76 @@ func TestSessionReuseVerdictParity(t *testing.T) {
 		t.Error("temporal fast path never engaged; the test exercised nothing")
 	}
 	t.Logf("reused %d/4 frames", reused)
+}
+
+// TestSessionUsesEngineSelector pins that sessions honor WithSelector: a
+// session frame without a monitor-confirmed prior goes to the engine's
+// configured backend, never to a built-in pipeline.
+func TestSessionUsesEngineSelector(t *testing.T) {
+	var calls atomic.Int32
+	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithSelector(stubFactory(&calls, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess, err := eng.NewSession("uav-stub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for k := 0; k < 3; k++ {
+		resp := sess.Advance(context.Background(), SelectRequest{Image: imaging.NewImage(32, 32), MPP: 2})
+		if resp.Err != nil {
+			t.Fatalf("frame %d: %v", k, resp.Err)
+		}
+		if resp.Reused || resp.Result.CandidateCount != 2 {
+			t.Fatalf("frame %d: Reused=%v CandidateCount=%d, want the stub's answer", k, resp.Reused, resp.Result.CandidateCount)
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("stub selector called %d times for 3 session frames", got)
+	}
+	if st := eng.Stats(); st.Frames != 3 || st.Requests != 0 || st.Served != 0 {
+		t.Errorf("stats Frames=%d Requests=%d Served=%d, want 3/0/0", st.Frames, st.Requests, st.Served)
+	}
+}
+
+// TestSessionBaselineSelectorNeverReuses pins sessions over a baseline
+// backend: every frame returns the baseline's pick, and none is Reused — a
+// baseline zone carries no monitor trial to re-verify.
+func TestSessionBaselineSelectorNeverReuses(t *testing.T) {
+	scene := descentScene(42)
+	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithSelector(BaselineSelector(baseline.Flatness{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess, err := eng.NewSession("uav-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	req := SelectRequest{Scene: scene}
+	want := eng.Select(ctx, req)
+	if want.Err != nil || !want.Result.Confirmed {
+		t.Fatalf("baseline Select: err=%v confirmed=%v", want.Err, want.Result.Confirmed)
+	}
+	for k := 0; k < 3; k++ {
+		resp := sess.Advance(ctx, req)
+		if resp.Err != nil {
+			t.Fatalf("frame %d: %v", k, resp.Err)
+		}
+		if resp.Reused {
+			t.Fatalf("frame %d: baseline pick reported as a re-verified zone", k)
+		}
+		if !reflect.DeepEqual(resp.Result, want.Result) {
+			t.Fatalf("frame %d: session result %+v, baseline pick %+v", k, resp.Result, want.Result)
+		}
+	}
+	if st := eng.Stats(); st.Frames != 3 || st.FramesReused != 0 {
+		t.Errorf("stats Frames=%d FramesReused=%d, want 3/0", st.Frames, st.FramesReused)
+	}
 }
 
 // waitForPreemptible blocks until a routine advance has registered in the
