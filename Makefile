@@ -1,6 +1,6 @@
 # Developer workflow for the safeland reproduction.
 #
-#   make check       # tier-1 gate + race detector (shuffled) + bench smoke + bench module
+#   make check       # tier-1 gate + arm64 cross-build + race detector (shuffled) + bench smoke + bench module
 #   make bench       # benchmarks; engine + fleet + hot-path numbers land in BENCH_*.json
 #   make bench-smoke # one iteration of each perception benchmark (keeps the harness honest)
 #   make grid        # E11 grid coverage standalone (quick scale)
@@ -11,10 +11,11 @@
 
 GO ?= go
 
-# The perception hot-path benchmarks: conv forward (interior fast path +
-# scratch arena), conv backward, Monte-Carlo statistics (prefix reuse) and
-# the full monitor verdict. One regex so bench and bench-smoke never drift.
-NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion)$$
+# The perception hot-path benchmarks: conv forward (lane-vectorised kernel +
+# scratch arena) on a 64×64 trunk, the served crop's 12×12 trunk and the
+# 192 px stem, conv backward, Monte-Carlo statistics (prefix reuse) and the
+# full monitor verdict. One regex so bench and bench-smoke never drift.
+NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion)$$
 
 # The whole-frame monitoring benchmarks: the tiled whole-frame verdict E12's
 # acceptance budget is written against — BenchmarkFullFrameVerdict's
@@ -23,9 +24,9 @@ NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardE8Scene|BenchmarkConv
 # must stay < 10.
 MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkFullFrameVerdict)$$
 
-.PHONY: check fmt vet build test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
+.PHONY: check fmt vet build cross test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
 
-check: fmt vet build race bench-smoke bench-module
+check: fmt vet build cross race bench-smoke bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -36,6 +37,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Conv2D's tap loop is SSE assembly on amd64 and portable Go on every other
+# GOARCH, wired in by a file no amd64 build compiles: vet and build for
+# arm64 too. (The amd64 vet already checks the assembly's frame against its
+# Go declaration.)
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

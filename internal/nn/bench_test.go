@@ -25,10 +25,18 @@ func benchConvForward(b *testing.B, inC, outC, k, stride, pad, dil, h, w int) {
 	}
 }
 
-// BenchmarkConvForwardSmall is a dilated branch convolution at monitor-crop
-// scale — the shape the Bayesian monitor pays for on every candidate zone.
+// BenchmarkConvForwardSmall is the d = 2 dilated branch convolution on a
+// 64×64 trunk (a 128 px frame): mostly interior taps.
 func BenchmarkConvForwardSmall(b *testing.B) {
 	benchConvForward(b, 20, 14, 3, 1, 2, 2, 64, 64)
+}
+
+// BenchmarkConvForwardCropTrunk is the d = 4 dilated branch convolution on
+// the 12×12 trunk of a served 24 px monitor crop — the shape the Bayesian
+// monitor pays for on every Monte-Carlo sample, where most taps of most
+// pixels fall outside the input.
+func BenchmarkConvForwardCropTrunk(b *testing.B) {
+	benchConvForward(b, 20, 14, 3, 1, 4, 4, 12, 12)
 }
 
 // BenchmarkConvForwardE8Scene is the MSDnet stem at the E8 full-scene size

@@ -10,12 +10,14 @@ import (
 // net: parallel branches with dilation 1, 2, 4, ... observe the same input at
 // growing receptive fields without losing resolution.
 //
-// Forward and Backward split every row into an interior span — where all
-// kernel taps land inside the input, so the bounds checks are hoisted out of
-// the ky/kx loops entirely — and border spans that keep per-tap range
-// clamping. Both paths accumulate each output element in the exact
-// icc→ky→kx order of the naive reference loop (convRefForward in the
-// tests), so float32 results are byte-identical to the seed implementation.
+// Forward computes convLanes output channels of one output pixel at a time.
+// It repacks the weights so the convLanes channels of each tap sit side by
+// side, clamps the pixel's valid taps once with tapRange, and hands the tap
+// loop to convTaps: SSE on amd64 (conv_amd64.s), portable Go elsewhere.
+// Every lane starts from its bias and adds each product, rounded to float32,
+// in the icc→ky→kx order of the naive reference loop (convRefForward in the
+// tests), skipping out-of-range taps instead of adding zero padding, so
+// outputs are byte-identical to that loop at every geometry.
 type Conv2D struct {
 	InC, OutC int
 	K         int // square kernel size
@@ -26,9 +28,14 @@ type Conv2D struct {
 	W *Param // [OutC, InC, K, K]
 	B *Param // [OutC]
 
-	x  *Tensor // cached input for backward
-	sc *Scratch
+	x      *Tensor // cached input for backward
+	sc     *Scratch
+	packed []float32 // W repacked per Forward, see packWeights
 }
+
+// convLanes is how many output channels one convTaps call accumulates: four
+// 4-wide SSE registers.
+const convLanes = 16
 
 // NewConv2D constructs a convolution with He-initialized weights.
 func NewConv2D(name string, inC, outC, k, stride, pad, dilation int, rng *rand.Rand) *Conv2D {
@@ -74,6 +81,27 @@ func tapRange(off, step, count, limit int) (lo, hi int) {
 	return lo, hi
 }
 
+// packWeights copies W into c.packed as [block][InC][K][K][convLanes], one
+// block per convLanes output channels (the last one padded with zero
+// lanes). Packing on every call costs a few microseconds and can never
+// serve stale weights, neither during training nor on a frozen clone whose
+// parameters alias another model's; the buffer is reused, so warm forwards
+// do not allocate.
+func (c *Conv2D) packWeights() []float32 {
+	taps := c.InC * c.K * c.K
+	blocks := (c.OutC + convLanes - 1) / convLanes
+	if size := blocks * taps * convLanes; len(c.packed) != size {
+		c.packed = make([]float32, size) // the padding lanes stay zero
+	}
+	for oc := 0; oc < c.OutC; oc++ {
+		dst := c.packed[(oc/convLanes)*taps*convLanes+oc%convLanes:]
+		for t, wv := range c.W.Value.Data[oc*taps : (oc+1)*taps] {
+			dst[t*convLanes] = wv
+		}
+	}
+	return c.packed
+}
+
 // Forward computes the convolution. The input is cached for Backward.
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	n, ic, h, w := x.Dims4()
@@ -96,45 +124,47 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 		c.x = nil
 	}
 
-	wdat := c.W.Value.Data
+	packed := c.packWeights()
 	bdat := c.B.Value.Data
-	xd := x.Data
-	ext := (c.K - 1) * c.Dilation
-	// Interior column span [oxLo, oxHi]: every kx tap of these outputs lands
-	// inside the row, so the inner loops run unchecked over contiguous Data.
-	oxLo := 0
-	if c.Pad > 0 {
-		oxLo = (c.Pad + c.Stride - 1) / c.Stride
-	}
-	oxHi := -1
-	if num := w - 1 - ext + c.Pad; num >= 0 {
-		oxHi = num / c.Stride
-		if oxHi > ow-1 {
-			oxHi = ow - 1
-		}
-	}
-	border := oxLo // first border segment is [0, border)
-	if oxHi < oxLo {
-		border = ow // no interior: the whole row is border
-	}
+	xd, od := x.Data, out.Data
+	k, d := c.K, c.Dilation
+	hw, ohw := h*w, oh*ow
+	blockLen := c.InC * k * k * convLanes
+	lastC := c.InC - 1
 
-	// Parallelize over (batch, out-channel) pairs: disjoint output slices.
-	parallelFor(n*c.OutC, func(job int) {
-		bi, oc := job/c.OutC, job%c.OutC
-		bias := bdat[oc]
-		wOC := oc * c.InC * c.K * c.K
-		xB := bi * c.InC * h * w
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*c.Stride - c.Pad
-			kyLo, kyHi := tapRange(iy0, c.Dilation, c.K, h)
-			outRow := out.Data[((bi*c.OutC+oc)*oh+oy)*ow : ((bi*c.OutC+oc)*oh+oy+1)*ow]
-			for ox := 0; ox < border; ox++ {
-				outRow[ox] = c.edgeAt(xd, wdat, bias, wOC, xB, h, w, iy0, kyLo, kyHi, ox)
-			}
-			if oxHi >= oxLo {
-				c.interiorRow(xd, wdat, outRow, bias, wOC, xB, h, w, iy0, kyLo, kyHi, oxLo, oxHi)
-				for ox := oxHi + 1; ox < ow; ox++ {
-					outRow[ox] = c.edgeAt(xd, wdat, bias, wOC, xB, h, w, iy0, kyLo, kyHi, ox)
+	// Parallelize over (batch, output row) pairs: disjoint output slices.
+	parallelFor(n*oh, func(job int) {
+		bi, oy := job/oh, job%oh
+		iy0 := oy*c.Stride - c.Pad
+		kyLo, kyHi := tapRange(iy0, d, k, h)
+		xB := bi * c.InC * hw
+		outRow := bi*c.OutC*ohw + oy*ow
+		var acc [convLanes]float32
+		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*c.Stride - c.Pad
+			kxLo, kxHi := tapRange(ix0, d, k, w)
+			ny, nx := kyHi-kyLo+1, kxHi-kxLo+1
+			// The first tap (channel 0, kyLo, kxLo) and the last (channel
+			// InC-1, kyHi, kxHi) bound the slices handed to convTaps, so a
+			// wrong tap range panics here instead of the assembly reading
+			// past the tensor.
+			xFirst := xB + (iy0+kyLo*d)*w + ix0 + kxLo*d
+			xLast := xB + lastC*hw + (iy0+kyHi*d)*w + ix0 + kxHi*d
+			wFirst := (kyLo*k + kxLo) * convLanes
+			wEnd := ((lastC*k+kyHi)*k + kxHi + 1) * convLanes
+			for oc0 := 0; oc0 < c.OutC; oc0 += convLanes {
+				live := min(convLanes, c.OutC-oc0)
+				acc = [convLanes]float32{}
+				copy(acc[:live], bdat[oc0:])
+				if ny > 0 && nx > 0 {
+					wb := packed[oc0/convLanes*blockLen:]
+					convTaps(&acc, wb[wFirst:wEnd], xd[xFirst:xLast+1],
+						c.InC, ny, nx, hw, d*w, d, k*k*convLanes, k*convLanes)
+				}
+				o := outRow + oc0*ohw + ox
+				for _, v := range acc[:live] {
+					od[o] = v
+					o += ohw
 				}
 			}
 		}
@@ -142,85 +172,21 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	return out
 }
 
-// edgeAt computes one border output element: the valid ky/kx taps are
-// clamped to ranges once, then accumulated unchecked in icc→ky→kx order.
-func (c *Conv2D) edgeAt(xd, wdat []float32, bias float32, wOC, xB, h, w, iy0, kyLo, kyHi, ox int) float32 {
-	sum := bias
-	ix0 := ox*c.Stride - c.Pad
-	kxLo, kxHi := tapRange(ix0, c.Dilation, c.K, w)
-	if kxHi < kxLo || kyHi < kyLo {
-		return sum
-	}
-	kk := c.K * c.K
-	hw := h * w
-	for icc := 0; icc < c.InC; icc++ {
-		wBase := wOC + icc*kk
-		xBase := xB + icc*hw
-		for ky := kyLo; ky <= kyHi; ky++ {
-			iy := iy0 + ky*c.Dilation
-			xRow := xBase + iy*w + ix0
-			wRow := wBase + ky*c.K
-			for kx := kxLo; kx <= kxHi; kx++ {
-				sum += wdat[wRow+kx] * xd[xRow+kx*c.Dilation]
-			}
-		}
-	}
-	return sum
-}
-
-// interiorRow accumulates the interior span [lo, hi] of one output row.
-// Every tap is in bounds, so the hot loops are straight slices over
-// contiguous Data; per output element the additions still arrive in the
-// reference icc→ky→kx order, keeping the float32 sums byte-identical.
-func (c *Conv2D) interiorRow(xd, wdat, outRow []float32, bias float32, wOC, xB, h, w, iy0, kyLo, kyHi, lo, hi int) {
-	orow := outRow[lo : hi+1]
-	for i := range orow {
-		orow[i] = bias
-	}
-	if kyHi < kyLo {
-		return
-	}
-	d := c.Dilation
-	kk := c.K * c.K
-	hw := h * w
-	ix0 := lo*c.Stride - c.Pad // leftmost tap of output lo; >= 0 on the interior
-	for icc := 0; icc < c.InC; icc++ {
-		wBase := wOC + icc*kk
-		xBase := xB + icc*hw
-		for ky := kyLo; ky <= kyHi; ky++ {
-			iy := iy0 + ky*d
-			rowStart := xBase + iy*w + ix0
-			wRow := wBase + ky*c.K
-			switch {
-			case c.Stride == 1 && c.K == 3:
-				// The MSDnet workhorse: 3-tap kernel at stride 1, any
-				// dilation. Three fused rounds per element, in kx order.
-				w0, w1, w2 := wdat[wRow], wdat[wRow+1], wdat[wRow+2]
-				x0 := xd[rowStart : rowStart+len(orow)]
-				x1 := xd[rowStart+d : rowStart+d+len(orow)]
-				x2 := xd[rowStart+2*d : rowStart+2*d+len(orow)]
-				for i := range orow {
-					v := orow[i]
-					v += w0 * x0[i]
-					v += w1 * x1[i]
-					v += w2 * x2[i]
-					orow[i] = v
-				}
-			case c.Stride == 1:
-				for kx := 0; kx < c.K; kx++ {
-					wv := wdat[wRow+kx]
-					xr := xd[rowStart+kx*d : rowStart+kx*d+len(orow)]
-					for i := range xr {
-						orow[i] += wv * xr[i]
-					}
-				}
-			default:
-				for kx := 0; kx < c.K; kx++ {
-					wv := wdat[wRow+kx]
-					base := rowStart + kx*d
-					for i := range orow {
-						orow[i] += wv * xd[base+i*c.Stride]
-					}
+// convTapsGo is the portable body of convTaps, the kernel on every GOARCH
+// without an assembly one. For nc channels × ny rows × nx columns of taps
+// it adds w[tap lanes] × x[tap] to the convLanes accumulators, where tap
+// (ci, y, t) reads x[ci*xc + y*xy + t*xx] and the convLanes weights from
+// w[ci*wc + y*wy + t*convLanes]. Each product is rounded to float32 before
+// the add: the explicit conversion forbids the compiler from fusing the
+// multiply-add (arm64 would emit FMADDS), which would break byte parity.
+func convTapsGo(acc *[convLanes]float32, w, x []float32, nc, ny, nx, xc, xy, xx, wc, wy int) {
+	for ci := 0; ci < nc; ci++ {
+		for y := 0; y < ny; y++ {
+			wi, xi := ci*wc+y*wy, ci*xc+y*xy
+			for t := 0; t < nx; t++ {
+				xv := x[xi+t*xx]
+				for l, wv := range w[wi+t*convLanes : wi+(t+1)*convLanes] {
+					acc[l] += float32(wv * xv)
 				}
 			}
 		}

@@ -6,8 +6,10 @@ import (
 )
 
 // convRefForward is the seed implementation of Conv2D.Forward — the naive
-// six-deep loop with per-element bounds checks — kept verbatim as the
-// bit-exactness oracle for the hoisted interior/border fast path.
+// six-deep loop with per-element bounds checks — kept as the bit-exactness
+// oracle for the lane-vectorised kernel. The float32 conversion of each
+// product only forbids fusing it into the add (arm64 would emit FMADDS);
+// on amd64 it compiles to the seed's MULSS+ADDSS.
 func convRefForward(c *Conv2D, x *Tensor) *Tensor {
 	n, _, h, w := x.Dims4()
 	oh, ow := c.OutSize(h, w)
@@ -36,7 +38,7 @@ func convRefForward(c *Conv2D, x *Tensor) *Tensor {
 								if ix < 0 || ix >= w {
 									continue
 								}
-								sum += wdat[wRow+kx] * x.Data[xRow+ix]
+								sum += float32(wdat[wRow+kx] * x.Data[xRow+ix])
 							}
 						}
 					}
@@ -162,10 +164,11 @@ func assertSameBits(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// TestConvForwardMatchesReference pins the hoisted fast path bit-identical
-// to the naive reference over a stride/pad/dilation sweep with randomized
-// spatial sizes — including shapes whose rows are entirely border, entirely
-// interior, or mixed.
+// TestConvForwardMatchesReference pins Forward bit-identical to the naive
+// reference over a stride/pad/dilation sweep with randomized spatial sizes —
+// including shapes whose taps mostly fall outside the input — and over the
+// MSDnet serving geometries, whose channel counts fill partial and second
+// convLanes blocks.
 func TestConvForwardMatchesReference(t *testing.T) {
 	cases := []struct{ k, stride, pad, dil int }{
 		{1, 1, 0, 1}, {1, 1, 2, 1}, {2, 1, 1, 1}, {3, 1, 0, 1},
@@ -193,6 +196,34 @@ func TestConvForwardMatchesReference(t *testing.T) {
 				assertSameBits(t, "forward", got.Data, want.Data)
 			})
 		}
+	}
+
+	// The convolutions segment.New builds (default config), at the 192 px
+	// frame and the 24 px monitor crop: the stride-2 stem, the three
+	// dilated branches on the half-resolution trunk, and the 1×1 head.
+	serving := []struct {
+		name                                 string
+		inC, outC, k, stride, pad, dil, h, w int
+	}{
+		{"stem_192", 3, 20, 3, 2, 1, 1, 192, 192},
+		{"stem_24", 3, 20, 3, 2, 1, 1, 24, 24},
+		{"branch_d1_96", 20, 14, 3, 1, 1, 1, 96, 96},
+		{"branch_d2_96", 20, 14, 3, 1, 2, 2, 96, 96},
+		{"branch_d4_96", 20, 14, 3, 1, 4, 4, 96, 96},
+		{"branch_d1_12", 20, 14, 3, 1, 1, 1, 12, 12},
+		{"branch_d2_12", 20, 14, 3, 1, 2, 2, 12, 12},
+		{"branch_d4_12", 20, 14, 3, 1, 4, 4, 12, 12},
+		{"head_96", 42, 8, 1, 1, 0, 1, 96, 96},
+		{"head_12", 42, 8, 1, 1, 0, 1, 12, 12},
+	}
+	for i, tc := range serving {
+		t.Run(tc.name, func(t *testing.T) {
+			c, x, ok := convCase(t, tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.dil, 1, tc.h, tc.w, int64(300+i))
+			if !ok {
+				t.Fatal("degenerate geometry")
+			}
+			assertSameBits(t, "forward", c.Forward(x, false).Data, convRefForward(c, x).Data)
+		})
 	}
 }
 
@@ -223,17 +254,19 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzConvForwardMatchesReference fuzzes the geometry space; every valid
-// shape must match the reference bit-for-bit.
+// FuzzConvForwardMatchesReference fuzzes the geometry space — kernel,
+// stride, padding, dilation, spatial size, 1-24 input and 1-40 output
+// channels (up to three convLanes blocks, the last one partial) and a batch
+// of 1-3; every valid shape must match the reference bit-for-bit.
 func FuzzConvForwardMatchesReference(f *testing.F) {
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(8), uint8(8), int64(1))
-	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint8(16), uint8(9), int64(2))
-	f.Add(uint8(5), uint8(1), uint8(4), uint8(3), uint8(12), uint8(20), int64(3))
-	f.Add(uint8(1), uint8(3), uint8(0), uint8(1), uint8(5), uint8(5), int64(4))
-	f.Add(uint8(4), uint8(2), uint8(5), uint8(2), uint8(7), uint8(15), int64(5))
-	f.Fuzz(func(t *testing.T, k, stride, pad, dil, h, w uint8, seed int64) {
-		c, x, ok := convCase(t, 2, 2, int(k%6), 1+int(stride%3), int(pad%7), 1+int(dil%4),
-			1, 1+int(h%20), 1+int(w%20), seed)
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint8(16), uint8(9), uint8(19), uint8(13), uint8(1), int64(2))
+	f.Add(uint8(5), uint8(1), uint8(4), uint8(3), uint8(12), uint8(20), uint8(2), uint8(15), uint8(2), int64(3))
+	f.Add(uint8(1), uint8(3), uint8(0), uint8(1), uint8(5), uint8(5), uint8(41), uint8(7), uint8(0), int64(4))
+	f.Add(uint8(4), uint8(2), uint8(5), uint8(2), uint8(7), uint8(15), uint8(23), uint8(39), uint8(1), int64(5))
+	f.Fuzz(func(t *testing.T, k, stride, pad, dil, h, w, inC, outC, n uint8, seed int64) {
+		c, x, ok := convCase(t, 1+int(inC%24), 1+int(outC%40), int(k%6), 1+int(stride%3), int(pad%7), 1+int(dil%4),
+			1+int(n%3), 1+int(h%20), 1+int(w%20), seed)
 		if !ok {
 			t.Skip("degenerate geometry")
 		}
@@ -241,8 +274,9 @@ func FuzzConvForwardMatchesReference(f *testing.F) {
 		want := convRefForward(c, x)
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("k=%d s=%d p=%d d=%d %dx%d: element %d = %v, reference %v",
-					c.K, c.Stride, c.Pad, c.Dilation, x.Shape[2], x.Shape[3], i, got.Data[i], want.Data[i])
+				t.Fatalf("k=%d s=%d p=%d d=%d %d→%d n=%d %dx%d: element %d = %v, reference %v",
+					c.K, c.Stride, c.Pad, c.Dilation, c.InC, c.OutC, x.Shape[0], x.Shape[2], x.Shape[3],
+					i, got.Data[i], want.Data[i])
 			}
 		}
 	})
