@@ -14,8 +14,9 @@ GO ?= go
 # The perception hot-path benchmarks: conv forward (lane-vectorised kernel +
 # scratch arena) on a 64×64 trunk, the served crop's 12×12 trunk and the
 # 192 px stem, conv backward, Monte-Carlo statistics (prefix reuse) and the
-# full monitor verdict. One regex so bench and bench-smoke never drift.
-NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion)$$
+# full monitor verdict on a 64 px crop and on the served 24 px crop. One
+# regex so bench and bench-smoke never drift.
+NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
 
 # The whole-frame monitoring benchmarks: the tiled whole-frame verdict E12's
 # acceptance budget is written against — BenchmarkFullFrameVerdict's
@@ -126,4 +127,5 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSpecKey -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzAxesEnumerate -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzConvForwardMatchesReference -fuzztime=5s ./internal/nn
+	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults

@@ -15,6 +15,7 @@ import (
 	"safeland/internal/core"
 	"safeland/internal/faults"
 	"safeland/internal/imaging"
+	"safeland/internal/urban"
 )
 
 // chaosFrame is a minimal valid request frame for stub-backend fault tests.
@@ -208,6 +209,57 @@ func TestDegradedModeRefusesMalformedRequest(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Degraded != 0 || st.Failed != 1 || st.Frames != 0 {
 		t.Errorf("stats Degraded=%d Failed=%d Frames=%d, want 0/1/0", st.Degraded, st.Failed, st.Frames)
+	}
+}
+
+// TestEngineRejectsOddFrame pins that a frame the model cannot segment —
+// odd width or height on the stride-2 stem — is the caller's error on the
+// pipeline and hybrid backends, on Select and on a session advance: never
+// a panic in the worker goroutine, and never an FT answer in degraded
+// mode. The engine then serves the next even frame normally.
+func TestEngineRejectsOddFrame(t *testing.T) {
+	cfg := urban.DefaultConfig()
+	cfg.W, cfg.H = 64, 64
+	scene := urban.Generate(cfg, urban.DefaultConditions(), 7)
+	even := SelectRequest{Scene: scene}
+	for _, tc := range []struct {
+		sel       SelectorFactory
+		odd, odd2 SelectRequest
+	}{
+		{PipelineSelector(),
+			SelectRequest{Image: imaging.NewImage(63, 64), MPP: 0.5},
+			SelectRequest{Image: imaging.NewImage(64, 63), MPP: 0.5}},
+		{HybridSelector(),
+			SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(63, 64), MPP: 0.5}},
+			SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(64, 63), MPP: 0.5}}},
+	} {
+		eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithSelector(tc.sel), WithDegradedFallback(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := eng.SelectorName()
+		ctx := context.Background()
+		if resp := eng.Select(ctx, tc.odd); !errors.Is(resp.Err, errBadRequest) || resp.Degraded {
+			t.Fatalf("%s: odd Select Err=%v Degraded=%v, want a malformed-request error", name, resp.Err, resp.Degraded)
+		}
+		if resp := eng.Select(ctx, even); resp.Err != nil || resp.Degraded {
+			t.Fatalf("%s: even Select after an odd one: Err=%v Degraded=%v", name, resp.Err, resp.Degraded)
+		}
+		sess, err := eng.NewSession("uav-odd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adv := sess.Advance(ctx, tc.odd2); !errors.Is(adv.Err, errBadRequest) || adv.Degraded {
+			t.Fatalf("%s: odd Advance Err=%v Degraded=%v, want a malformed-request error", name, adv.Err, adv.Degraded)
+		}
+		if adv := sess.Advance(ctx, even); adv.Err != nil || adv.Degraded {
+			t.Fatalf("%s: even Advance after an odd one: Err=%v Degraded=%v", name, adv.Err, adv.Degraded)
+		}
+		if st := eng.Stats(); st.Degraded != 0 || st.Failed != 1 || st.Served != 2 || st.Frames != 1 {
+			t.Errorf("%s: stats Degraded=%d Failed=%d Served=%d Frames=%d, want 0/1/2/1", name, st.Degraded, st.Failed, st.Served, st.Frames)
+		}
+		sess.Close()
+		eng.Close()
 	}
 }
 

@@ -55,6 +55,22 @@ func BenchmarkVerifyRegion(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyRegionServedCrop times the complete monitor verdict on a
+// 24 px crop, the candidate size the served pipeline verifies (the
+// EL-service benchmark's monitor.crop_px) and the one where the
+// per-element work around the convolutions (dropout, softmax) weighs most.
+func BenchmarkVerifyRegionServedCrop(b *testing.B) {
+	bay := benchBayesian()
+	img := benchImage(24)
+	rule := DefaultRule()
+	bay.VerifyRegion(img, rule)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bay.VerifyRegion(img, rule)
+	}
+}
+
 // BenchmarkFullFrameVerdict times the whole-frame Bayesian verdict the
 // paper's Section V-B rules out as prohibitively slow: a 192×192 frame
 // verified as 64×64 tiles, each tile one crop verdict. ns/op is the

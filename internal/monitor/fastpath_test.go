@@ -20,24 +20,52 @@ func noisyImage(side int, seed int64) *imaging.Image {
 	return img
 }
 
-// TestMCStatsMatchesNaiveReplay pins the deterministic-prefix fast path:
-// MCStats (prefix computed once, stochastic suffix replayed per sample)
-// must be byte-identical to the seed formulation that re-ran the whole
-// network on every Monte-Carlo sample.
+// TestMCStatsMatchesNaiveReplay pins the Monte-Carlo fast path — the
+// deterministic prefix computed once, the dropout decisions replayed from
+// each layer's record, the softmax taken before the trailing upsample —
+// against the seed formulation that re-ran the whole network and its
+// softmax on every sample. The reference runs on a fresh Clone whose
+// dropouts were never reseeded, so it draws its masks from the source and
+// never from the record under test. It covers the served 24 px crop, an
+// odd 25 px crop (the stem rounds up: 26×26 statistics), 2 and 10 samples,
+// and two consecutive calls — the second replays the record.
 func TestMCStatsMatchesNaiveReplay(t *testing.T) {
 	m := tinyModel()
-	b := NewBayesian(m, 21)
-	b.Samples = 5
-	img := noisyImage(32, 22)
+	for _, side := range []int{24, 25, 32} {
+		for _, samples := range []int{2, 10} {
+			b := NewBayesian(m, 21)
+			b.Samples = samples
+			img := noisyImage(side, int64(side))
+			want := naiveReplay(t, m, b, img)
+			for call := 0; call < 2; call++ {
+				got := b.MCStats(img)
+				if !got.Mean.SameShape(want.Mean) {
+					t.Fatalf("%d px: shape %v, naive replay %v", side, got.Mean.Shape, want.Mean.Shape)
+				}
+				for i := range want.Mean.Data {
+					if got.Mean.Data[i] != want.Mean.Data[i] || got.Std.Data[i] != want.Std.Data[i] {
+						t.Fatalf("%d px, %d samples, call %d: element %d = (%v, %v), naive replay (%v, %v)",
+							side, samples, call, i, got.Mean.Data[i], got.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
 
-	got := b.MCStats(img)
-
-	// Naive full replay, exactly as the seed implementation ran it.
-	nn.SetDropoutMode(m.Net, nn.AlwaysOn)
-	nn.ReseedDropout(m.Net, b.Seed)
+// naiveReplay computes b's statistics for img the seed's way: the whole
+// network and a softmax per sample, on a fresh replica of m.
+func naiveReplay(t *testing.T, m *segment.Model, b *Bayesian, img *imaging.Image) Stats {
+	t.Helper()
+	ref, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn.SetDropoutMode(ref.Net, nn.AlwaysOn)
+	nn.ReseedDropout(ref.Net, b.Seed)
 	var sum, sumSq *nn.Tensor
 	for s := 0; s < b.Samples; s++ {
-		probs := nn.SoftmaxChannels(m.Net.Forward(segment.ToTensor(img), false))
+		probs := nn.SoftmaxChannels(ref.Net.Forward(segment.ToTensor(img), false))
 		if sum == nil {
 			sum = probs.ZerosLike()
 			sumSq = probs.ZerosLike()
@@ -47,7 +75,6 @@ func TestMCStatsMatchesNaiveReplay(t *testing.T) {
 			sumSq.Data[i] += v * v
 		}
 	}
-	nn.SetDropoutMode(m.Net, nn.Auto)
 	n := float32(b.Samples)
 	for i := range sum.Data {
 		mu := sum.Data[i] / n
@@ -58,15 +85,7 @@ func TestMCStatsMatchesNaiveReplay(t *testing.T) {
 		}
 		sumSq.Data[i] = float32(math.Sqrt(float64(v)))
 	}
-
-	for i := range sum.Data {
-		if got.Mean.Data[i] != sum.Data[i] {
-			t.Fatalf("mean[%d] = %v, naive replay %v", i, got.Mean.Data[i], sum.Data[i])
-		}
-		if got.Std.Data[i] != sumSq.Data[i] {
-			t.Fatalf("std[%d] = %v, naive replay %v", i, got.Std.Data[i], sumSq.Data[i])
-		}
-	}
+	return Stats{Mean: sum, Std: sumSq}
 }
 
 // TestVerifyRegionMatchesTwoScanReference pins the fused statistics scan:

@@ -71,10 +71,19 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 // reseeded from b.Seed, then the deterministic prefix — every layer before
 // the first Dropout, whose inference output cannot vary across samples — is
 // computed once and only the stochastic suffix is replayed per sample
-// (nn.SplitAtFirstDropout), with a softmax over each. Dropout layers draw
-// exactly the same RNG stream as a full replay, so the per-sample
-// probabilities are byte-identical to running the whole network each time;
-// the prefix-reuse tests pin this against a naive full replay.
+// (nn.SplitAtFirstDropout). Dropout layers decide exactly the keep mask of a
+// full replay: the reseed rewinds each layer's decision record, so every
+// verdict after a replica's first replays its decisions instead of drawing
+// them, and the per-sample probabilities are byte-identical to running the
+// whole network each time; the prefix-reuse tests pin this against a naive
+// full replay.
+//
+// The softmax runs on the head's output, before the trailing Upsample2x
+// (nn.SplitTrailingUpsample), and the probabilities are upsampled through
+// the same layer. That is exact: the softmax works on one pixel column (all
+// channels at one position) at a time, and Upsample2x copies whole columns,
+// so each upsampled probability has the bits the softmax of the upsampled
+// logits would give it — with a quarter of the exp calls.
 //
 // each borrows probs for the duration of the call only: the buffer returns
 // to the model's arena for the next sample.
@@ -96,6 +105,12 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(prob
 			sc.Put(in)
 		}
 	}
+	head, up, _ := nn.SplitTrailingUpsample(suffix)
+	release := func(t *nn.Tensor) {
+		if t != stem {
+			sc.Put(t)
+		}
+	}
 
 	net := b.Model.Net
 	nn.SetDropoutMode(net, nn.AlwaysOn)
@@ -104,15 +119,18 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(prob
 	for s := 0; s < b.Samples; s++ {
 		// Suffix chains never recycle their chain input, so the stem
 		// survives every sample.
-		out, err := nn.ForwardCtx(ctx, suffix, stem, false)
+		out, err := nn.ForwardCtx(ctx, head, stem, false)
 		if err != nil {
 			return err
 		}
 		probs := nn.SoftmaxChannelsInPlace(out)
-		each(probs)
-		if probs != stem {
-			sc.Put(probs)
+		if up != nil {
+			full := up.Forward(probs, false)
+			release(probs)
+			probs = full
 		}
+		each(probs)
+		release(probs)
 	}
 	return nil
 }

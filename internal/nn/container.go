@@ -171,9 +171,10 @@ func (p *ParallelConcat) Walk(v Visitor) {
 //
 // Invariants the caller must hold:
 //   - prefix and suffix alias l's layer instances (weights, caches, dropout
-//     RNGs are shared — frozen clones stay frozen, SetDropoutMode and
-//     ReseedDropout on l are seen by the split). Do not run l and the split
-//     concurrently; they are the same single-goroutine replica.
+//     RNGs and decision records are shared — frozen clones stay frozen,
+//     SetDropoutMode and ReseedDropout on l are seen by the split). Do not
+//     run l and the split concurrently; they are the same single-goroutine
+//     replica.
 //   - the prefix is only reusable across samples because every non-Dropout
 //     layer in this package is deterministic at inference; a hypothetical
 //     stochastic layer other than Dropout would break the split.
@@ -198,6 +199,26 @@ func SplitAtFirstDropout(l Layer) (prefix, suffix Layer, ok bool) {
 	}
 	return &Sequential{Layers: s.Layers[:split:split], sc: s.sc},
 		&Sequential{Layers: s.Layers[split:], sc: s.sc}, true
+}
+
+// SplitTrailingUpsample splits a Sequential that ends in an Upsample2x into
+// the layers before it and the upsample itself, so a caller can work on the
+// head's output before upsampling it: the Bayesian monitor applies its
+// per-sample softmax there. body aliases l's layers and keeps its arena,
+// like SplitAtFirstDropout's halves.
+//
+// ok is false — and body is l itself — when l is not a Sequential, does not
+// end in an Upsample2x, or has no layer before it.
+func SplitTrailingUpsample(l Layer) (body Layer, up *Upsample2x, ok bool) {
+	s, isSeq := l.(*Sequential)
+	if !isSeq || len(s.Layers) < 2 {
+		return l, nil, false
+	}
+	last := len(s.Layers) - 1
+	if up, ok = s.Layers[last].(*Upsample2x); !ok {
+		return l, nil, false
+	}
+	return &Sequential{Layers: s.Layers[:last:last], sc: s.sc}, up, true
 }
 
 // containsDropout reports whether any primitive layer reachable from l is a
@@ -225,6 +246,8 @@ func SetDropoutMode(l Layer, mode DropoutMode) {
 
 // ReseedDropout reseeds every Dropout layer reachable from l with
 // deterministic per-layer offsets, making an MC sample sequence reproducible.
+// Reseeding with the seed of the previous call rewinds each layer's
+// decision record (see Dropout) instead of redrawing the same stream.
 func ReseedDropout(l Layer, seed int64) {
 	i := int64(0)
 	Walk(l, func(prim Layer) {

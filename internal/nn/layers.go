@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -63,14 +64,43 @@ const (
 
 // Dropout randomly zeroes activations with probability P and rescales the
 // survivors by 1/(1-P) (inverted dropout).
+//
+// After Reseed the layer records every keep decision it draws, one byte per
+// decision, so that a later Reseed with the same seed and P rewinds the
+// record instead of redrawing the stream. The Bayesian monitor reseeds with
+// one constant seed per verdict, so every verdict after the first on a
+// replica replays its decisions instead of drawing them. The record keeps
+// these invariants:
+//   - it holds the first len(keep) decisions of the stream seeded with
+//     recSeed under recP, each drawn as rng.Float64() < P exactly like an
+//     unrecorded draw, and the source always sits at its end: draws past
+//     the end extend it from the source;
+//   - the same seed and P rewind it; any other seed or P restarts it;
+//   - a training forward, or one after P changed, drops it and draws fresh,
+//     from the stream position an unrecorded layer would be at;
+//   - AlwaysOn inference with no prior Reseed draws fresh, as it always
+//     did.
+//
+// So the decisions, and every output bit, are those of a layer that redraws
+// its stream on every Reseed. The record is as long as the longest
+// Monte-Carlo run since it restarted: one run's decisions, ~90 KB per
+// replica over both MSDnet dropouts at the served 24 px crop.
 type Dropout struct {
 	P    float64
 	Mode DropoutMode
 
-	mu   sync.Mutex
-	src  rand.Source
-	rng  *rand.Rand
-	mask []bool
+	mu  sync.Mutex
+	src rand.Source
+	rng *rand.Rand
+	// keep holds the record (1 keeps a unit, 0 drops it) while recording,
+	// and the last fresh draw otherwise; pos is the record's cursor.
+	keep      []byte
+	pos       int
+	recording bool
+	recSeed   int64
+	recP      float64
+	// mask aliases the decisions of the last forward, for Backward.
+	mask []byte
 	sc   *Scratch
 }
 
@@ -86,19 +116,26 @@ func NewDropout(p float64, seed int64) *Dropout {
 	return &Dropout{P: p, src: src, rng: rand.New(src)}
 }
 
-// Reseed resets the layer RNG, making a subsequent Monte-Carlo sample
-// sequence reproducible. The source is reseeded in place — Source.Seed
-// restores exactly the state a fresh NewSource(seed) would have, so the
-// stream is unchanged while the per-verdict reseeding stops allocating.
+// Reseed makes the following Monte-Carlo sample sequence reproducible: it
+// rewinds the decision record when the record was started with the same
+// seed and P, and otherwise reseeds the source and starts a new record. The
+// source is reseeded in place — Source.Seed restores exactly the state a
+// fresh NewSource(seed) would have — so reseeding allocates nothing.
 func (d *Dropout) Reseed(seed int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.recording && seed == d.recSeed && d.P == d.recP {
+		d.pos = 0
+		return
+	}
 	if d.src == nil {
 		d.src = rand.NewSource(seed)
 		d.rng = rand.New(d.src)
-		return
+	} else {
+		d.src.Seed(seed)
 	}
-	d.src.Seed(seed)
+	d.keep, d.pos = d.keep[:0], 0
+	d.recording, d.recSeed, d.recP = true, seed, d.P
 }
 
 func (d *Dropout) active(train bool) bool {
@@ -115,42 +152,84 @@ func (d *Dropout) active(train bool) bool {
 // Forward applies (or bypasses) the dropout mask. The output is always a
 // copy (arena-backed on inference passes), never the input itself.
 func (d *Dropout) Forward(x *Tensor, train bool) *Tensor {
+	out := allocOut(d.sc, train, x.Shape...)
 	if !d.active(train) || d.P == 0 {
 		d.mask = nil
-		out := allocOut(d.sc, train, x.Shape...)
 		copy(out.Data, x.Data)
 		return out
 	}
-	out := allocOut(d.sc, train, x.Shape...)
-	copy(out.Data, x.Data)
-	if cap(d.mask) < len(x.Data) {
-		d.mask = make([]bool, len(x.Data))
-	}
-	d.mask = d.mask[:len(x.Data)]
-	scale := float32(1 / (1 - d.P))
 	d.mu.Lock()
-	for i := range out.Data {
+	keep := d.decisions(len(x.Data), train)
+	d.mu.Unlock()
+	d.mask = keep
+	scale := float32(1 / (1 - d.P))
+	dst := out.Data[:len(keep)]
+	for i, v := range x.Data[:len(keep)] {
+		// Masking the bits, not multiplying by 0, keeps a dropped unit +0
+		// whatever v's sign (v*0 is -0 for negative v).
+		dst[i] = math.Float32frombits(math.Float32bits(v*scale) & -uint32(keep[i]))
+	}
+	return out
+}
+
+// decisions returns the next n keep decisions: replayed from the record and
+// extending it while one is held, freshly drawn otherwise. d.mu must be
+// held.
+func (d *Dropout) decisions(n int, train bool) []byte {
+	if train || d.P != d.recP {
+		d.dropRecord()
+	}
+	if !d.recording {
+		d.keep = slices.Grow(d.keep[:0], n)[:n]
+		d.draw(d.keep)
+		return d.keep
+	}
+	end := d.pos + n
+	if have := len(d.keep); end > have {
+		d.keep = slices.Grow(d.keep, end-have)[:end]
+		d.draw(d.keep[have:])
+	}
+	keep := d.keep[d.pos:end:end]
+	d.pos = end
+	return keep
+}
+
+// dropRecord stops recording and moves the source from the record's end
+// back to its cursor, where an unrecorded layer's stream would be.
+func (d *Dropout) dropRecord() {
+	if !d.recording {
+		return
+	}
+	d.recording = false
+	if d.pos == len(d.keep) {
+		return
+	}
+	d.src.Seed(d.recSeed)
+	for i := 0; i < d.pos; i++ {
+		d.rng.Float64()
+	}
+}
+
+// draw fills keep with fresh decisions from the source.
+func (d *Dropout) draw(keep []byte) {
+	for i := range keep {
 		if d.rng.Float64() < d.P {
-			d.mask[i] = false
-			out.Data[i] = 0
+			keep[i] = 0
 		} else {
-			d.mask[i] = true
-			out.Data[i] *= scale
+			keep[i] = 1
 		}
 	}
-	d.mu.Unlock()
-	return out
 }
 
 // Backward routes gradient through surviving activations only.
 func (d *Dropout) Backward(dout *Tensor) *Tensor {
-	if d.mask == nil {
-		return dout.Clone()
-	}
 	dx := dout.Clone()
+	if d.mask == nil {
+		return dx
+	}
 	scale := float32(1 / (1 - d.P))
 	for i := range dx.Data {
-		if d.mask[i] {
+		if d.mask[i] != 0 {
 			dx.Data[i] *= scale
 		} else {
 			dx.Data[i] = 0

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -279,6 +280,46 @@ func TestSplitAtFirstDropoutDegenerateCases(t *testing.T) {
 	}
 }
 
+func TestSplitTrailingUpsample(t *testing.T) {
+	net := miniMSDNet(19)
+	AttachScratch(net, NewScratch())
+	_, suffix, _ := SplitAtFirstDropout(net)
+	body, up, ok := SplitTrailingUpsample(suffix)
+	if !ok {
+		t.Fatal("split failed on a suffix ending in Upsample2x")
+	}
+	bs := body.(*Sequential)
+	if len(bs.Layers) != 4 || up != net.Layers[len(net.Layers)-1] || bs.sc != net.sc {
+		t.Fatalf("split %d layers + %p (arena kept %v), want 4 + the net's upsample", len(bs.Layers), up, bs.sc == net.sc)
+	}
+
+	// body then up is the suffix, for the same dropout stream.
+	stem := randomInput([]int{1, 6, 8, 8}, 20)
+	SetDropoutMode(net, AlwaysOn)
+	defer SetDropoutMode(net, Auto)
+	ReseedDropout(net, 21)
+	want := suffix.Forward(stem, false).Clone()
+	ReseedDropout(net, 21)
+	got := up.Forward(body.Forward(stem, false), false)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("split forward differs at %d", i)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	conv := NewConv2D("c", 1, 1, 1, 1, 0, 1, rng)
+	for name, l := range map[string]Layer{
+		"non-sequential":       conv,
+		"no trailing upsample": NewSequential(&Upsample2x{}, conv),
+		"nothing before it":    NewSequential(&Upsample2x{}),
+	} {
+		if b, u, ok := SplitTrailingUpsample(l); ok || b != l || u != nil {
+			t.Fatalf("%s: split %v, want l itself", name, ok)
+		}
+	}
+}
+
 func TestSoftmaxChannelsInPlaceMatches(t *testing.T) {
 	logits := randomInput([]int{2, 5, 3, 4}, 16)
 	for i := range logits.Data {
@@ -293,6 +334,31 @@ func TestSoftmaxChannelsInPlaceMatches(t *testing.T) {
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("in-place softmax differs at %d: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestSoftmaxCommutesWithUpsample pins what lets the Bayesian monitor take
+// its softmax at head resolution: softmax then Upsample2x is bitwise equal
+// to Upsample2x then softmax, because the softmax works on one pixel column
+// at a time and the upsample copies whole columns.
+func TestSoftmaxCommutesWithUpsample(t *testing.T) {
+	for _, hw := range [][2]int{{4, 4}, {3, 5}, {7, 6}} {
+		for _, scale := range []float32{1, 10, 100} {
+			logits := randomInput([]int{2, 8, hw[0], hw[1]}, int64(hw[0]*hw[1]))
+			for i := range logits.Data {
+				logits.Data[i] *= scale
+			}
+			want := SoftmaxChannels((&Upsample2x{}).Forward(logits, false))
+			got := (&Upsample2x{}).Forward(SoftmaxChannels(logits), false)
+			if !got.SameShape(want) {
+				t.Fatalf("%dx%d: shape %v, want %v", hw[0], hw[1], got.Shape, want.Shape)
+			}
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%dx%d ×%v: element %d = %v, upsample-then-softmax %v", hw[0], hw[1], scale, i, got.Data[i], want.Data[i])
+				}
+			}
 		}
 	}
 }

@@ -145,11 +145,21 @@ func ToTensorScratch(img *imaging.Image, sc *nn.Scratch) *nn.Tensor {
 	return t
 }
 
-// checkEven panics when a downsampling model receives odd spatial dims; the
-// stride-2 stem plus 2× upsample would silently change the output size.
-func (m *Model) checkEven(img *imaging.Image) {
+// CheckSize returns an error for an image the model cannot segment: a
+// downsampling model needs even spatial dims, since the stride-2 stem plus
+// 2× upsample would silently change the output size. Servers call it to
+// reject such a frame up front; Logits and LogitsCtx panic on it.
+func (m *Model) CheckSize(img *imaging.Image) error {
 	if m.Cfg.Downsample && (img.W%2 != 0 || img.H%2 != 0) {
-		panic(fmt.Sprintf("segment: downsampling model requires even dimensions, got %dx%d", img.W, img.H))
+		return fmt.Errorf("segment: downsampling model requires even dimensions, got %dx%d", img.W, img.H)
+	}
+	return nil
+}
+
+// checkEven panics on an image CheckSize rejects.
+func (m *Model) checkEven(img *imaging.Image) {
+	if err := m.CheckSize(img); err != nil {
+		panic(err.Error())
 	}
 }
 

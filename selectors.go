@@ -63,6 +63,16 @@ func (r SelectRequest) frame() (*imaging.Image, float64, error) {
 	return img, mpp, nil
 }
 
+// checkSize rejects, as a malformed request, a frame the pipeline's model
+// cannot segment (odd dims on the stride-2 stem), which would otherwise
+// panic in the worker.
+func checkSize(p *core.Pipeline, img *imaging.Image) error {
+	if err := p.Model.CheckSize(img); err != nil {
+		return fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	return nil
+}
+
 // PipelineSelector returns the default backend: the paper's Figure 2
 // monitored pipeline (deterministic MSDnet, Bayesian monitor, Decision
 // Module) running on the worker's model replica.
@@ -82,6 +92,9 @@ func (s *pipelineSelector) Name() string { return "msdnet-monitor" }
 func (s *pipelineSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
 	img, mpp, err := req.frame()
 	if err != nil {
+		return core.Result{}, err
+	}
+	if err := checkSize(s.pipe, img); err != nil {
 		return core.Result{}, err
 	}
 	zones := s.pipe.Zones
@@ -109,6 +122,9 @@ func (s *hybridSelector) Name() string { return "hybrid-gis" }
 func (s *hybridSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
 	if req.Scene == nil {
 		return core.Result{}, fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
+	}
+	if err := checkSize(s.h.Pipeline, req.Scene.Image); err != nil {
+		return core.Result{}, err
 	}
 	zones := s.h.Pipeline.Zones
 	zones.HomeX, zones.HomeY = req.HomeX, req.HomeY

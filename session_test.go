@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"safeland/internal/baseline"
+	"safeland/internal/core"
 	"safeland/internal/imaging"
 	"safeland/internal/urban"
 )
@@ -284,14 +286,49 @@ func waitForPreemptible(t *testing.T, e *Engine) {
 	}
 }
 
+// busyUntilCancelled returns the pipeline backend with one change: its
+// first selection keeps running real pipeline selections until its context
+// is cancelled, and returns the cancellation error. A routine advance that
+// draws it is in flight — somewhere inside the perception stack — whenever
+// a test fires a trigger, instead of racing the trigger to completion; every
+// later selection passes straight through.
+func busyUntilCancelled() SelectorFactory {
+	var first sync.Once
+	return func(sys *System) (Selector, error) {
+		inner, err := PipelineSelector()(sys)
+		if err != nil {
+			return nil, err
+		}
+		return &busySelector{Selector: inner, first: &first}, nil
+	}
+}
+
+type busySelector struct {
+	Selector
+	first *sync.Once
+}
+
+func (s *busySelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	busy := false
+	s.first.Do(func() { busy = true })
+	if !busy {
+		return s.Selector.Select(ctx, req)
+	}
+	for {
+		if _, err := s.Selector.Select(ctx, req); err != nil {
+			return core.Result{}, err
+		}
+	}
+}
+
 // TestSessionSafetyPreemptsRoutine pins the two priority classes: on a
 // saturated pool, a safety-class advance preempts an in-flight routine
-// advance mid-trial (the routine caller sees ErrPreempted) and is served on
-// the freed replica.
+// advance mid-selection (the routine caller sees ErrPreempted) and is
+// served on the freed replica.
 func TestSessionSafetyPreemptsRoutine(t *testing.T) {
 	sys := quickSystem(t)
 	scene := descentScene(42)
-	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
+	eng, err := NewEngine(WithSystem(sys), WithWorkers(1), WithSelector(busyUntilCancelled()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +375,7 @@ func TestSessionSafetyPreemptsRoutine(t *testing.T) {
 func TestSessionTriggerAbortsOwnAdvance(t *testing.T) {
 	sys := quickSystem(t)
 	scene := descentScene(42)
-	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
+	eng, err := NewEngine(WithSystem(sys), WithWorkers(1), WithSelector(busyUntilCancelled()))
 	if err != nil {
 		t.Fatal(err)
 	}
