@@ -39,7 +39,8 @@ vet:
 build:
 	$(GO) build ./...
 
-# Conv2D's tap loop is SSE assembly on amd64 and portable Go on every other
+# Conv2D's run kernel is AVX assembly on amd64 (taken when the CPU reports
+# AVX; the portable Go body otherwise) and portable Go on every other
 # GOARCH, wired in by a file no amd64 build compiles: vet and build for
 # arm64 too. (The amd64 vet already checks the assembly's frame against its
 # Go declaration.)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -238,6 +239,36 @@ func TestPipelinePlanLanding(t *testing.T) {
 // shift: whatever the pipeline confirms on out-of-distribution imagery, the
 // confirmed zone must not cover busy road in ground truth — and the far
 // more likely outcome is that nothing is confirmed at all.
+// TestSelectorsRejectOddFrame: the downsampling model cannot segment an
+// odd frame, so the core selectors return CheckSize's error and planning
+// reports no zone (all of them panicked on a 63×64 frame).
+func TestSelectorsRejectOddFrame(t *testing.T) {
+	m := segment.New(segment.DefaultConfig())
+	p := NewPipeline(m, 1)
+	h := NewHybrid(p)
+	cfg := urban.DefaultConfig()
+	cfg.W, cfg.H = 64, 64
+	scene := urban.Generate(cfg, urban.DefaultConditions(), 1)
+	scene.Image = scene.Image.Crop(0, 0, 63, 64)
+	want := m.CheckSize(scene.Image)
+	if want == nil {
+		t.Fatal("CheckSize accepts a 63x64 frame")
+	}
+	ctx := context.Background()
+	if _, err := p.SelectWithConfigCtx(ctx, scene.Image, scene.MPP, p.Zones); err == nil || err.Error() != want.Error() {
+		t.Errorf("Pipeline.SelectWithConfigCtx error %v, want %v", err, want)
+	}
+	if _, err := h.SelectWithConfigCtx(ctx, scene, p.Zones); err == nil || err.Error() != want.Error() {
+		t.Errorf("Hybrid.SelectWithConfigCtx error %v, want %v", err, want)
+	}
+	if _, _, ok := p.PlanLandingCtx(ctx, scene, 10, 10); ok {
+		t.Error("Pipeline.PlanLandingCtx reports a zone on an odd frame")
+	}
+	if _, _, ok := h.PlanLanding(scene, 10, 10); ok {
+		t.Error("Hybrid.PlanLanding reports a zone on an odd frame")
+	}
+}
+
 func TestPipelineSafetyOnOOD(t *testing.T) {
 	p, _ := trainedPipeline(t)
 	cfg := urban.DefaultConfig()

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"safeland/internal/imaging"
@@ -28,29 +29,7 @@ func FuzzZoneSelection(f *testing.F) {
 		minSafe = clampFinite(minSafe, 0.2, 1)
 		roadDensity = clampFinite(roadDensity, 0, 0.9)
 
-		// An adversarial "prediction": random per-pixel classes at the
-		// fuzzed road density plus a few coherent road strips, the worst of
-		// speckle noise and real street geometry.
-		rng := rand.New(rand.NewSource(seed))
-		pred := imaging.NewLabelMap(w, h)
-		classes := []imaging.Class{
-			imaging.Clutter, imaging.Building, imaging.Tree,
-			imaging.LowVegetation, imaging.Humans,
-		}
-		roadish := []imaging.Class{imaging.Road, imaging.StaticCar, imaging.MovingCar}
-		for i := range pred.Pix {
-			if rng.Float64() < roadDensity {
-				pred.Pix[i] = roadish[rng.Intn(len(roadish))]
-			} else {
-				pred.Pix[i] = classes[rng.Intn(len(classes))]
-			}
-		}
-		for s := 0; s < rng.Intn(3); s++ {
-			y := rng.Intn(h)
-			for x := 0; x < w; x++ {
-				pred.Pix[y*w+x] = imaging.Road
-			}
-		}
+		pred := randomPrediction(rand.New(rand.NewSource(seed)), w, h, roadDensity)
 
 		cfg := ZoneConfig{
 			ZoneSizeM:       zoneM,
@@ -112,6 +91,105 @@ func FuzzZoneSelection(f *testing.F) {
 			}
 		}
 	})
+}
+
+// randomPrediction is an adversarial "prediction": random per-pixel
+// classes at the given road density plus a few coherent road strips, the
+// worst of speckle noise and real street geometry.
+func randomPrediction(rng *rand.Rand, w, h int, roadDensity float64) *imaging.LabelMap {
+	pred := imaging.NewLabelMap(w, h)
+	classes := []imaging.Class{
+		imaging.Clutter, imaging.Building, imaging.Tree,
+		imaging.LowVegetation, imaging.Humans,
+	}
+	roadish := []imaging.Class{imaging.Road, imaging.StaticCar, imaging.MovingCar}
+	for i := range pred.Pix {
+		if rng.Float64() < roadDensity {
+			pred.Pix[i] = roadish[rng.Intn(len(roadish))]
+		} else {
+			pred.Pix[i] = classes[rng.Intn(len(classes))]
+		}
+	}
+	for s := 0; s < rng.Intn(3); s++ {
+		y := rng.Intn(h)
+		for x := 0; x < w; x++ {
+			pred.Pix[y*w+x] = imaging.Road
+		}
+	}
+	return pred
+}
+
+// TestLadderMatchesPerRungLoop pins the one-field ladder both selectors
+// use to the loop it replaced, which called Candidates afresh on every
+// rung: over random predictions, scales and zone settings, with no filter
+// and with the hybrid's static-map fusion as the filter, the ladder must
+// return the same candidates and the same used buffer. The trials must
+// cover a first-rung hit, a relaxed-rung hit and an empty ladder.
+func TestLadderMatchesPerRungLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	stops := map[string]int{}
+	for trial := 0; trial < 300; trial++ {
+		w, h := 16+rng.Intn(65), 16+rng.Intn(65)
+		pred := randomPrediction(rng, w, h, 0.02*rng.Float64())
+		mpp := 0.25 + 0.75*rng.Float64()
+		cfg := ZoneConfig{
+			ZoneSizeM:       4 + 8*rng.Float64(),
+			BufferM:         30 * rng.Float64(),
+			MinSafeFraction: 0.2 + 0.3*rng.Float64(),
+			MaxCandidates:   rng.Intn(10),
+			BorderMarginPx:  rng.Intn(4) - 1,
+		}
+		if rng.Intn(2) == 0 {
+			cfg.HomeX, cfg.HomeY = float64(w)*mpp*rng.Float64(), float64(h)*mpp*rng.Float64()
+		}
+		static := imaging.NewMap(w, h)
+		for i := range static.Pix {
+			if rng.Float64() < 0.001 {
+				static.Pix[i] = float32(infinity())
+			} else {
+				static.Pix[i] = rng.Float32()
+			}
+		}
+		hy := &Hybrid{StaticWeight: 8, MaxStaticRisk: 0.6}
+		fused := buildFiniteIntegral(static)
+		keeps := map[string]func([]Candidate) []Candidate{
+			"pipeline": nil,
+			"hybrid":   func(c []Candidate) []Candidate { return hy.fuse(c, fused) },
+		}
+		for name, keep := range keeps {
+			got, gotBuffer := ladder(pred, mpp, cfg, keep)
+			zones := cfg
+			var want []Candidate
+			stop := "none"
+			for i, scale := range []float64{1, 0.66, 0.4, 0.2} {
+				zones.BufferM = cfg.BufferM * scale
+				if zones.BufferM < zones.ZoneSizeM/4 {
+					zones.BufferM = zones.ZoneSizeM / 4
+				}
+				want = Candidates(pred, mpp, zones)
+				if keep != nil {
+					want = keep(want)
+				}
+				if len(want) > 0 {
+					stop = "relaxed"
+					if i == 0 {
+						stop = "first"
+					}
+					break
+				}
+			}
+			stops[stop]++
+			if !reflect.DeepEqual(got, want) || gotBuffer != zones.BufferM {
+				t.Fatalf("trial %d %s (%dx%d, mpp %.3f, %+v): ladder gave %d candidates at %.3f m, per-rung loop %d at %.3f m",
+					trial, name, w, h, mpp, cfg, len(got), gotBuffer, len(want), zones.BufferM)
+			}
+		}
+	}
+	for _, stop := range []string{"first", "relaxed", "none"} {
+		if stops[stop] == 0 {
+			t.Errorf("no trial stopped at %q: %v", stop, stops)
+		}
+	}
 }
 
 func clampInt(v, lo, hi int) int {

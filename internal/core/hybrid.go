@@ -64,20 +64,9 @@ func (h *Hybrid) SelectWithConfigCtx(ctx context.Context, scene *urban.Scene, cf
 	if err != nil {
 		return Result{}, err
 	}
-	static := riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg)
-
-	zones := cfg
-	var cands []Candidate
-	for _, scale := range []float64{1, 0.66, 0.4, 0.2} {
-		zones.BufferM = cfg.BufferM * scale
-		if zones.BufferM < zones.ZoneSizeM/4 {
-			zones.BufferM = zones.ZoneSizeM / 4
-		}
-		if cands = h.fuse(Candidates(pred, scene.MPP, zones), static); len(cands) > 0 {
-			break
-		}
-	}
-	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: zones.BufferM}
+	static := buildFiniteIntegral(riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg))
+	cands, bufferM := ladder(pred, scene.MPP, cfg, func(c []Candidate) []Candidate { return h.fuse(c, static) })
+	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: bufferM}
 	dm := NewDecisionModule(p.MaxTrials)
 	for _, cand := range cands {
 		sub := scene.Image.Crop(evenAlign(cand.X0, scene.Image.W, cand.SizePx),
@@ -104,11 +93,10 @@ func (h *Hybrid) SelectWithConfigCtx(ctx context.Context, scene *urban.Scene, cf
 }
 
 // fuse drops candidates the static map forbids and re-ranks the survivors.
-func (h *Hybrid) fuse(cands []Candidate, static *imaging.Map) []Candidate {
-	it := buildFiniteIntegral(static)
+func (h *Hybrid) fuse(cands []Candidate, static finiteIntegral) []Candidate {
 	kept := cands[:0:0]
 	for _, c := range cands {
-		mean, forbidden := it.meanRisk(c.X0, c.Y0, c.SizePx)
+		mean, forbidden := static.meanRisk(c.X0, c.Y0, c.SizePx)
 		if forbidden || mean > h.MaxStaticRisk {
 			continue
 		}

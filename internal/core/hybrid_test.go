@@ -83,7 +83,7 @@ func TestHybridFuseRejectsForbidden(t *testing.T) {
 		{X0: 36, Y0: 10, SizePx: 8, Score: 10}, // low mapped risk
 		{X0: 54, Y0: 10, SizePx: 8, Score: 90}, // above MaxStaticRisk
 	}
-	kept := h.fuse(cands, static)
+	kept := h.fuse(cands, buildFiniteIntegral(static))
 	if len(kept) != 1 {
 		t.Fatalf("kept %d candidates, want 1", len(kept))
 	}

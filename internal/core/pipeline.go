@@ -110,18 +110,8 @@ func (p *Pipeline) SelectWithConfigCtx(ctx context.Context, img *imaging.Image, 
 	if err != nil {
 		return Result{}, err
 	}
-	zones := cfg
-	var cands []Candidate
-	for _, scale := range []float64{1, 0.66, 0.4, 0.2} {
-		zones.BufferM = cfg.BufferM * scale
-		if zones.BufferM < zones.ZoneSizeM/4 {
-			zones.BufferM = zones.ZoneSizeM / 4
-		}
-		if cands = Candidates(pred, mpp, zones); len(cands) > 0 {
-			break
-		}
-	}
-	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: zones.BufferM}
+	cands, bufferM := ladder(pred, mpp, cfg, nil)
+	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: bufferM}
 	dm := NewDecisionModule(p.MaxTrials)
 	for _, cand := range cands {
 		x0, y0, size := cand.CropRect(img.W, img.H)

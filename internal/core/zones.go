@@ -94,9 +94,66 @@ func (c Candidate) CropRect(imgW, imgH int) (x0, y0, size int) {
 // segmentation. This is the "zone selection" stage of Figure 2: it runs on
 // the deterministic model output; the monitor later verifies the winners.
 func Candidates(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig) []Candidate {
+	return newZoneField(pred, mpp).candidates(cfg)
+}
+
+// ladder proposes candidates under the configured drift buffer, relaxing it
+// stepwise (never below a quarter zone) until a rung yields a candidate
+// that keep, when non-nil, retains. It returns those candidates and the
+// buffer that produced them. The buffer-independent zone field is built
+// once for all rungs.
+func ladder(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig, keep func([]Candidate) []Candidate) ([]Candidate, float64) {
+	field := newZoneField(pred, mpp)
+	zones := cfg
+	var cands []Candidate
+	for _, scale := range []float64{1, 0.66, 0.4, 0.2} {
+		zones.BufferM = cfg.BufferM * scale
+		if zones.BufferM < zones.ZoneSizeM/4 {
+			zones.BufferM = zones.ZoneSizeM / 4
+		}
+		cands = field.candidates(zones)
+		if keep != nil {
+			cands = keep(cands)
+		}
+		if len(cands) > 0 {
+			break
+		}
+	}
+	return cands, zones.BufferM
+}
+
+// zoneField is the part of candidate generation that depends on the frame
+// alone: each pixel's distance to the nearest predicted busy-road pixel and
+// the integral of landable pixels. Only the scan depends on the zone
+// configuration.
+type zoneField struct {
+	pred   *imaging.LabelMap
+	mpp    float64
+	dist   *imaging.Map
+	safeIt *imaging.Integral
+}
+
+func newZoneField(pred *imaging.LabelMap, mpp float64) zoneField {
 	if mpp <= 0 {
 		panic(fmt.Sprintf("core: invalid meters-per-pixel %v", mpp))
 	}
+	safe := imaging.NewMap(pred.W, pred.H)
+	for i, c := range pred.Pix {
+		if landable(c) {
+			safe.Pix[i] = 1
+		}
+	}
+	return zoneField{
+		pred:   pred,
+		mpp:    mpp,
+		dist:   pred.DistanceTransform(imaging.Class.BusyRoad),
+		safeIt: imaging.NewIntegral(safe),
+	}
+}
+
+// candidates scans the field for the zones cfg admits and ranks them.
+func (f zoneField) candidates(cfg ZoneConfig) []Candidate {
+	pred, mpp, dist := f.pred, f.mpp, f.dist
 	zonePx := int(math.Ceil(cfg.ZoneSizeM / mpp))
 	if zonePx <= 0 || zonePx > pred.W || zonePx > pred.H {
 		return nil
@@ -115,14 +172,6 @@ func Candidates(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig) []Candidate
 	if maxUsefulDistM < 30 {
 		maxUsefulDistM = 30
 	}
-	dist := pred.DistanceTransform(imaging.Class.BusyRoad)
-	safe := imaging.NewMap(pred.W, pred.H)
-	for i, c := range pred.Pix {
-		if landable(c) {
-			safe.Pix[i] = 1
-		}
-	}
-	safeIt := imaging.NewIntegral(safe)
 	bufferPx := float32(cfg.BufferM / mpp)
 
 	margin := cfg.BorderMarginPx
@@ -149,7 +198,7 @@ func Candidates(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig) []Candidate
 			if minDist < bufferPx {
 				continue
 			}
-			frac := safeIt.RectMean(x, y, x+zonePx, y+zonePx)
+			frac := f.safeIt.RectMean(x, y, x+zonePx, y+zonePx)
 			if frac < cfg.MinSafeFraction {
 				continue
 			}

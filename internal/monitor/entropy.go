@@ -47,7 +47,10 @@ func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
 		if sum == nil {
 			sum = probs.ZerosLike()
 			sumSq = probs.ZerosLike()
-			expEnt = imaging.NewMap(img.W, img.H)
+			// Sized from the statistics, not the input: the stem rounds an
+			// odd crop up (25 px gives 26×26).
+			_, _, h, w := probs.Dims4()
+			expEnt = imaging.NewMap(w, h)
 		}
 		for i, v := range probs.Data {
 			sum.Data[i] += v
@@ -65,7 +68,7 @@ func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
 		expEnt.Pix[i] /= n
 	}
 	pred := entropyOf(st.Mean)
-	mi := imaging.NewMap(img.W, img.H)
+	mi := imaging.NewMap(pred.W, pred.H)
 	for i := range mi.Pix {
 		d := pred.Pix[i] - expEnt.Pix[i]
 		if d < 0 {

@@ -43,6 +43,33 @@ func TestMCEntropyStatsDecomposition(t *testing.T) {
 	}
 }
 
+// TestMCEntropyStatsOddCrop covers an odd crop: the stem rounds 25 px up
+// to 26×26 statistics, and every entropy map must take their size (sized
+// from the input, the maps were indexed past their end on the first
+// sample).
+func TestMCEntropyStatsOddCrop(t *testing.T) {
+	b := NewBayesian(tinyModel(), 22)
+	b.Samples = 3
+	es := b.MCEntropyStats(noisyImage(25, 25))
+	_, _, h, w := es.Mean.Dims4()
+	if h != 26 || w != 26 {
+		t.Fatalf("statistics %dx%d, want 26x26", w, h)
+	}
+	maps := map[string]*imaging.Map{
+		"predictive": es.Predictive, "expected": es.Expected, "mutual information": es.MutualInformation,
+	}
+	for name, m := range maps {
+		if m.W != w || m.H != h {
+			t.Errorf("%s entropy map %dx%d, statistics %dx%d", name, m.W, m.H, w, h)
+		}
+	}
+	for i, mi := range es.MutualInformation.Pix {
+		if d := es.Predictive.Pix[i] - es.Expected.Pix[i]; mi < 0 || (d > 0 && mi != d) {
+			t.Fatalf("pixel %d: mutual information %v, predictive − expected %v", i, mi, d)
+		}
+	}
+}
+
 func TestEntropySignalsDetectOOD(t *testing.T) {
 	m, _ := trainedTinyModel(t)
 	b := NewBayesian(m, 14)

@@ -10,14 +10,16 @@ import (
 // net: parallel branches with dilation 1, 2, 4, ... observe the same input at
 // growing receptive fields without losing resolution.
 //
-// Forward computes convLanes output channels of one output pixel at a time.
-// It repacks the weights so the convLanes channels of each tap sit side by
-// side, clamps the pixel's valid taps once with tapRange, and hands the tap
-// loop to convTaps: SSE on amd64 (conv_amd64.s), portable Go elsewhere.
-// Every lane starts from its bias and adds each product, rounded to float32,
-// in the icc→ky→kx order of the naive reference loop (convRefForward in the
-// tests), skipping out-of-range taps instead of adding zero padding, so
-// outputs are byte-identical to that loop at every geometry.
+// Forward computes convLanes output channels of a run of output pixels at a
+// time. It repacks the weights so the convLanes channels of each tap sit
+// side by side behind their biases, splits each output row into runs of
+// pixels whose valid kx taps are the same (tapRange), and hands each run to
+// convRun: AVX on amd64 CPUs that have it (conv_amd64.s), the portable
+// convTapsGo pixel by pixel elsewhere. Every lane starts from its bias and
+// adds each product, rounded to float32, in the icc→ky→kx order of the
+// naive reference loop (convRefForward in the tests), skipping out-of-range
+// taps instead of adding zero padding, so outputs are byte-identical to that
+// loop at every geometry and on either kernel.
 type Conv2D struct {
 	InC, OutC int
 	K         int // square kernel size
@@ -30,12 +32,22 @@ type Conv2D struct {
 
 	x      *Tensor // cached input for backward
 	sc     *Scratch
-	packed []float32 // W repacked per Forward, see packWeights
+	packed []float32 // B and W repacked per Forward, see packWeights
+	runs   []colRun  // output column runs per Forward, see columnRuns
 }
 
-// convLanes is how many output channels one convTaps call accumulates: four
-// 4-wide SSE registers.
+// convLanes is how many output channels convRun accumulates per pixel: two
+// 8-wide AVX registers.
 const convLanes = 16
+
+// convRunMax is the chunk of output columns Forward computes before
+// storing them: one chunk's results fill a stack buffer of convRunMax ×
+// convLanes floats.
+const convRunMax = 32
+
+// haveAVX selects the AVX kernel in convRun. It is read once, at package
+// init; the tests clear it to run the portable body on the same inputs.
+var haveAVX = cpuAVX()
 
 // NewConv2D constructs a convolution with He-initialized weights.
 func NewConv2D(name string, inC, outC, k, stride, pad, dilation int, rng *rand.Rand) *Conv2D {
@@ -81,25 +93,54 @@ func tapRange(off, step, count, limit int) (lo, hi int) {
 	return lo, hi
 }
 
-// packWeights copies W into c.packed as [block][InC][K][K][convLanes], one
-// block per convLanes output channels (the last one padded with zero
-// lanes). Packing on every call costs a few microseconds and can never
-// serve stale weights, neither during training nor on a frozen clone whose
-// parameters alias another model's; the buffer is reused, so warm forwards
-// do not allocate.
+// packWeights copies B and W into c.packed as [block][1+InC*K*K][convLanes],
+// one block per convLanes output channels (the last one padded with zero
+// lanes): the block's biases, then its taps in [InC][K][K] order. Packing on
+// every call costs a few microseconds and can never serve stale weights,
+// neither during training nor on a frozen clone whose parameters alias
+// another model's; the buffer is reused, so warm forwards do not allocate.
 func (c *Conv2D) packWeights() []float32 {
 	taps := c.InC * c.K * c.K
+	blockLen := (1 + taps) * convLanes
 	blocks := (c.OutC + convLanes - 1) / convLanes
-	if size := blocks * taps * convLanes; len(c.packed) != size {
+	if size := blocks * blockLen; len(c.packed) != size {
 		c.packed = make([]float32, size) // the padding lanes stay zero
 	}
-	for oc := 0; oc < c.OutC; oc++ {
-		dst := c.packed[(oc/convLanes)*taps*convLanes+oc%convLanes:]
-		for t, wv := range c.W.Value.Data[oc*taps : (oc+1)*taps] {
-			dst[t*convLanes] = wv
+	packed, wd := c.packed, c.W.Value.Data
+	for oc, bv := range c.B.Value.Data[:c.OutC] {
+		j := (oc/convLanes)*blockLen + oc%convLanes
+		packed[j] = bv
+		for _, wv := range wd[oc*taps : (oc+1)*taps] {
+			j += convLanes
+			packed[j] = wv
 		}
 	}
-	return c.packed
+	return packed
+}
+
+// colRun is a run of n output columns from ox whose valid kx taps are all
+// [kxLo, kxHi].
+type colRun struct{ ox, n, kxLo, kxHi int }
+
+// columnRuns splits the ow output columns of an input w wide into runs of
+// equal kx tap window, reusing c.runs. The window only shrinks as ox grows,
+// so equal windows are contiguous: the interior is one run between the few
+// columns whose taps overhang an edge. Runs also break at every multiple of
+// convRunMax, so each chunk of convRunMax columns is whole runs.
+func (c *Conv2D) columnRuns(w, ow int) []colRun {
+	runs := c.runs[:0]
+	for ox := 0; ox < ow; ox++ {
+		lo, hi := tapRange(ox*c.Stride-c.Pad, c.Dilation, c.K, w)
+		if last := len(runs) - 1; last >= 0 && ox%convRunMax != 0 {
+			if r := &runs[last]; r.kxLo == lo && r.kxHi == hi {
+				r.n++
+				continue
+			}
+		}
+		runs = append(runs, colRun{ox: ox, n: 1, kxLo: lo, kxHi: hi})
+	}
+	c.runs = runs
+	return runs
 }
 
 // Forward computes the convolution. The input is cached for Backward.
@@ -125,11 +166,11 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	}
 
 	packed := c.packWeights()
-	bdat := c.B.Value.Data
+	runs := c.columnRuns(w, ow)
 	xd, od := x.Data, out.Data
 	k, d := c.K, c.Dilation
 	hw, ohw := h*w, oh*ow
-	blockLen := c.InC * k * k * convLanes
+	blockLen := (1 + c.InC*k*k) * convLanes
 	lastC := c.InC - 1
 
 	// Parallelize over (batch, output row) pairs: disjoint output slices.
@@ -137,48 +178,91 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 		bi, oy := job/oh, job%oh
 		iy0 := oy*c.Stride - c.Pad
 		kyLo, kyHi := tapRange(iy0, d, k, h)
+		ny := kyHi - kyLo + 1
 		xB := bi * c.InC * hw
 		outRow := bi*c.OutC*ohw + oy*ow
-		var acc [convLanes]float32
-		for ox := 0; ox < ow; ox++ {
-			ix0 := ox*c.Stride - c.Pad
-			kxLo, kxHi := tapRange(ix0, d, k, w)
-			ny, nx := kyHi-kyLo+1, kxHi-kxLo+1
-			// The first tap (channel 0, kyLo, kxLo) and the last (channel
-			// InC-1, kyHi, kxHi) bound the slices handed to convTaps, so a
-			// wrong tap range panics here instead of the assembly reading
-			// past the tensor.
-			xFirst := xB + (iy0+kyLo*d)*w + ix0 + kxLo*d
-			xLast := xB + lastC*hw + (iy0+kyHi*d)*w + ix0 + kxHi*d
-			wFirst := (kyLo*k + kxLo) * convLanes
-			wEnd := ((lastC*k+kyHi)*k + kxHi + 1) * convLanes
-			for oc0 := 0; oc0 < c.OutC; oc0 += convLanes {
-				live := min(convLanes, c.OutC-oc0)
-				acc = [convLanes]float32{}
-				copy(acc[:live], bdat[oc0:])
+		// res holds one chunk of up to convRunMax columns, pixel-major, for
+		// one block of output channels.
+		var res [convRunMax * convLanes]float32
+		for oc0 := 0; oc0 < c.OutC; oc0 += convLanes {
+			block := packed[oc0/convLanes*blockLen:]
+			live := min(convLanes, c.OutC-oc0)
+			chunk := 0
+			for _, r := range runs {
+				if r.ox == chunk+convRunMax {
+					storeRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], convRunMax, live)
+					chunk = r.ox
+				}
+				nx := r.kxHi - r.kxLo + 1
+				// The first tap of the run's first pixel (channel 0, kyLo,
+				// kxLo) and the last tap of its last pixel (channel InC-1,
+				// kyHi, kxHi) bound the slices handed to convRun, so a
+				// wrong tap range panics here instead of the assembly
+				// reading past the tensor.
+				var xs []float32
+				var wFirst, wEnd int
 				if ny > 0 && nx > 0 {
-					wb := packed[oc0/convLanes*blockLen:]
-					convTaps(&acc, wb[wFirst:wEnd], xd[xFirst:xLast+1],
-						c.InC, ny, nx, hw, d*w, d, k*k*convLanes, k*convLanes)
+					ix0 := r.ox*c.Stride - c.Pad
+					xFirst := xB + (iy0+kyLo*d)*w + ix0 + r.kxLo*d
+					xLast := xB + lastC*hw + (iy0+kyHi*d)*w + ix0 + r.kxHi*d + (r.n-1)*c.Stride
+					xs = xd[xFirst : xLast+1]
+					wFirst = (kyLo*k + r.kxLo) * convLanes
+					wEnd = ((lastC*k+kyHi)*k + r.kxHi + 1) * convLanes
 				}
-				o := outRow + oc0*ohw + ox
-				for _, v := range acc[:live] {
-					od[o] = v
-					o += ohw
-				}
+				convRun(res[(r.ox-chunk)*convLanes:], (*[convLanes]float32)(block), block[convLanes+wFirst:convLanes+wEnd], xs,
+					r.n, c.Stride, c.InC, ny, nx, hw, d*w, d, k*k*convLanes, k*convLanes)
 			}
+			storeRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], ow-chunk, live)
 		}
 	})
 	return out
 }
 
-// convTapsGo is the portable body of convTaps, the kernel on every GOARCH
-// without an assembly one. For nc channels × ny rows × nx columns of taps
-// it adds w[tap lanes] × x[tap] to the convLanes accumulators, where tap
-// (ci, y, t) reads x[ci*xc + y*xy + t*xx] and the convLanes weights from
-// w[ci*wc + y*wy + t*convLanes]. Each product is rounded to float32 before
-// the add: the explicit conversion forbids the compiler from fusing the
-// multiply-add (arm64 would emit FMADDS), which would break byte parity.
+// storeRun copies the first live lanes of n pixel-major results into
+// channel-major output: lane l's n values go to od[l*ohw:][:n], one
+// contiguous row per output channel. It stays out of line: inlined into
+// Forward's row loop, its loop counter lives on the stack, and the copy
+// runs about half as fast.
+//
+//go:noinline
+func storeRun(od []float32, ohw int, run []float32, n, live int) {
+	for l := 0; l < live; l++ {
+		dst, j := od[l*ohw:][:n], l
+		for i := range dst {
+			dst[i] = run[j]
+			j += convLanes
+		}
+	}
+}
+
+// convRun fills out[p*convLanes:(p+1)*convLanes], for each of the np output
+// pixels p of a run, with the convLanes biases b plus the taps of pixel p:
+// for nc channels × ny rows × nx columns, tap (ci, y, t) adds the convLanes
+// weights w[ci*wc + y*wy + t*convLanes:] times the sample x[ci*xc + y*xy +
+// t*xx + p*px]. With AVX it computes four pixels per weight load; otherwise
+// convTapsGo computes one pixel at a time.
+func convRun(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int) {
+	out = out[:np*convLanes]
+	if haveAVX {
+		convRunAVX(out, b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
+		return
+	}
+	for p := 0; p < np; p++ {
+		acc := (*[convLanes]float32)(out[p*convLanes:])
+		*acc = *b
+		if nc > 0 && ny > 0 && nx > 0 {
+			convTapsGo(acc, w, x[p*px:], nc, ny, nx, xc, xy, xx, wc, wy)
+		}
+	}
+}
+
+// convTapsGo is the portable body of convRun for one pixel. For nc channels
+// × ny rows × nx columns of taps it adds w[tap lanes] × x[tap] to the
+// convLanes accumulators, where tap (ci, y, t) reads x[ci*xc + y*xy + t*xx]
+// and the convLanes weights from w[ci*wc + y*wy + t*convLanes]. Each product
+// is rounded to float32 before the add: the explicit conversion forbids the
+// compiler from fusing the multiply-add (arm64 would emit FMADDS), which
+// would break byte parity.
 func convTapsGo(acc *[convLanes]float32, w, x []float32, nc, ny, nx, xc, xy, xx, wc, wy int) {
 	for ci := 0; ci < nc; ci++ {
 		for y := 0; y < ny; y++ {

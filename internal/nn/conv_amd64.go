@@ -1,9 +1,13 @@
 package nn
 
-// convTaps is convTapsGo in SSE (conv_amd64.s): the same taps in the same
-// order, and in each lane a MULPS product followed by an ADDPS, never a
-// fused multiply-add, so its sums are bit-for-bit those of convTapsGo. SSE
-// is part of the amd64 baseline, so there is no CPU-feature check.
+// convRunAVX is convRun in AVX (conv_amd64.s): the same taps in the same
+// order for every pixel, and in each lane a VMULPS product followed by a
+// VADDPS, never a fused multiply-add, so its sums are bit-for-bit those of
+// convTapsGo. It may run only where cpuAVX reports true.
 //
 //go:noescape
-func convTaps(acc *[convLanes]float32, w, x []float32, nc, ny, nx, xc, xy, xx, wc, wy int)
+func convRunAVX(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int)
+
+// cpuAVX reports whether the CPU and the OS support AVX: the CPUID feature
+// bits and the YMM state enabled in XCR0.
+func cpuAVX() bool

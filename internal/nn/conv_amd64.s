@@ -1,80 +1,233 @@
 #include "textflag.h"
 
-// func convTaps(acc *[convLanes]float32, w, x []float32, nc, ny, nx, xc, xy, xx, wc, wy int)
+// func convRunAVX(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int)
 //
-// X0-X3 hold the 16 accumulator lanes. Each tap broadcasts its input sample
-// into X4 (MOVSS+SHUFPS), multiplies it into the tap's 16 packed weights
-// (MULPS) and adds the products to the lanes (ADDPS). Taps run channel by
-// channel, row by row, column by column, as in convTapsGo; strides are in
-// float32 elements, scaled to bytes by the addressing.
-TEXT ·convTaps(SB), NOSPLIT, $0-120
-	MOVQ  nc+56(FP), R8
-	TESTQ R8, R8
-	JLE   done
-	MOVQ  ny+64(FP), AX
-	TESTQ AX, AX
-	JLE   done
-	MOVQ  nx+72(FP), AX
-	TESTQ AX, AX
-	JLE   done
+// Output pixels go four at a time while four are left: Y0-Y7 hold pixel p's
+// 16 lanes in Y(2p) (lanes 0-7) and Y(2p+1) (lanes 8-15). Each tap loads its
+// 16 packed weights once (Y8, Y9) for all four pixels, broadcasts each
+// pixel's input sample (VBROADCASTSS), multiplies it into the weights
+// (VMULPS) and adds the products to the lanes (VADDPS), never fused, so
+// every lane's sum is convTapsGo's bit for bit. The last one to three
+// pixels go two at a time through Y0-Y3; a lone last pixel reads its own
+// samples twice and stores once. Taps run channel by channel, row by row,
+// column by column, as in convTapsGo; the strides arrive in float32
+// elements and are scaled to bytes.
+//
+// Registers: DI the next pixel's 16 results, R13 its first sample, R12 and
+// R11 one and three pixel strides, R10 the tap stride, R8/R9/AX the
+// channel/row/tap counters, BX/CX the first weight and sample of the
+// current row, SI/DX those of the current tap. The frame holds the channel
+// count (zero when there are no taps), the pixels left and the current
+// channel's first weight and sample.
+TEXT ·convRunAVX(SB), NOSPLIT, $32-160
+	MOVQ out_base+0(FP), DI
+	MOVQ x_base+56(FP), R13
+	MOVQ px+88(FP), R12
+	SHLQ $2, R12
+	LEAQ (R12)(R12*2), R11
+	MOVQ xx+136(FP), R10
+	SHLQ $2, R10
+	MOVQ np+80(FP), AX
+	MOVQ AX, left-16(SP)
+	MOVQ nc+96(FP), AX
+	CMPQ ny+104(FP), $0
+	JLE  notaps
+	CMPQ nx+112(FP), $0
+	JG   counted
 
-	MOVQ   acc+0(FP), DI
-	MOVUPS 0(DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS 32(DI), X2
-	MOVUPS 48(DI), X3
-	MOVQ   w_base+8(FP), R12  // first weight of the current channel
-	MOVQ   x_base+32(FP), R13 // first sample of the current channel
-	MOVQ   xx+96(FP), R11
+notaps:
+	XORQ AX, AX
 
-channel:
-	MOVQ R12, BX // first weight of the current row
-	MOVQ R13, CX // first sample of the current row
-	MOVQ ny+64(FP), R9
+counted:
+	MOVQ AX, chans-8(SP)
 
-row:
+quad:
+	CMPQ left-16(SP), $4
+	JLT  pair
+	MOVQ    b+24(FP), AX
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y1, Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y1, Y5
+	VMOVAPS Y0, Y6
+	VMOVAPS Y1, Y7
+	MOVQ    chans-8(SP), R8
+	TESTQ   R8, R8
+	JLE     qstore
+	MOVQ    w_base+32(FP), BX
+	MOVQ    R13, CX
+
+qchannel:
+	MOVQ BX, wch-24(SP)
+	MOVQ CX, xch-32(SP)
+	MOVQ ny+104(FP), R9
+
+qrow:
 	MOVQ BX, SI
 	MOVQ CX, DX
-	MOVQ nx+72(FP), R10
+	MOVQ nx+112(FP), AX
 
-tap:
-	MOVSS  (DX), X4
-	SHUFPS $0x00, X4, X4
-	MOVUPS (SI), X5
-	MOVUPS 16(SI), X6
-	MOVUPS 32(SI), X7
-	MOVUPS 48(SI), X8
-	MULPS  X4, X5
-	MULPS  X4, X6
-	MULPS  X4, X7
-	MULPS  X4, X8
-	ADDPS  X5, X0
-	ADDPS  X6, X1
-	ADDPS  X7, X2
-	ADDPS  X8, X3
-	ADDQ   $64, SI
-	LEAQ   (DX)(R11*4), DX
-	DECQ   R10
-	JNZ    tap
+qtap:
+	VMOVUPS      (SI), Y8
+	VMOVUPS      32(SI), Y9
+	VBROADCASTSS (DX), Y10
+	VBROADCASTSS (DX)(R12*1), Y11
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y13
+	VADDPS       Y12, Y0, Y0
+	VADDPS       Y13, Y1, Y1
+	VMULPS       Y11, Y8, Y12
+	VMULPS       Y11, Y9, Y13
+	VADDPS       Y12, Y2, Y2
+	VADDPS       Y13, Y3, Y3
+	VBROADCASTSS (DX)(R12*2), Y10
+	VBROADCASTSS (DX)(R11*1), Y11
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y13
+	VADDPS       Y12, Y4, Y4
+	VADDPS       Y13, Y5, Y5
+	VMULPS       Y11, Y8, Y12
+	VMULPS       Y11, Y9, Y13
+	VADDPS       Y12, Y6, Y6
+	VADDPS       Y13, Y7, Y7
+	ADDQ         $64, SI
+	ADDQ         R10, DX
+	DECQ         AX
+	JNZ          qtap
 
-	MOVQ wy+112(FP), AX
+	MOVQ wy+152(FP), AX
 	LEAQ (BX)(AX*4), BX
-	MOVQ xy+88(FP), AX
+	MOVQ xy+128(FP), AX
 	LEAQ (CX)(AX*4), CX
 	DECQ R9
-	JNZ  row
+	JNZ  qrow
 
-	MOVQ wc+104(FP), AX
-	LEAQ (R12)(AX*4), R12
-	MOVQ xc+80(FP), AX
-	LEAQ (R13)(AX*4), R13
+	MOVQ wch-24(SP), BX
+	MOVQ wc+144(FP), AX
+	LEAQ (BX)(AX*4), BX
+	MOVQ xch-32(SP), CX
+	MOVQ xc+120(FP), AX
+	LEAQ (CX)(AX*4), CX
 	DECQ R8
-	JNZ  channel
+	JNZ  qchannel
 
-	MOVUPS X0, 0(DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
+qstore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	LEAQ    (R13)(R12*4), R13
+	SUBQ    $4, left-16(SP)
+	JMP     quad
+
+pair:
+	// R11 becomes the second pixel's offset: one stride, or zero for a
+	// lone last pixel, which then reads its own samples twice.
+	CMPQ left-16(SP), $0
+	JLE  done
+	MOVQ R12, R11
+	CMPQ left-16(SP), $2
+	JGE  paired
+	XORQ R11, R11
+
+paired:
+	MOVQ    b+24(FP), AX
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y1, Y3
+	MOVQ    chans-8(SP), R8
+	TESTQ   R8, R8
+	JLE     pstore
+	MOVQ    w_base+32(FP), BX
+	MOVQ    R13, CX
+
+pchannel:
+	MOVQ BX, wch-24(SP)
+	MOVQ CX, xch-32(SP)
+	MOVQ ny+104(FP), R9
+
+prow:
+	MOVQ BX, SI
+	MOVQ CX, DX
+	MOVQ nx+112(FP), AX
+
+ptap:
+	VMOVUPS      (SI), Y8
+	VMOVUPS      32(SI), Y9
+	VBROADCASTSS (DX), Y10
+	VBROADCASTSS (DX)(R11*1), Y11
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y13
+	VADDPS       Y12, Y0, Y0
+	VADDPS       Y13, Y1, Y1
+	VMULPS       Y11, Y8, Y12
+	VMULPS       Y11, Y9, Y13
+	VADDPS       Y12, Y2, Y2
+	VADDPS       Y13, Y3, Y3
+	ADDQ         $64, SI
+	ADDQ         R10, DX
+	DECQ         AX
+	JNZ          ptap
+
+	MOVQ wy+152(FP), AX
+	LEAQ (BX)(AX*4), BX
+	MOVQ xy+128(FP), AX
+	LEAQ (CX)(AX*4), CX
+	DECQ R9
+	JNZ  prow
+
+	MOVQ wch-24(SP), BX
+	MOVQ wc+144(FP), AX
+	LEAQ (BX)(AX*4), BX
+	MOVQ xch-32(SP), CX
+	MOVQ xc+120(FP), AX
+	LEAQ (CX)(AX*4), CX
+	DECQ R8
+	JNZ  pchannel
+
+pstore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ    left-16(SP), $2
+	JLT     done
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (R13)(R12*2), R13
+	SUBQ    $2, left-16(SP)
+	JMP     pair
 
 done:
+	VZEROUPPER
+	RET
+
+// func cpuAVX() bool
+//
+// Reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS saves the
+// YMM registers: XSAVE enabled (OSXSAVE, bit 27) and XCR0 covering both the
+// XMM and the YMM state (bits 1 and 2).
+TEXT ·cpuAVX(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   noavx
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   noavx
+	MOVB  $1, ret+0(FP)
+
+noavx:
 	RET

@@ -6,17 +6,23 @@ import (
 	"testing"
 )
 
-// TestConvTapsMatchesPortable runs the SSE kernel and the portable Go body
-// on the same random tap counts, strides and operands, spread over many
-// orders of magnitude so rounding differences would surface: every
-// accumulator lane must come out bit-for-bit the same, and zero tap counts
-// must leave the accumulators untouched.
+// TestConvTapsMatchesPortable runs the AVX run kernel and the portable Go
+// body, pixel by pixel, on the same random run lengths (1-9 pixels: every
+// mix of four-pixel blocks and a one-to-three-pixel tail), pixel strides 1
+// and 2, tap counts (zero included) and operands spread over six orders of
+// magnitude, so rounding differences would surface: every lane of every
+// pixel must come out bit-for-bit the same, and zero tap counts must leave
+// each pixel at its biases.
 func TestConvTapsMatchesPortable(t *testing.T) {
+	if !cpuAVX() {
+		t.Skip("CPU without AVX: convRun runs the portable body only")
+	}
 	rng := rand.New(rand.NewSource(20261017))
 	value := func() float32 {
 		return float32(rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3))
 	}
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1000; trial++ {
+		np, px := 1+rng.Intn(9), 1+rng.Intn(2)
 		nc, ny, nx := rng.Intn(25), rng.Intn(6), rng.Intn(6)
 		xx := 1 + rng.Intn(5)
 		xy := nx*xx + rng.Intn(9)
@@ -25,7 +31,7 @@ func TestConvTapsMatchesPortable(t *testing.T) {
 		wc := ny*wy + rng.Intn(3)*convLanes
 		var x, w []float32
 		if nc > 0 && ny > 0 && nx > 0 {
-			x = make([]float32, (nc-1)*xc+(ny-1)*xy+(nx-1)*xx+1)
+			x = make([]float32, (nc-1)*xc+(ny-1)*xy+(nx-1)*xx+(np-1)*px+1)
 			w = make([]float32, (nc-1)*wc+(ny-1)*wy+nx*convLanes)
 		}
 		for i := range x {
@@ -34,17 +40,34 @@ func TestConvTapsMatchesPortable(t *testing.T) {
 		for i := range w {
 			w[i] = value()
 		}
-		var asm, goBody [convLanes]float32
-		for l := range asm {
-			asm[l] = value()
+		var b [convLanes]float32
+		for l := range b {
+			b[l] = value()
 		}
-		goBody = asm
-		convTaps(&asm, w, x, nc, ny, nx, xc, xy, xx, wc, wy)
-		convTapsGo(&goBody, w, x, nc, ny, nx, xc, xy, xx, wc, wy)
-		for l := range asm {
-			if math.Float32bits(asm[l]) != math.Float32bits(goBody[l]) {
-				t.Fatalf("trial %d (nc=%d ny=%d nx=%d xc=%d xy=%d xx=%d wc=%d wy=%d): lane %d = %v, portable %v",
-					trial, nc, ny, nx, xc, xy, xx, wc, wy, l, asm[l], goBody[l])
+		// One spare pixel on each side catches a store outside the run.
+		avx := make([]float32, (np+2)*convLanes)
+		for i := range avx {
+			avx[i] = value()
+		}
+		guard := append([]float32(nil), avx...)
+		convRunAVX(avx[convLanes:(np+1)*convLanes], &b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
+		for _, i := range []int{0, np + 1} {
+			for l := 0; l < convLanes; l++ {
+				if j := i*convLanes + l; math.Float32bits(avx[j]) != math.Float32bits(guard[j]) {
+					t.Fatalf("trial %d (np=%d): store outside the run at float %d", trial, np, j)
+				}
+			}
+		}
+		for p := 0; p < np; p++ {
+			acc := b
+			if nc > 0 && ny > 0 && nx > 0 {
+				convTapsGo(&acc, w, x[p*px:], nc, ny, nx, xc, xy, xx, wc, wy)
+			}
+			for l, want := range acc {
+				if got := avx[(p+1)*convLanes+l]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("trial %d (np=%d px=%d nc=%d ny=%d nx=%d xc=%d xy=%d xx=%d wc=%d wy=%d): pixel %d lane %d = %v, portable %v",
+						trial, np, px, nc, ny, nx, xc, xy, xx, wc, wy, p, l, got, want)
+				}
 			}
 		}
 	}

@@ -152,6 +152,19 @@ func convCase(t testing.TB, inC, outC, k, stride, pad, dil, n, h, w int, seed in
 	return c, x, true
 }
 
+// forEachKernel calls f once per convRun body this CPU can run — the AVX
+// kernel where cpuAVX allows it, then the portable one — with haveAVX set
+// to select it, and restores haveAVX afterwards.
+func forEachKernel(f func(kernel string)) {
+	defer func(saved bool) { haveAVX = saved }(haveAVX)
+	if cpuAVX() {
+		haveAVX = true
+		f("avx")
+	}
+	haveAVX = false
+	f("portable")
+}
+
 func assertSameBits(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -168,7 +181,8 @@ func assertSameBits(t *testing.T, name string, got, want []float32) {
 // reference over a stride/pad/dilation sweep with randomized spatial sizes —
 // including shapes whose taps mostly fall outside the input — and over the
 // MSDnet serving geometries, whose channel counts fill partial and second
-// convLanes blocks.
+// convLanes blocks. Every case runs on both convRun bodies (forEachKernel),
+// so the portable fallback is checked on AVX machines too.
 func TestConvForwardMatchesReference(t *testing.T) {
 	cases := []struct{ k, stride, pad, dil int }{
 		{1, 1, 0, 1}, {1, 1, 2, 1}, {2, 1, 1, 1}, {3, 1, 0, 1},
@@ -186,14 +200,16 @@ func TestConvForwardMatchesReference(t *testing.T) {
 			if !ok {
 				continue
 			}
-			got := c.Forward(x, false)
 			want := convRefForward(c, x)
-			if !got.SameShape(want) {
-				t.Fatalf("k=%d s=%d p=%d d=%d h=%d w=%d: shape %v vs %v",
-					tc.k, tc.stride, tc.pad, tc.dil, h, w, got.Shape, want.Shape)
-			}
 			t.Run("", func(t *testing.T) {
-				assertSameBits(t, "forward", got.Data, want.Data)
+				forEachKernel(func(kernel string) {
+					got := c.Forward(x, false)
+					if !got.SameShape(want) {
+						t.Fatalf("k=%d s=%d p=%d d=%d h=%d w=%d: shape %v vs %v",
+							tc.k, tc.stride, tc.pad, tc.dil, h, w, got.Shape, want.Shape)
+					}
+					assertSameBits(t, kernel+" forward", got.Data, want.Data)
+				})
 			})
 		}
 	}
@@ -222,7 +238,10 @@ func TestConvForwardMatchesReference(t *testing.T) {
 			if !ok {
 				t.Fatal("degenerate geometry")
 			}
-			assertSameBits(t, "forward", c.Forward(x, false).Data, convRefForward(c, x).Data)
+			want := convRefForward(c, x)
+			forEachKernel(func(kernel string) {
+				assertSameBits(t, kernel+" forward", c.Forward(x, false).Data, want.Data)
+			})
 		})
 	}
 }
@@ -257,7 +276,8 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 // FuzzConvForwardMatchesReference fuzzes the geometry space — kernel,
 // stride, padding, dilation, spatial size, 1-24 input and 1-40 output
 // channels (up to three convLanes blocks, the last one partial) and a batch
-// of 1-3; every valid shape must match the reference bit-for-bit.
+// of 1-3; every valid shape must match the reference bit-for-bit on both
+// convRun bodies.
 func FuzzConvForwardMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint8(16), uint8(9), uint8(19), uint8(13), uint8(1), int64(2))
@@ -270,14 +290,16 @@ func FuzzConvForwardMatchesReference(f *testing.F) {
 		if !ok {
 			t.Skip("degenerate geometry")
 		}
-		got := c.Forward(x, false)
 		want := convRefForward(c, x)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("k=%d s=%d p=%d d=%d %d→%d n=%d %dx%d: element %d = %v, reference %v",
-					c.K, c.Stride, c.Pad, c.Dilation, c.InC, c.OutC, x.Shape[0], x.Shape[2], x.Shape[3],
-					i, got.Data[i], want.Data[i])
+		forEachKernel(func(kernel string) {
+			got := c.Forward(x, false)
+			for i := range got.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s: k=%d s=%d p=%d d=%d %d→%d n=%d %dx%d: element %d = %v, reference %v",
+						kernel, c.K, c.Stride, c.Pad, c.Dilation, c.InC, c.OutC, x.Shape[0], x.Shape[2], x.Shape[3],
+						i, got.Data[i], want.Data[i])
+				}
 			}
-		}
+		})
 	})
 }

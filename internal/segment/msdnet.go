@@ -148,7 +148,8 @@ func ToTensorScratch(img *imaging.Image, sc *nn.Scratch) *nn.Tensor {
 // CheckSize returns an error for an image the model cannot segment: a
 // downsampling model needs even spatial dims, since the stride-2 stem plus
 // 2× upsample would silently change the output size. Servers call it to
-// reject such a frame up front; Logits and LogitsCtx panic on it.
+// reject such a frame up front; LogitsCtx and PredictCtx return its error,
+// Logits and Predict panic on it.
 func (m *Model) CheckSize(img *imaging.Image) error {
 	if m.Cfg.Downsample && (img.W%2 != 0 || img.H%2 != 0) {
 		return fmt.Errorf("segment: downsampling model requires even dimensions, got %dx%d", img.W, img.H)
@@ -156,18 +157,13 @@ func (m *Model) CheckSize(img *imaging.Image) error {
 	return nil
 }
 
-// checkEven panics on an image CheckSize rejects.
-func (m *Model) checkEven(img *imaging.Image) {
-	if err := m.CheckSize(img); err != nil {
-		panic(err.Error())
-	}
-}
-
 // Logits runs a deterministic forward pass (dropout inactive) and returns
 // raw per-class scores [1,C,H,W]. The result may come from the model's
 // arena; the caller owns it (it is never handed out again).
 func (m *Model) Logits(img *imaging.Image) *nn.Tensor {
-	m.checkEven(img)
+	if err := m.CheckSize(img); err != nil {
+		panic(err.Error())
+	}
 	in := ToTensorScratch(img, m.scratch)
 	out := m.Net.Forward(in, false)
 	if out != in {
@@ -193,9 +189,12 @@ func (m *Model) Predict(img *imaging.Image) *imaging.LabelMap {
 
 // LogitsCtx is Logits with cooperative cancellation: the context is honored
 // between network layers, so a cancelled caller waits for at most one
-// layer's work instead of the full forward pass.
+// layer's work instead of the full forward pass. An image CheckSize rejects
+// returns its error.
 func (m *Model) LogitsCtx(ctx context.Context, img *imaging.Image) (*nn.Tensor, error) {
-	m.checkEven(img)
+	if err := m.CheckSize(img); err != nil {
+		return nil, err
+	}
 	in := ToTensorScratch(img, m.scratch)
 	out, err := nn.ForwardCtx(ctx, m.Net, in, false)
 	if err != nil {
