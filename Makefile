@@ -1,6 +1,6 @@
 # Developer workflow for the safeland reproduction.
 #
-#   make check       # tier-1 gate + arm64 cross-build + race detector (shuffled) + bench smoke + bench module
+#   make check       # tier-1 gate + arm64 cross-build and FMA check + race detector (shuffled) + bench smoke + bench module
 #   make bench       # benchmarks; engine + fleet + hot-path numbers land in BENCH_*.json
 #   make bench-smoke # one iteration of each perception benchmark (keeps the harness honest)
 #   make grid        # E11 grid coverage standalone (quick scale)
@@ -13,17 +13,31 @@ GO ?= go
 
 # The perception hot-path benchmarks: conv forward (lane-vectorised kernel +
 # scratch arena) on a 64×64 trunk, the served crop's 12×12 trunk and the
-# 192 px stem, conv backward, Monte-Carlo statistics (prefix reuse) and the
-# full monitor verdict on a 64 px crop and on the served 24 px crop. One
-# regex so bench and bench-smoke never drift.
-NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
+# 192 px stem, conv backward, a frozen clone's segmentation of a 192 px
+# frame, Monte-Carlo statistics (prefix reuse) and the full monitor verdict
+# on a 64 px crop and on the served 24 px crop, the last three on a frozen
+# clone as every Engine worker and session serves them. One regex so bench
+# and bench-smoke never drift. They run with -cpu 1, as serving runs each
+# op: an engine of nproc workers leaves every op one goroutine.
+NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkPredictClone192|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
+NN_BENCH_PKGS = ./internal/nn ./internal/segment ./internal/monitor
 
 # The whole-frame monitoring benchmarks: the tiled whole-frame verdict E12's
 # acceptance budget is written against — BenchmarkFullFrameVerdict's
 # "crop-verdicts" metric (whole frame measured against an interleaved
 # single-crop MCStats pass, so machine-load drift cancels out of the ratio)
-# must stay < 10.
+# must stay < 10. Also -cpu 1, as above.
 MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkFullFrameVerdict)$$
+
+# The inference functions, closures included, whose arm64 code must hold no
+# fused multiply-add: an FMA rounds once where amd64 rounds twice, so an
+# arm64 build could compute other verdict bits than the amd64 one that was
+# validated. The training path (Backward passes, optimisers) is not listed.
+FMA_FREE = nn.convRun nn.convTapsGo nn.(*Conv2D).run nn.bnReLUGo nn.(*BatchNorm2D).infer \
+	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.(*Upsample2x).Forward nn.softmaxChannelsInto \
+	monitor.(*Bayesian).mcMoments monitor.accumulateMoments monitor.finalizeMoments \
+	monitor.Rule.PixelFlags monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
+	monitor.accumulateEntropy monitor.entropyOf
 
 .PHONY: check fmt vet build cross test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
 
@@ -39,13 +53,22 @@ vet:
 build:
 	$(GO) build ./...
 
-# Conv2D's run kernel is AVX assembly on amd64 (taken when the CPU reports
-# AVX; the portable Go body otherwise) and portable Go on every other
-# GOARCH, wired in by a file no amd64 build compiles: vet and build for
-# arm64 too. (The amd64 vet already checks the assembly's frame against its
-# Go declaration.)
+# Conv2D's run kernel and the frozen network's BatchNorm→ReLU epilogue are
+# AVX assembly on amd64 (taken when the CPU reports AVX; the portable Go
+# bodies otherwise) and portable Go on every other GOARCH, wired in by a
+# file no amd64 build compiles: vet and build for arm64 too. (The amd64 vet
+# already checks the assembly's frames against their Go declarations.) Then
+# read the arm64 assembly of the FMA_FREE functions and fail on a fused
+# multiply-add in any of them, or on a listed function it no longer finds.
 cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	@GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn ./internal/monitor 2>&1 | awk -v want='$(FMA_FREE)' ' \
+		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) list[w[i]] = 1 } \
+		/ STEXT / { fn = $$1; sub(/^safeland\/internal\//, "", fn); base = fn; \
+			sub(/\.func[0-9.]+$$/, "", base); checked = base in list; if (checked) seen[base] = 1; next } \
+		checked && /(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add in " fn ":" $$0; bad = 1 } \
+		END { for (f in list) if (!(f in seen)) { print "no arm64 code found for " f; bad = 1 } \
+			if (!bad) print "no fused multiply-add in the arm64 inference path"; exit bad }'
 
 test:
 	$(GO) test ./...
@@ -85,8 +108,8 @@ bench:
 	$(GO) test -bench=BenchmarkSessionFleet -benchtime=1x -run=^$$ -timeout 60m -json . > BENCH_serve.json
 	$(GO) test -bench=BenchmarkExperimentE8 -benchtime=1x -run=^$$ -json ./internal/experiments > BENCH_experiments.json
 	$(GO) test -bench=BenchmarkExperimentE11 -benchtime=1x -run=^$$ -json ./internal/experiments > BENCH_grid.json
-	$(GO) test -bench='$(NN_BENCH)' -benchmem -run=^$$ -json ./internal/nn ./internal/monitor > BENCH_nn.json
-	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -benchtime=10x -run=^$$ -json ./internal/monitor > BENCH_monitor.json
+	$(GO) test -bench='$(NN_BENCH)' -benchmem -cpu 1 -run=^$$ -json $(NN_BENCH_PKGS) > BENCH_nn.json
+	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -cpu 1 -benchtime=10x -run=^$$ -json ./internal/monitor > BENCH_monitor.json
 
 # The EL-service benchmark under bench/ is a module of its own, compiled
 # against this package's public API, so the root build never sees it: vet
@@ -97,8 +120,8 @@ bench-module:
 # One short iteration of each perception benchmark: cheap enough for every
 # check run, and it keeps the bench harness itself from rotting.
 bench-smoke:
-	$(GO) test -bench='$(NN_BENCH)' -benchmem -benchtime=1x -run=^$$ ./internal/nn ./internal/monitor
-	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -benchtime=1x -run=^$$ ./internal/monitor
+	$(GO) test -bench='$(NN_BENCH)' -benchmem -cpu 1 -benchtime=1x -run=^$$ $(NN_BENCH_PKGS)
+	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -cpu 1 -benchtime=1x -run=^$$ ./internal/monitor
 
 # E11 grid coverage standalone: the full scenario-axes mission fleet at
 # quick scale (trains the quick model, then streams all 243 scenarios).
@@ -128,5 +151,6 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSpecKey -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzAxesEnumerate -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzConvForwardMatchesReference -fuzztime=5s ./internal/nn
+	$(GO) test -run=^$$ -fuzz=FuzzFrozenNetMatchesNet -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults

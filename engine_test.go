@@ -411,18 +411,30 @@ func TestEngineSelectCancelsMidTrial(t *testing.T) {
 	}
 	cfg := urban.DefaultConfig()
 	cfg.W, cfg.H = 128, 128
-	scene := urban.Generate(cfg, urban.DefaultConditions(), 55)
+	// A scene with landing candidates, so the selection runs Monte-Carlo
+	// trials after segmenting.
+	scene := urban.Generate(cfg, urban.DefaultConditions(), 5)
 
 	// Uncancelled baseline: how long a full selection takes, and its result.
+	// The first selection warms the replica's arena; the deadline is taken
+	// from the second, which is what a served frame costs.
 	full := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
 	if full.Err != nil {
 		t.Fatal(full.Err)
 	}
+	if len(full.Result.Trials) == 0 {
+		t.Fatal("the baseline selection ran no Monte-Carlo trial: the scene no longer exercises a mid-trial cancellation")
+	}
+	warm := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
+	if warm.Err != nil {
+		t.Fatal(warm.Err)
+	}
 
-	// A timeout of a small fraction of the full selection lands mid-trial:
-	// the worker is free, so the request dequeues immediately and the
-	// deadline expires inside the perception stack.
-	timeout := full.Elapsed / 20
+	// A timeout of a small fraction of the full selection lands early in
+	// it: the worker is free, so the request dequeues immediately and the
+	// deadline expires inside the perception stack, before the last layer
+	// of the last trial checks the context.
+	timeout := warm.Elapsed / 20
 	if timeout < time.Millisecond {
 		timeout = time.Millisecond
 	}

@@ -320,6 +320,22 @@ func (lm *LabelMap) ResizeNearest(w, h int) *LabelMap {
 	return out
 }
 
+// Expand2x writes the w×h row-major values of src into dst as a 2w×2h
+// map, each value over a 2×2 block: the nearest-neighbour doubling the
+// segmentation network's trailing upsample computes. dst may begin at src
+// (expanding in place): rows and columns go last to first, and each
+// value's block lies at or after it, past every value not yet read.
+func Expand2x[T any](dst, src []T, w, h int) {
+	for y := h - 1; y >= 0; y-- {
+		row, top := src[y*w:(y+1)*w], dst[4*y*w:(4*y+2)*w]
+		for x := w - 1; x >= 0; x-- {
+			top[2*x+1] = row[x]
+			top[2*x] = row[x]
+		}
+		copy(dst[(4*y+2)*w:(4*y+4)*w], top)
+	}
+}
+
 // Map is a dense scalar field (edge magnitude, distance, height, density...).
 type Map struct {
 	W, H int

@@ -22,9 +22,14 @@ func benchImage(side int) *imaging.Image {
 	return img
 }
 
+// benchBayesian wraps a frozen Clone of an untrained default model: what
+// every Engine worker and descent session serves.
 func benchBayesian() *Bayesian {
-	cfg := segment.DefaultConfig()
-	return NewBayesian(segment.New(cfg), 42)
+	m, err := segment.New(segment.DefaultConfig()).Clone()
+	if err != nil {
+		panic(err)
+	}
+	return NewBayesian(m, 42)
 }
 
 // BenchmarkMCStats times one full Monte-Carlo statistics pass (10 samples)

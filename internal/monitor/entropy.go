@@ -38,24 +38,22 @@ type EntropyStats struct {
 // MCEntropyStats runs the same stochastic forward passes as MCStats —
 // including the deterministic-prefix reuse and arena-backed sample loop —
 // and additionally decomposes predictive uncertainty into aleatoric and
-// epistemic parts. The moment and entropy buffers are freshly allocated:
-// they escape to the caller.
+// epistemic parts. Like the moments, the entropies are computed per pixel
+// at the head's resolution and upsampled with them (see mcRun). The
+// buffers are freshly allocated: they escape to the caller.
 func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
 	var sum, sumSq *nn.Tensor
 	var expEnt *imaging.Map
-	err := b.mcRun(context.Background(), img, func(probs *nn.Tensor) {
+	upsampled, err := b.mcRun(context.Background(), img, func(probs *nn.Tensor) {
 		if sum == nil {
 			sum = probs.ZerosLike()
 			sumSq = probs.ZerosLike()
 			// Sized from the statistics, not the input: the stem rounds an
-			// odd crop up (25 px gives 26×26).
+			// odd crop up (25 px gives 13×13, upsampled to 26×26).
 			_, _, h, w := probs.Dims4()
 			expEnt = imaging.NewMap(w, h)
 		}
-		for i, v := range probs.Data {
-			sum.Data[i] += v
-			sumSq.Data[i] += v * v
-		}
+		accumulateMoments(sum, sumSq, probs)
 		accumulateEntropy(expEnt, probs)
 	})
 	if err != nil {
@@ -76,12 +74,23 @@ func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
 		}
 		mi.Pix[i] = d
 	}
+	if upsampled {
+		st = Stats{Mean: upsample(st.Mean), Std: upsample(st.Std)}
+		pred, expEnt, mi = upsampleMap(pred), upsampleMap(expEnt), upsampleMap(mi)
+	}
 	return EntropyStats{
 		Stats:             st,
 		Predictive:        pred,
 		Expected:          expEnt,
 		MutualInformation: mi,
 	}
+}
+
+// upsampleMap returns a 2W×2H copy of m with each value over a 2×2 block.
+func upsampleMap(m *imaging.Map) *imaging.Map {
+	out := imaging.NewMap(2*m.W, 2*m.H)
+	imaging.Expand2x(out.Pix, m.Pix, m.W, m.H)
+	return out
 }
 
 // accumulateEntropy adds each pixel's sample entropy into acc.
@@ -93,7 +102,9 @@ func accumulateEntropy(acc *imaging.Map, probs *nn.Tensor) {
 			for ci := 0; ci < c; ci++ {
 				p := float64(probs.At4(0, ci, y, x))
 				if p > 1e-12 {
-					e -= p * math.Log(p)
+					// Rounded apart from the subtraction, which arm64
+					// would otherwise fuse with it.
+					e -= float64(p * math.Log(p))
 				}
 			}
 			acc.Pix[y*w+x] += float32(e)
@@ -111,7 +122,9 @@ func entropyOf(probs *nn.Tensor) *imaging.Map {
 			for ci := 0; ci < c; ci++ {
 				p := float64(probs.At4(0, ci, y, x))
 				if p > 1e-12 {
-					e -= p * math.Log(p)
+					// Rounded apart from the subtraction, which arm64
+					// would otherwise fuse with it.
+					e -= float64(p * math.Log(p))
 				}
 			}
 			out.Pix[y*w+x] = float32(e)

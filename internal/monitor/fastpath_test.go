@@ -28,24 +28,32 @@ func noisyImage(side int, seed int64) *imaging.Image {
 // dropouts were never reseeded, so it draws its masks from the source and
 // never from the record under test. It covers the served 24 px crop, an
 // odd 25 px crop (the stem rounds up: 26×26 statistics), 2 and 10 samples,
-// and two consecutive calls — the second replays the record.
+// and two consecutive calls — the second replays the record — on the
+// trainable model and on a frozen clone, which runs the fused inference
+// network.
 func TestMCStatsMatchesNaiveReplay(t *testing.T) {
 	m := tinyModel()
-	for _, side := range []int{24, 25, 32} {
-		for _, samples := range []int{2, 10} {
-			b := NewBayesian(m, 21)
-			b.Samples = samples
-			img := noisyImage(side, int64(side))
-			want := naiveReplay(t, m, b, img)
-			for call := 0; call < 2; call++ {
-				got := b.MCStats(img)
-				if !got.Mean.SameShape(want.Mean) {
-					t.Fatalf("%d px: shape %v, naive replay %v", side, got.Mean.Shape, want.Mean.Shape)
-				}
-				for i := range want.Mean.Data {
-					if got.Mean.Data[i] != want.Mean.Data[i] || got.Std.Data[i] != want.Std.Data[i] {
-						t.Fatalf("%d px, %d samples, call %d: element %d = (%v, %v), naive replay (%v, %v)",
-							side, samples, call, i, got.Mean.Data[i], got.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []*segment.Model{m, clone} {
+		for _, side := range []int{24, 25, 32} {
+			for _, samples := range []int{2, 10} {
+				b := NewBayesian(model, 21)
+				b.Samples = samples
+				img := noisyImage(side, int64(side))
+				want := naiveReplay(t, m, b, img)
+				for call := 0; call < 2; call++ {
+					got := b.MCStats(img)
+					if !got.Mean.SameShape(want.Mean) {
+						t.Fatalf("%d px: shape %v, naive replay %v", side, got.Mean.Shape, want.Mean.Shape)
+					}
+					for i := range want.Mean.Data {
+						if got.Mean.Data[i] != want.Mean.Data[i] || got.Std.Data[i] != want.Std.Data[i] {
+							t.Fatalf("frozen %v, %d px, %d samples, call %d: element %d = (%v, %v), naive replay (%v, %v)",
+								model.Frozen(), side, samples, call, i, got.Mean.Data[i], got.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
+						}
 					}
 				}
 			}
@@ -90,9 +98,21 @@ func naiveReplay(t *testing.T, m *segment.Model, b *Bayesian, img *imaging.Image
 
 // TestVerifyRegionMatchesTwoScanReference pins the fused statistics scan:
 // Verdict must be field-identical to the seed formulation (PixelFlags +
-// CountAbove + a separate MaxScore loop over At4).
+// CountAbove + a separate MaxScore loop over At4) on the full-resolution
+// statistics, on the trainable model and on a frozen clone.
 func TestVerifyRegionMatchesTwoScanReference(t *testing.T) {
 	m := tinyModel()
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, model := range map[string]*segment.Model{"trainable": m, "frozen": clone} {
+		t.Run(name, func(t *testing.T) { verifyRegionMatchesTwoScan(t, model) })
+	}
+}
+
+func verifyRegionMatchesTwoScan(t *testing.T, m *segment.Model) {
+	t.Helper()
 	b := NewBayesian(m, 31)
 	b.Samples = 5
 	img := noisyImage(32, 32)

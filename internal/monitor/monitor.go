@@ -62,9 +62,17 @@ func (b *Bayesian) MCStats(img *imaging.Image) Stats {
 // that completes is byte-identical whether or not earlier runs were
 // cancelled.
 func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, error) {
-	// No arena for the moment buffers: Mean and Std escape to the caller,
-	// who keeps them for as long as it likes.
-	return b.mcMoments(ctx, img, nil)
+	sc := b.Model.Scratch()
+	st, upsampled, err := b.mcMoments(ctx, img, sc)
+	if err != nil || !upsampled {
+		// Moment buffers that escape to the caller are simply never Put
+		// back into the arena.
+		return st, err
+	}
+	out := Stats{Mean: upsample(st.Mean), Std: upsample(st.Std)}
+	sc.Put(st.Mean)
+	sc.Put(st.Std)
+	return out, nil
 }
 
 // mcRun drives the Monte-Carlo sample loop: dropout forced AlwaysOn and
@@ -79,26 +87,32 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 // full replay.
 //
 // The softmax runs on the head's output, before the trailing Upsample2x
-// (nn.SplitTrailingUpsample), and the probabilities are upsampled through
-// the same layer. That is exact: the softmax works on one pixel column (all
-// channels at one position) at a time, and Upsample2x copies whole columns,
-// so each upsampled probability has the bits the softmax of the upsampled
-// logits would give it — with a quarter of the exp calls.
+// (nn.SplitTrailingUpsample), and each receives the probabilities at that
+// resolution; mcRun reports whether the network would have upsampled them.
+// Everything the callers compute from them works per pixel column (all
+// channels at one position) — the softmax, the moments, the rule, the
+// entropies — and Upsample2x copies whole columns, so computing at head
+// resolution and upsampling only what escapes gives the bits of the
+// full-resolution computation, with a quarter of the work.
+//
+// A frozen clone runs its fused inference network (segment.Model.Inference),
+// which shares Net's dropout layers and their records.
 //
 // each borrows probs for the duration of the call only: the buffer returns
 // to the model's arena for the next sample.
-func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(probs *nn.Tensor)) error {
+func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(probs *nn.Tensor)) (upsampled bool, err error) {
 	if b.Samples < 2 {
 		panic(fmt.Sprintf("monitor: need at least 2 MC samples, have %d", b.Samples))
 	}
+	net := b.Model.Inference()
 	sc := b.Model.Scratch()
 	in := segment.ToTensorScratch(img, sc)
-	stem, suffix := in, nn.Layer(b.Model.Net)
+	stem, suffix := in, net
 	defer func() { sc.Put(stem) }()
-	if prefix, suf, ok := nn.SplitAtFirstDropout(b.Model.Net); ok {
+	if prefix, suf, ok := nn.SplitAtFirstDropout(net); ok {
 		out, err := nn.ForwardCtx(ctx, prefix, in, false)
 		if err != nil {
-			return err
+			return false, err
 		}
 		stem, suffix = out, suf
 		if stem != in {
@@ -106,13 +120,7 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(prob
 		}
 	}
 	head, up, _ := nn.SplitTrailingUpsample(suffix)
-	release := func(t *nn.Tensor) {
-		if t != stem {
-			sc.Put(t)
-		}
-	}
 
-	net := b.Model.Net
 	nn.SetDropoutMode(net, nn.AlwaysOn)
 	defer nn.SetDropoutMode(net, nn.Auto)
 	nn.ReseedDropout(net, b.Seed)
@@ -121,46 +129,56 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(prob
 		// survives every sample.
 		out, err := nn.ForwardCtx(ctx, head, stem, false)
 		if err != nil {
-			return err
+			return false, err
 		}
 		probs := nn.SoftmaxChannelsInPlace(out)
-		if up != nil {
-			full := up.Forward(probs, false)
-			release(probs)
-			probs = full
-		}
 		each(probs)
-		release(probs)
+		if probs != stem {
+			sc.Put(probs)
+		}
 	}
-	return nil
+	return up != nil, nil
 }
 
 // mcMoments accumulates per-pixel Σp and Σp² over the Monte-Carlo samples
-// and finalizes them into mean and standard deviation. When sc is non-nil
-// the moment buffers are drawn from it — callers doing so must Put Mean and
-// Std back once read, which is what makes a steady-state VerifyRegionCtx
-// allocation-free; pass nil when the statistics escape.
-func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (Stats, error) {
+// and finalizes them into mean and standard deviation, all at the head's
+// resolution; upsampled reports whether the network's output would be
+// those statistics upsampled 2× (see mcRun). The moment buffers are drawn
+// from sc: callers Put Mean and Std back once read, which is what makes a
+// steady-state VerifyRegionCtx allocation-free.
+func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (st Stats, upsampled bool, err error) {
 	var sum, sumSq *nn.Tensor
-	err := b.mcRun(ctx, img, func(probs *nn.Tensor) {
+	upsampled, err = b.mcRun(ctx, img, func(probs *nn.Tensor) {
 		if sum == nil {
 			sum = sc.Get(probs.Shape...)
 			sum.Zero()
 			sumSq = sc.Get(probs.Shape...)
 			sumSq.Zero()
 		}
-		for i, v := range probs.Data {
-			sum.Data[i] += v
-			sumSq.Data[i] += v * v
-		}
+		accumulateMoments(sum, sumSq, probs)
 	})
 	if err != nil {
 		sc.Put(sum)
 		sc.Put(sumSq)
-		return Stats{}, err
+		return Stats{}, false, err
 	}
-	return finalizeMoments(sum, sumSq, float32(b.Samples)), nil
+	return finalizeMoments(sum, sumSq, float32(b.Samples)), upsampled, nil
 }
+
+// accumulateMoments adds each probability to sum and its square to sumSq.
+// The conversion rounds the square before the add, so no GOARCH fuses the
+// two into one multiply-add (arm64 would).
+func accumulateMoments(sum, sumSq, probs *nn.Tensor) {
+	s, sq := sum.Data[:len(probs.Data)], sumSq.Data[:len(probs.Data)]
+	for i, v := range probs.Data {
+		s[i] += v
+		sq[i] += float32(v * v)
+	}
+}
+
+// upsample returns a freshly allocated 2× upsampled copy of t: what the
+// network's trailing Upsample2x computes, outside the model's arena.
+func upsample(t *nn.Tensor) *nn.Tensor { return new(nn.Upsample2x).Forward(t, false) }
 
 // finalizeMoments turns accumulated Σp and Σp² into the empirical mean and
 // standard deviation in place: sum becomes Mean, sumSq becomes Std (the
@@ -172,7 +190,7 @@ func finalizeMoments(sum, sumSq *nn.Tensor, samples float32) Stats {
 	for i := range sum.Data {
 		m := sum.Data[i] / samples
 		sum.Data[i] = m
-		v := sumSq.Data[i]/samples - m*m
+		v := sumSq.Data[i]/samples - float32(m*m)
 		if v < 0 {
 			v = 0
 		}
@@ -218,7 +236,8 @@ func (r Rule) PixelFlags(st Stats) *imaging.Map {
 		}
 		base := ci * h * w
 		for i, mu := range mean[base : base+h*w] {
-			if mu+r.Sigmas*std[base+i] > r.Tau {
+			// The conversion keeps arm64 from fusing kσ into µ + kσ.
+			if mu+float32(r.Sigmas*std[base+i]) > r.Tau {
 				out.Pix[i] = 1
 			}
 		}
@@ -266,11 +285,11 @@ func (b *Bayesian) VerifyRegion(sub *imaging.Image, rule Rule) Verdict {
 // same class-major pixel order.
 func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule Rule) (Verdict, error) {
 	sc := b.Model.Scratch()
-	st, err := b.mcMoments(ctx, sub, sc)
+	st, upsampled, err := b.mcMoments(ctx, sub, sc)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return verdictFromMoments(st, sub.W, sub.H, rule, sc), nil
+	return verdictFromMoments(st, upsampled, sub.W, sub.H, rule, sc), nil
 }
 
 // verdictFromMoments applies the rule to finalized moments in one fused
@@ -279,11 +298,22 @@ func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule
 // formulation. inW and inH are the verified region's input dimensions,
 // which set the flagged-fraction denominator; the moment buffers return to
 // the arena before the verdict escapes.
-func verdictFromMoments(st Stats, inW, inH int, rule Rule, sc *nn.Scratch) Verdict {
+//
+// When upsampled, the moments are at the head's resolution (see mcRun): the
+// scan flags head pixels, and the flag map is then upsampled, so each
+// flagged head pixel is four flagged output pixels. The maximum is the
+// same: the full-resolution scan would see each score four times, and a
+// running maximum under > keeps the first of equal values, which differ
+// in bits only as ±0, below the +0 it starts from.
+func verdictFromMoments(st Stats, upsampled bool, inW, inH int, rule Rule, sc *nn.Scratch) Verdict {
 	_, c, h, w := st.Mean.Dims4()
 	mean, std := st.Mean.Data, st.Std.Data
-	flags := imaging.NewMap(w, h)
-	pix := flags.Pix
+	scale := 1
+	if upsampled {
+		scale = 2
+	}
+	flags := imaging.NewMap(scale*w, scale*h)
+	pix := flags.Pix[:h*w]
 	flagged := 0
 	var maxScore float32
 	for _, cls := range imaging.BusyRoadClasses() {
@@ -293,7 +323,8 @@ func verdictFromMoments(st Stats, inW, inH int, rule Rule, sc *nn.Scratch) Verdi
 		}
 		base := ci * h * w
 		for i, mu := range mean[base : base+h*w] {
-			s := mu + rule.Sigmas*std[base+i]
+			// The conversion keeps arm64 from fusing kσ into µ + kσ.
+			s := mu + float32(rule.Sigmas*std[base+i])
 			if s > maxScore {
 				maxScore = s
 			}
@@ -302,6 +333,10 @@ func verdictFromMoments(st Stats, inW, inH int, rule Rule, sc *nn.Scratch) Verdi
 				flagged++
 			}
 		}
+	}
+	if upsampled {
+		imaging.Expand2x(flags.Pix, pix, w, h)
+		flagged *= 4
 	}
 	sc.Put(st.Mean)
 	sc.Put(st.Std)

@@ -32,7 +32,7 @@ type Conv2D struct {
 
 	x      *Tensor // cached input for backward
 	sc     *Scratch
-	packed []float32 // B and W repacked per Forward, see packWeights
+	packed []float32 // B and W as packWeights lays them out: per Forward, or once in a fusedConv's copy
 	runs   []colRun  // output column runs per Forward, see columnRuns
 }
 
@@ -95,10 +95,11 @@ func tapRange(off, step, count, limit int) (lo, hi int) {
 
 // packWeights copies B and W into c.packed as [block][1+InC*K*K][convLanes],
 // one block per convLanes output channels (the last one padded with zero
-// lanes): the block's biases, then its taps in [InC][K][K] order. Packing on
-// every call costs a few microseconds and can never serve stale weights,
-// neither during training nor on a frozen clone whose parameters alias
-// another model's; the buffer is reused, so warm forwards do not allocate.
+// lanes): the block's biases, then its taps in [InC][K][K] order. Forward
+// packs on every call, which costs a few microseconds and can never serve
+// stale weights during training; the buffer is reused, so warm forwards do
+// not allocate. The frozen network's fused layers pack once, when
+// NewFrozenNet builds them.
 func (c *Conv2D) packWeights() []float32 {
 	taps := c.InC * c.K * c.K
 	blockLen := (1 + taps) * convLanes
@@ -145,15 +146,7 @@ func (c *Conv2D) columnRuns(w, ow int) []colRun {
 
 // Forward computes the convolution. The input is cached for Backward.
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
-	n, ic, h, w := x.Dims4()
-	if ic != c.InC {
-		panic(fmt.Sprintf("nn: conv expects %d input channels, got %d", c.InC, ic))
-	}
-	oh, ow := c.OutSize(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv output %dx%d non-positive for input %dx%d", oh, ow, h, w))
-	}
-	out := allocOut(c.sc, train, n, c.OutC, oh, ow)
+	out := c.output(x, train)
 	// Cache the input only when a Backward can legitimately follow: on
 	// training passes, or without an arena (the bare-layer gradient tests
 	// run eval-mode forwards). With an arena attached, an inference pass
@@ -164,8 +157,33 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	} else {
 		c.x = nil
 	}
+	c.run(x, out, c.packWeights(), nil)
+	return out
+}
 
-	packed := c.packWeights()
+// output checks x against the convolution's geometry and returns the
+// tensor its output goes to.
+func (c *Conv2D) output(x *Tensor, train bool) *Tensor {
+	n, ic, h, w := x.Dims4()
+	if ic != c.InC {
+		panic(fmt.Sprintf("nn: conv expects %d input channels, got %d", c.InC, ic))
+	}
+	oh, ow := c.OutSize(h, w)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: conv output %dx%d non-positive for input %dx%d", oh, ow, h, w))
+	}
+	return allocOut(c.sc, train, n, c.OutC, oh, ow)
+}
+
+// run convolves x into out with packed, B and W as packWeights lays them
+// out. It is the body both Forward and the frozen network's fused layer
+// run: ep is nil for a plain convolution, and otherwise holds one
+// epilogueLen block of BatchNorm→ReLU constants per convLanes output
+// channels (see fusedConv), applied to each chunk of results before it is
+// stored.
+func (c *Conv2D) run(x, out *Tensor, packed, ep []float32) {
+	n, _, h, w := x.Dims4()
+	_, _, oh, ow := out.Dims4()
 	runs := c.columnRuns(w, ow)
 	xd, od := x.Data, out.Data
 	k, d := c.K, c.Dilation
@@ -186,11 +204,15 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 		var res [convRunMax * convLanes]float32
 		for oc0 := 0; oc0 < c.OutC; oc0 += convLanes {
 			block := packed[oc0/convLanes*blockLen:]
+			var epi *[epilogueLen]float32
+			if ep != nil {
+				epi = (*[epilogueLen]float32)(ep[oc0/convLanes*epilogueLen:])
+			}
 			live := min(convLanes, c.OutC-oc0)
 			chunk := 0
 			for _, r := range runs {
 				if r.ox == chunk+convRunMax {
-					storeRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], convRunMax, live)
+					finishRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], convRunMax, live, epi)
 					chunk = r.ox
 				}
 				nx := r.kxHi - r.kxLo + 1
@@ -212,10 +234,19 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 				convRun(res[(r.ox-chunk)*convLanes:], (*[convLanes]float32)(block), block[convLanes+wFirst:convLanes+wEnd], xs,
 					r.n, c.Stride, c.InC, ny, nx, hw, d*w, d, k*k*convLanes, k*convLanes)
 			}
-			storeRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], ow-chunk, live)
+			finishRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], ow-chunk, live, epi)
 		}
 	})
-	return out
+}
+
+// finishRun stores the first n pixel-major results of run (see storeRun),
+// passing them through the BatchNorm→ReLU epilogue first when epi is
+// non-nil.
+func finishRun(od []float32, ohw int, run []float32, n, live int, epi *[epilogueLen]float32) {
+	if epi != nil {
+		bnReLU(run[:n*convLanes], epi)
+	}
+	storeRun(od, ohw, run, n, live)
 }
 
 // storeRun copies the first live lanes of n pixel-major results into

@@ -11,3 +11,13 @@ func convRunAVX(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc
 // cpuAVX reports whether the CPU and the OS support AVX: the CPUID feature
 // bits and the YMM state enabled in XCR0.
 func cpuAVX() bool
+
+// bnReLUAVX is bnReLUGo in AVX (conv_amd64.s), eight lanes per
+// instruction: VSUBPS, VMULPS, VMULPS and VADDPS in BatchNorm's order, then
+// VMAXPS against zero. VMAXPS returns its first source only when it is
+// greater than the second, so max(v, 0) is exactly v > 0 ? v : 0: NaN, -0
+// and negatives give +0. len(res) must be a multiple of convLanes. It may
+// run only where cpuAVX reports true.
+//
+//go:noescape
+func bnReLUAVX(res []float32, ep *[epilogueLen]float32)

@@ -209,6 +209,52 @@ done:
 	VZEROUPPER
 	RET
 
+// func bnReLUAVX(res []float32, ep *[epilogueLen]float32)
+//
+// Y8-Y15 hold the epilogue block: the mean, γ, inv and β of lanes 0-7 and
+// 8-15. Each pixel's 16 results (Y0, Y1) become (v - mean) * γ * inv + β,
+// each operation rounded on its own as BatchNorm2D.Forward rounds it, and
+// then VMAXPS with Y7 = +0 as the second source: max(v, +0) keeps v only
+// when v > +0, so NaN and -0 become +0 as in ReLU.Forward.
+TEXT ·bnReLUAVX(SB), NOSPLIT, $0-32
+	MOVQ    res_base+0(FP), DI
+	MOVQ    res_len+8(FP), CX
+	SHRQ    $4, CX
+	JZ      epdone
+	MOVQ    ep+24(FP), AX
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VMOVUPS 64(AX), Y10
+	VMOVUPS 96(AX), Y11
+	VMOVUPS 128(AX), Y12
+	VMOVUPS 160(AX), Y13
+	VMOVUPS 192(AX), Y14
+	VMOVUPS 224(AX), Y15
+	VXORPS  Y7, Y7, Y7
+
+eppixel:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VSUBPS  Y8, Y0, Y0
+	VSUBPS  Y9, Y1, Y1
+	VMULPS  Y10, Y0, Y0
+	VMULPS  Y11, Y1, Y1
+	VMULPS  Y12, Y0, Y0
+	VMULPS  Y13, Y1, Y1
+	VADDPS  Y14, Y0, Y0
+	VADDPS  Y15, Y1, Y1
+	VMAXPS  Y7, Y0, Y0
+	VMAXPS  Y7, Y1, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     eppixel
+	VZEROUPPER
+
+epdone:
+	RET
+
 // func cpuAVX() bool
 //
 // Reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS saves the

@@ -72,3 +72,58 @@ func TestConvTapsMatchesPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestBNReLUAVXMatchesGo runs the AVX epilogue and the portable one on the
+// same pixels and constants, lane by lane, and checks both against
+// BatchNorm2D's expression followed by ReLU's v > 0 ? v : 0: values over
+// six orders of magnitude, ±0, ±Inf, NaN and denormals, γ of either sign,
+// β of -0, and pixels equal to their lane's mean, whose normalised value is
+// ±0 — the cases where max(v, 0) with its operands swapped would keep -0 or
+// NaN. Guard pixels either side catch stray stores.
+func TestBNReLUAVXMatchesGo(t *testing.T) {
+	if !cpuAVX() {
+		t.Skip("CPU without AVX: bnReLU runs the portable body only")
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	for trial := 0; trial < 200; trial++ {
+		var ep [epilogueLen]float32
+		copy(ep[:], specialInput(rng, 0.05, epilogueLen).Data)
+		for l := 0; l < convLanes; l++ {
+			if rng.Intn(3) == 0 {
+				ep[3*convLanes+l] = float32(math.Copysign(0, -1))
+			}
+		}
+		np := rng.Intn(convRunMax + 1)
+		in := specialInput(rng, 0.05, (np+2)*convLanes).Data
+		for p := 1; p <= np; p++ {
+			for l := 0; l < convLanes; l++ {
+				if rng.Intn(8) == 0 {
+					in[p*convLanes+l] = ep[l]
+				}
+			}
+		}
+		avx := append([]float32(nil), in...)
+		bnReLUAVX(avx[convLanes:(np+1)*convLanes], &ep)
+		port := append([]float32(nil), in...)
+		bnReLUGo(port[convLanes:(np+1)*convLanes], &ep)
+		for i, v := range in {
+			want := v
+			if p := i / convLanes; p >= 1 && p <= np {
+				l := i % convLanes
+				g, inv, b := ep[convLanes+l], ep[2*convLanes+l], ep[3*convLanes+l]
+				want = float32(g*(v-ep[l])*inv) + b
+				if !(want > 0) {
+					want = 0
+				}
+			}
+			if math.Float32bits(avx[i]) != math.Float32bits(want) && !(avx[i] != avx[i] && want != want) {
+				t.Fatalf("trial %d, float %d (of %d pixels): AVX %v (%#x), reference %v (%#x)",
+					trial, i, np, avx[i], math.Float32bits(avx[i]), want, math.Float32bits(want))
+			}
+			if math.Float32bits(port[i]) != math.Float32bits(want) && !(port[i] != port[i] && want != want) {
+				t.Fatalf("trial %d, float %d (of %d pixels): portable %v (%#x), reference %v (%#x)",
+					trial, i, np, port[i], math.Float32bits(port[i]), want, math.Float32bits(want))
+			}
+		}
+	}
+}

@@ -16,23 +16,31 @@ type ReLU struct {
 
 func (r *ReLU) setScratch(s *Scratch) { r.sc = s }
 
-// Forward zeroes negative activations.
+// Forward computes v > 0 ? v : 0 and records v > 0 in the mask for
+// Backward. It selects without a branch (see positive): activations are
+// noisy in sign, and a branch on each mispredicts.
 func (r *ReLU) Forward(x *Tensor, train bool) *Tensor {
 	out := allocOut(r.sc, train, x.Shape...)
 	if cap(r.mask) < len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(x.Data)]
+	mask, dst := r.mask[:len(x.Data)], out.Data[:len(x.Data)]
+	r.mask = mask
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
+		keep := positive(v)
+		dst[i] = math.Float32frombits(math.Float32bits(v) & -keep)
+		mask[i] = keep != 0
 	}
 	return out
+}
+
+// positive returns 1 when v > 0 and 0 otherwise, without a branch: v > 0
+// exactly when its bits lie in [1, 0x7f800000] (the positive denormals up
+// to +Inf), that is when bits-1 < 0x7f800000 unsigned, and the 64-bit
+// difference of the two is negative exactly then. ±0, negatives and every
+// NaN give 0, as v > 0 does.
+func positive(v float32) uint32 {
+	return uint32((uint64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
 }
 
 // Backward passes gradient only through positive activations.
@@ -330,6 +338,13 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 		})
 		return out
 	}
+	bn.infer(x, out)
+	return out
+}
+
+// infer normalises x into out with the running statistics.
+func (bn *BatchNorm2D) infer(x, out *Tensor) {
+	n, c, h, w := x.Dims4()
 	parallelFor(c, func(ci int) {
 		inv := float32(1 / math.Sqrt(float64(bn.RunningVar[ci]+bn.Eps)))
 		mean := bn.RunningMean[ci]
@@ -337,11 +352,13 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 		for bi := 0; bi < n; bi++ {
 			base := (bi*c + ci) * h * w
 			for i := 0; i < h*w; i++ {
-				out.Data[base+i] = g*(x.Data[base+i]-mean)*inv + b
+				// The conversion rounds the product before b is added, so
+				// no GOARCH fuses them into one multiply-add (arm64 would):
+				// the frozen network's epilogue computes the same bits.
+				out.Data[base+i] = float32(g*(x.Data[base+i]-mean)*inv) + b
 			}
 		}
 	})
-	return out
 }
 
 // Backward implements the standard batch-norm gradient.

@@ -24,6 +24,12 @@ type Corpus struct {
 	// regenerated by later processes.
 	dir string
 
+	// generate builds the scene of a spec on a miss; nil runs
+	// Spec.Generate. It belongs to the corpus, not the package, so a test
+	// injecting a failing generator into its own corpus cannot reach the
+	// generations another corpus still runs (a cancelled Stream's, say).
+	generate func(Spec) *urban.Scene
+
 	mu      sync.Mutex
 	entries map[string]*corpusEntry
 
@@ -71,10 +77,6 @@ var shared = NewCorpus()
 // regenerating its scenes.
 func Shared() *Corpus { return shared }
 
-// generateScene is the generation seam behind Scene; the poisoning
-// regression test swaps it to inject a generator that fails on first use.
-var generateScene = func(spec Spec) *urban.Scene { return spec.Generate() }
-
 // Scene returns the spec's scene, generating (or loading from disk) on
 // first use and serving the cached pointer afterwards. A failing generation
 // propagates (the generator panics on invalid configurations) and leaves
@@ -105,7 +107,11 @@ func (c *Corpus) Scene(spec Spec) *urban.Scene {
 		e.done.Store(true)
 		return s
 	}
-	s := generateScene(spec)
+	gen := c.generate
+	if gen == nil {
+		gen = Spec.Generate
+	}
+	s := gen(spec)
 	if s == nil {
 		panic(fmt.Sprintf("scenario: generator returned a nil scene for spec %s", key))
 	}

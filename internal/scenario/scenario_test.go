@@ -136,18 +136,16 @@ func TestCorpusSingleflight(t *testing.T) {
 // generates the scene instead of being served a nil scene counted as a
 // cache hit (the sync.Once slot marked itself done mid-panic).
 func TestCorpusPanickingGenerationStaysRetryable(t *testing.T) {
-	orig := generateScene
-	defer func() { generateScene = orig }()
 	calls := 0
-	generateScene = func(sp Spec) *urban.Scene {
+	c := NewCorpus()
+	c.generate = func(sp Spec) *urban.Scene {
 		calls++
 		if calls == 1 {
 			panic("scenario test: injected generation failure")
 		}
-		return orig(sp)
+		return sp.Generate()
 	}
 
-	c := NewCorpus()
 	sp := tinySpec(40)
 	func() {
 		defer func() {
@@ -186,10 +184,8 @@ func TestCorpusPanickingGenerationStaysRetryable(t *testing.T) {
 // TestCorpusNilGenerationPanics pins the other poisoning shape: a generator
 // that returns nil must fail loudly instead of caching nil.
 func TestCorpusNilGenerationPanics(t *testing.T) {
-	orig := generateScene
-	defer func() { generateScene = orig }()
-	generateScene = func(Spec) *urban.Scene { return nil }
 	c := NewCorpus()
+	c.generate = func(Spec) *urban.Scene { return nil }
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil generation did not panic")

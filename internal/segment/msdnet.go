@@ -61,6 +61,11 @@ type Model struct {
 	// model's and must never be written. Train rejects frozen models.
 	frozen bool
 
+	// infer is a frozen clone's inference network, nn.NewFrozenNet over
+	// Net, which inference passes run; nil on a trainable model, whose
+	// passes run Net. See Inference.
+	infer nn.Layer
+
 	// scratch is this replica's tensor arena: inference outputs are drawn
 	// from it and recycled, so steady-state prediction allocates nothing.
 	// It is single-goroutine like the model itself; Clone gives every
@@ -157,17 +162,25 @@ func (m *Model) CheckSize(img *imaging.Image) error {
 	return nil
 }
 
+// Inference returns the network inference passes run: on a frozen clone
+// the fused network Clone built (nn.NewFrozenNet), which computes Net's
+// inference outputs bit for bit; Net itself on a trainable model. Both
+// share Net's dropout layers, so SetDropoutMode and ReseedDropout reach the
+// same layers through either.
+func (m *Model) Inference() nn.Layer {
+	if m.infer != nil {
+		return m.infer
+	}
+	return m.Net
+}
+
 // Logits runs a deterministic forward pass (dropout inactive) and returns
 // raw per-class scores [1,C,H,W]. The result may come from the model's
 // arena; the caller owns it (it is never handed out again).
 func (m *Model) Logits(img *imaging.Image) *nn.Tensor {
-	if err := m.CheckSize(img); err != nil {
+	out, err := m.LogitsCtx(context.Background(), img)
+	if err != nil {
 		panic(err.Error())
-	}
-	in := ToTensorScratch(img, m.scratch)
-	out := m.Net.Forward(in, false)
-	if out != in {
-		m.scratch.Put(in)
 	}
 	return out
 }
@@ -179,11 +192,12 @@ func (m *Model) PredictProbs(img *imaging.Image) *nn.Tensor {
 	return nn.SoftmaxChannelsInPlace(m.Logits(img))
 }
 
-// Predict returns the per-pixel argmax segmentation.
+// Predict returns the per-pixel argmax segmentation; see PredictCtx.
 func (m *Model) Predict(img *imaging.Image) *imaging.LabelMap {
-	scores := m.Logits(img)
-	lm := labelMap(scores, img.W, img.H)
-	m.scratch.Put(scores) // the label map copied everything out
+	lm, err := m.PredictCtx(context.Background(), img)
+	if err != nil {
+		panic(err.Error())
+	}
 	return lm
 }
 
@@ -195,8 +209,13 @@ func (m *Model) LogitsCtx(ctx context.Context, img *imaging.Image) (*nn.Tensor, 
 	if err := m.CheckSize(img); err != nil {
 		return nil, err
 	}
+	return m.forwardCtx(ctx, m.Inference(), img)
+}
+
+// forwardCtx runs net over img's tensor, honoring ctx between layers.
+func (m *Model) forwardCtx(ctx context.Context, net nn.Layer, img *imaging.Image) (*nn.Tensor, error) {
 	in := ToTensorScratch(img, m.scratch)
-	out, err := nn.ForwardCtx(ctx, m.Net, in, false)
+	out, err := nn.ForwardCtx(ctx, net, in, false)
 	if err != nil {
 		// The chain input is never recycled mid-chain, so it is safe to
 		// reclaim on cancellation — leaving it out would grow the arena by
@@ -210,22 +229,39 @@ func (m *Model) LogitsCtx(ctx context.Context, img *imaging.Image) (*nn.Tensor, 
 	return out, nil
 }
 
-// PredictCtx is Predict with cooperative cancellation; see LogitsCtx.
+// PredictCtx returns the per-pixel argmax segmentation, honoring ctx
+// between network layers like LogitsCtx. On a downsampling model it takes
+// the argmax of the head's output, before the trailing Upsample2x, and
+// replicates each label over the 2×2 block the upsample would have copied
+// its logits to. That is exact: the argmax reads one pixel's logits across
+// the channels, and the upsample copies those columns whole, so every
+// upsampled pixel has its source pixel's argmax — at a quarter of the
+// work, and with no full-resolution logits.
 func (m *Model) PredictCtx(ctx context.Context, img *imaging.Image) (*imaging.LabelMap, error) {
-	scores, err := m.LogitsCtx(ctx, img)
+	if err := m.CheckSize(img); err != nil {
+		return nil, err
+	}
+	body, up, _ := nn.SplitTrailingUpsample(m.Inference())
+	scores, err := m.forwardCtx(ctx, body, img)
 	if err != nil {
 		return nil, err
 	}
-	lm := labelMap(scores, img.W, img.H)
-	m.scratch.Put(scores)
+	lm := labelMap(scores, up != nil, img.W, img.H)
+	m.scratch.Put(scores) // the label map copied everything out
 	return lm, nil
 }
 
-func labelMap(scores *nn.Tensor, w, h int) *imaging.LabelMap {
+// labelMap builds the w×h label map of scores' argmax, replicating each
+// label over a 2×2 block when upsampled.
+func labelMap(scores *nn.Tensor, upsampled bool, w, h int) *imaging.LabelMap {
 	am := nn.ArgmaxChannels(scores)[0]
 	out := imaging.NewLabelMap(w, h)
 	for i, c := range am {
 		out.Pix[i] = imaging.Class(c)
+	}
+	if upsampled {
+		_, _, sh, sw := scores.Dims4()
+		imaging.Expand2x(out.Pix, out.Pix[:sh*sw], sw, sh)
 	}
 	return out
 }
@@ -241,9 +277,15 @@ func labelMap(scores *nn.Tensor, w, h int) *imaging.LabelMap {
 // Cfg.Seed, so a reseeded Monte-Carlo sample sequence is identical on
 // every clone.
 //
+// The clone's inference passes run a fused network (see Inference and
+// nn.NewFrozenNet) that packs the weights and the batch-norm constants
+// once, here; its Net keeps the unfused layers, the reference the fused
+// network is tested against.
+//
 // Frozen-weights invariant: a clone is inference-only. Train panics on it,
 // and the source model must not be retrained while clones are live — an
-// optimizer step on the shared tensors would race every replica. Use
+// optimizer step on the shared tensors would race every replica, and the
+// clone, having read its pack once, would never see the new weights. Use
 // CloneDetached when an independently-trainable copy is needed.
 func (m *Model) Clone() (*Model, error) {
 	c := New(m.Cfg)
@@ -257,6 +299,7 @@ func (m *Model) Clone() (*Model, error) {
 		p.Grad = nil
 	}
 	c.frozen = true
+	c.infer = nn.NewFrozenNet(c.Net)
 	return c, nil
 }
 

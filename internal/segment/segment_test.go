@@ -326,3 +326,68 @@ func TestPredictCtxMatchesPredictAndCancels(t *testing.T) {
 		t.Errorf("cancelled PredictCtx err = %v", err)
 	}
 }
+
+// TestPredictMatchesFullResolutionArgmax pins PredictCtx — the argmax taken
+// on the head's output and replicated over each 2×2 block — to the argmax
+// of the full-resolution logits, on a trained model and on its frozen
+// clone, for a square frame and a non-square crop.
+func TestPredictMatchesFullResolutionArgmax(t *testing.T) {
+	scenes := tinyScenes(t, 1)
+	m := New(tinyConfig())
+	Train(m, scenes, TrainConfig{Steps: 4, Batch: 1, CropSize: 48, LR: 0.01, Seed: 2})
+	c, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []*Model{m, c} {
+		for _, img := range []*imaging.Image{scenes[0].Image, scenes[0].Image.Crop(2, 6, 26, 18)} {
+			got, err := model.PredictCtx(context.Background(), img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := nn.ArgmaxChannels(model.Logits(img))[0]
+			if got.W != img.W || got.H != img.H || len(got.Pix) != len(want) {
+				t.Fatalf("label map %dx%d for a %dx%d frame", got.W, got.H, img.W, img.H)
+			}
+			for i, c := range want {
+				if got.Pix[i] != imaging.Class(c) {
+					t.Fatalf("frozen %v, %dx%d: label %d = %d, full-resolution argmax %d",
+						model.Frozen(), img.W, img.H, i, got.Pix[i], c)
+				}
+			}
+		}
+	}
+}
+
+// TestCloneRunsFrozenNetOverUnfusedNet pins the split between a clone's
+// two networks: inference runs the fused network, while Net keeps the
+// unfused layers of the source — the training path's structure, which the
+// parity tests and per-layer replays use — and a trainable model runs Net.
+func TestCloneRunsFrozenNetOverUnfusedNet(t *testing.T) {
+	m := New(tinyConfig())
+	c, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Inference() != m.Net {
+		t.Fatal("a trainable model does not run Net")
+	}
+	if c.Inference() == c.Net {
+		t.Fatal("a frozen clone runs its unfused Net")
+	}
+	src, cl := m.Net.(*nn.Sequential), c.Net.(*nn.Sequential)
+	if len(src.Layers) != len(cl.Layers) {
+		t.Fatalf("clone Net has %d layers, source %d", len(cl.Layers), len(src.Layers))
+	}
+	for i := range src.Layers {
+		if reflect.TypeOf(src.Layers[i]) != reflect.TypeOf(cl.Layers[i]) {
+			t.Fatalf("clone Net layer %d is %T, source %T", i, cl.Layers[i], src.Layers[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a training pass through a clone's inference network did not panic")
+		}
+	}()
+	c.Inference().Forward(ToTensor(imaging.NewImage(8, 8)), true)
+}
