@@ -17,8 +17,9 @@ GO ?= go
 # frame, Monte-Carlo statistics (prefix reuse) and the full monitor verdict
 # on a 64 px crop and on the served 24 px crop, the last three on a frozen
 # clone as every Engine worker and session serves them. One regex so bench
-# and bench-smoke never drift. They run with -cpu 1, as serving runs each
-# op: an engine of nproc workers leaves every op one goroutine.
+# and bench-smoke never drift. Inference ops run on their caller's
+# goroutine at any -cpu; -cpu 1 matters only for BenchmarkConvBackward, the
+# one training op in the set, and keeps it comparable with earlier records.
 NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkPredictClone192|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
 NN_BENCH_PKGS = ./internal/nn ./internal/segment ./internal/monitor
 
@@ -100,8 +101,9 @@ race-experiments:
 # strategy-fleet curve
 # (BenchmarkExperimentE8Workers{1,4,8}) in BENCH_experiments.json and the
 # E11 grid-fleet curve (BenchmarkExperimentE11Workers{1,4,8}) in
-# BENCH_grid.json as test2json events, so the perf trajectory is tracked
-# per-PR.
+# BENCH_grid.json as test2json events. Those four are machine-specific
+# dumps that git ignores; the perception hot-path and frame-monitoring
+# baselines, BENCH_nn.json and BENCH_monitor.json, are the committed ones.
 bench:
 	$(GO) test -bench='^BenchmarkE[0-9]' -benchtime=1x -run=^$$ .
 	$(GO) test -bench=BenchmarkEngineBatch -benchtime=1x -run=^$$ -json . > BENCH_engine.json

@@ -250,8 +250,7 @@ func BenchmarkEngineBatch1Worker(b *testing.B) { benchmarkEngineBatch(b, 1) }
 func BenchmarkEngineBatch4Workers(b *testing.B) { benchmarkEngineBatch(b, 4) }
 
 // BenchmarkEngineBatch8Workers oversubscribes most CPUs; it bounds the
-// scaling curve where the internally-parallel forward passes start to
-// contend.
+// scaling curve where the workers start to contend for cores.
 func BenchmarkEngineBatch8Workers(b *testing.B) { benchmarkEngineBatch(b, 8) }
 
 // BenchmarkE10TauSweep measures the monitor ROC sweep on one OOD scene.

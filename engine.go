@@ -13,7 +13,6 @@ import (
 	"safeland/internal/core"
 	"safeland/internal/faults"
 	"safeland/internal/imaging"
-	"safeland/internal/nn"
 	"safeland/internal/sora"
 	"safeland/internal/urban"
 )
@@ -76,7 +75,8 @@ type SelectResponse struct {
 	// Degraded.
 	DegradedCause string
 	// Err is non-nil when the request was cancelled, timed out while
-	// queued, or was rejected by the backend (e.g. a malformed request).
+	// queued, was rejected by the backend (e.g. a malformed request), or
+	// reached the engine after Close (ErrClosed).
 	Err error
 }
 
@@ -146,7 +146,7 @@ type EngineStats struct {
 	// on the home shard — it reads as "sessions this shard shed elsewhere".
 	Spilled int64
 	// BreakerOpen counts transitions of this shard's circuit breaker into
-	// the open state (WithBreaker). While open, NewSession rejects with
+	// the open state. While open, NewSession rejects with
 	// ErrShardUnhealthy (also counted in SessionRejects) and the Router
 	// routes new vehicles around the shard.
 	BreakerOpen int64
@@ -167,13 +167,11 @@ type engineConfig struct {
 	corpusStats func() CorpusStats
 
 	// Fault-tolerance knobs (faulttolerance.go options).
-	name             string
-	inj              *faults.Injector
-	degrade          bool
-	backoffBase      time.Duration
-	backoffMax       time.Duration
-	breakerThreshold int
-	breakerCooldown  int
+	name        string
+	inj         *faults.Injector
+	degrade     bool
+	backoffBase time.Duration
+	backoffMax  time.Duration
 }
 
 // Option configures NewEngine.
@@ -228,16 +226,8 @@ func WithSelector(f SelectorFactory) Option {
 
 // WithWorkers sets the worker-pool size — the number of requests verified
 // in parallel. Values below 1 are clamped to 1. The default is
-// DefaultWorkers.
-//
-// The pool size also shrinks per-operation parallelism inside the
-// perception stack: NewEngine registers its workers with
-// nn.ReserveWorkers, so a convolution inside a saturated N-worker pool
-// fans out to a 1/N share of the machine instead of oversubscribing it
-// N-fold. Reservations are additive across Engines in one process — two
-// pools split the machine between them instead of clobbering each other —
-// and Engine.Close returns the engine's share. Neither changes results,
-// only scheduling.
+// DefaultWorkers. The pool is the engine's only concurrency: each worker
+// runs every perception op of its request on its own goroutine.
 func WithWorkers(n int) Option {
 	return func(c *engineConfig) { c.workers = n }
 }
@@ -261,11 +251,8 @@ func WithCorpusStats(fn func() CorpusStats) Option {
 }
 
 // DefaultWorkers is the worker-pool size NewEngine uses when WithWorkers
-// is not given: one worker per CPU. An earlier cap of 4 guarded against the
-// pool multiplying the perception stack's internal fan-out (workers ×
-// per-conv goroutines oversubscribed the machine); nn.ReserveWorkers now
-// divides per-op parallelism by the registered pool size instead, so the
-// pool scales with the machine without compounding parallelism.
+// is not given: one worker per CPU, each running its requests on one
+// goroutine, so a saturated pool uses the whole machine and no more.
 func DefaultWorkers() int {
 	n := runtime.NumCPU()
 	if n < 1 {
@@ -310,8 +297,12 @@ type Engine struct {
 	health *breaker
 	// maxSessions is the admission limit behind NewSession.
 	maxSessions int
-	// release returns this pool's nn.ReserveWorkers share; idempotent.
-	release func()
+
+	// closeMu guards closed; inflight counts the calls inside serve. A
+	// call joins inflight under closeMu, so no Add races Close's Wait.
+	closeMu  sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup
 
 	corpusStats func() CorpusStats
 
@@ -351,7 +342,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		train: DefaultOptions(), factory: PipelineSelector(), workers: DefaultWorkers(),
 		name:        "engine",
 		backoffBase: 2 * time.Millisecond, backoffMax: 50 * time.Millisecond,
-		breakerThreshold: DefaultBreakerThreshold, breakerCooldown: DefaultBreakerCooldown,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -372,17 +362,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	default:
-		// In-process training runs before this pool reserves its share, so
-		// it fans out to whatever the machine has left: the full machine
-		// when no other Engine is serving, a fair fraction otherwise.
 		sys = NewSystem(cfg.train)
 	}
-
-	// The pool saturates the machine by itself: reserve its worker count so
-	// per-op parallelism shrinks to a 1/N share and workers × GOMAXPROCS
-	// goroutines never pile up. The reservation is additive across Engines
-	// and returned by Close.
-	release := nn.ReserveWorkers(cfg.workers)
 
 	if cfg.maxSessions < 1 {
 		cfg.maxSessions = DefaultMaxSessionsPerWorker * cfg.workers
@@ -391,7 +372,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		sys:         sys,
 		workers:     cfg.workers,
 		maxSessions: cfg.maxSessions,
-		release:     release,
 		corpusStats: cfg.corpusStats,
 		preemptible: make(map[int64]context.CancelCauseFunc),
 		name:        cfg.name,
@@ -400,12 +380,11 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		backoffBase: cfg.backoffBase,
 		backoffMax:  cfg.backoffMax,
 	}
-	e.health = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown, &e.breakerOpened)
+	e.health = newBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown, &e.breakerOpened)
 	ws := make([]*worker, 0, cfg.workers)
 	for i := 0; i < cfg.workers; i++ {
 		rep, err := sys.Replica()
 		if err != nil {
-			release()
 			return nil, fmt.Errorf("safeland: building worker %d: %w", i, err)
 		}
 		if cfg.samples > 0 {
@@ -413,7 +392,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		sel, err := cfg.factory(rep)
 		if err != nil {
-			release()
 			return nil, fmt.Errorf("safeland: building worker %d: %w", i, err)
 		}
 		if i == 0 {
@@ -425,17 +403,37 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Close returns the engine's per-op parallelism reservation to the
-// process-wide registry, restoring the machine share of any other Engine
-// still serving. It is idempotent, never fails, and does not tear down the
-// worker pool — a closed engine keeps serving, it just no longer counts
-// toward the parallelism split. Callers that build short-lived Engines
-// (experiments, tests) should defer Close.
+// ErrClosed is the error of every request, session frame and NewSession
+// call an Engine receives after Close. It is an error even in degraded
+// mode: a closed engine answers nothing, not even the FT fallback.
+var ErrClosed = errors.New("safeland: engine is closed")
+
+// Close stops the engine and drains it. From the moment Close is called,
+// Select, SelectBatch and Serve answer every new request with ErrClosed
+// (counted in Requests and Failed, never by the circuit breaker),
+// NewSession fails with ErrClosed, and so does Advance on a session opened
+// earlier. Work that was already under way runs to completion: Close
+// returns once every call it found in flight has returned, so the pool is
+// idle. Close never fails, is idempotent and is safe to call from several
+// goroutines at once; Stats keeps reporting after it.
 func (e *Engine) Close() error {
-	if e.release != nil {
-		e.release()
-	}
+	e.closeMu.Lock()
+	e.closed = true
+	e.closeMu.Unlock()
+	e.inflight.Wait()
 	return nil
+}
+
+// enter admits one call into serve, reporting false once Close has begun.
+// An admitted call must call e.inflight.Done when it returns.
+func (e *Engine) enter() bool {
+	e.closeMu.Lock()
+	defer e.closeMu.Unlock()
+	if e.closed {
+		return false
+	}
+	e.inflight.Add(1)
+	return true
 }
 
 // System returns the engine's source system (model, monitor, vehicle
@@ -543,9 +541,15 @@ type outcome struct {
 // deadline bounds queueing — and in degraded mode the whole compute budget,
 // retries included. A transient fault gets the bounded retry with backoff,
 // the breaker observes how the call ended, and in degraded mode a failure
-// the shard caused is answered by the FT fallback.
+// the shard caused is answered by the FT fallback. After Close it refuses
+// the call with ErrClosed before any of that.
 func (e *Engine) serve(ctx context.Context, c call) outcome {
 	var o outcome
+	if !e.enter() {
+		o.err = ErrClosed
+		return o
+	}
+	defer e.inflight.Done()
 	waitCtx := ctx
 	if !c.req.Deadline.IsZero() {
 		var cancel context.CancelFunc

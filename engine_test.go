@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"safeland/internal/baseline"
 	"safeland/internal/core"
-	"safeland/internal/nn"
 	"safeland/internal/segment"
 	"safeland/internal/uav"
 	"safeland/internal/urban"
@@ -695,92 +693,138 @@ func TestSystemReplicaIsIndependentAndIdentical(t *testing.T) {
 	}
 }
 
-// TestTwoEnginesShareParallelismRegistry is the regression test for the
-// process-wide nn.SetParallelism clobber: a second Engine used to overwrite
-// the first's per-op cap, and closing either removed the cap entirely. With
-// the ReserveWorkers registry the pools' worker counts add, each operation
-// takes a share of the machine proportional to the total, and Close returns
-// exactly the closing engine's share.
-func TestTwoEnginesShareParallelismRegistry(t *testing.T) {
-	sys := quickSystem(t)
-	// The container may expose a single CPU, which would collapse every
-	// share to 1; pin a machine large enough for distinct shares.
-	prevProcs := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prevProcs)
+// gateSelector parks every Select until release closes, then stamps the
+// shared event sequence, so a test can order the selector's return against
+// other events without sleeping.
+type gateSelector struct {
+	entered  chan<- struct{}
+	release  <-chan struct{}
+	seq      *atomic.Int32
+	returned *atomic.Int32
+}
 
-	// Other tests may hold reservations of their own; assert deltas from
-	// this base and derive expected shares from the asserted totals.
-	base := nn.ReservedWorkers()
-	expectShare := func(reserved int) int {
-		eff := runtime.GOMAXPROCS(0)
-		if reserved > 0 {
-			eff /= reserved
-			if eff < 1 {
-				eff = 1
-			}
-		}
-		return eff
-	}
-	check := func(stage string, wantReserved int) {
-		t.Helper()
-		if got := nn.ReservedWorkers(); got != wantReserved {
-			t.Fatalf("%s: reserved workers = %d, want %d", stage, got, wantReserved)
-		}
-		if got, want := nn.Parallelism(), expectShare(wantReserved); got != want {
-			t.Fatalf("%s: per-op parallelism = %d, want %d", stage, got, want)
-		}
-	}
+func (g *gateSelector) Name() string { return "gate" }
 
-	eng1, err := NewEngine(WithSystem(sys), WithWorkers(2))
+func (g *gateSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	g.returned.Store(g.seq.Add(1))
+	return core.Result{Confirmed: true, State: core.Landing}, nil
+}
+
+// TestEngineCloseDrainsAndRefuses pins Close's contract. Close called —
+// from several goroutines at once — while a Select is on a worker returns
+// only after that Select's selector has returned, and the Select keeps its
+// answer. Afterwards Select, SelectBatch, Serve, NewSession and Advance on
+// a session opened before Close all fail with ErrClosed: an error even in
+// degraded mode, counted in Requests and Failed, never by the breaker.
+// Every worker is back in the pool, and a further Close is a no-op.
+func TestEngineCloseDrainsAndRefuses(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var seq, selReturned atomic.Int32
+	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(2), WithDegradedFallback(true),
+		WithSelector(func(*System) (Selector, error) {
+			return &gateSelector{entered: entered, release: release, seq: &seq, returned: &selReturned}, nil
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng1.Close()
-	check("after first engine", base+2)
-
-	eng2, err := NewEngine(WithSystem(sys), WithWorkers(4))
+	ctx := context.Background()
+	sess, err := eng.NewSession("uav-open")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng2.Close()
-	// The old clobber would report GOMAXPROCS/4 here regardless of eng1.
-	check("after second engine", base+6)
+	defer sess.Close()
 
-	// Both pools serving at once — the -race run guards the registry and
-	// the shared frozen weights under genuine concurrent perception work.
-	cfg := urban.DefaultConfig()
-	cfg.W, cfg.H = 128, 128
-	scene := urban.Generate(cfg, urban.DefaultConditions(), 91)
-	reqs := []SelectRequest{
-		{Image: scene.Image, MPP: scene.MPP},
-		{Image: scene.Image, MPP: scene.MPP},
-	}
-	var wg sync.WaitGroup
-	for _, eng := range []*Engine{eng1, eng2} {
-		wg.Add(1)
-		go func(eng *Engine) {
-			defer wg.Done()
-			for i, resp := range eng.SelectBatch(context.Background(), reqs) {
-				if resp.Err != nil {
-					t.Errorf("concurrent batch request %d: %v", i, resp.Err)
-				}
-			}
-		}(eng)
-	}
-	wg.Wait()
+	inflight := make(chan SelectResponse)
+	go func() { inflight <- eng.Select(ctx, chaosFrame()) }()
+	<-entered
 
-	// Closing one engine restores the other's share — the old code reset
-	// the cap to "unlimited" for everyone instead.
-	if err := eng2.Close(); err != nil {
+	const closers = 3
+	var closeReturned [closers]atomic.Int32
+	closeErrs := make(chan error, closers)
+	for i := range closers {
+		go func() {
+			err := eng.Close()
+			closeReturned[i].Store(seq.Add(1))
+			closeErrs <- err
+		}()
+	}
+	// Close has begun once NewSession refuses.
+	for {
+		s, err := eng.NewSession("uav-probe")
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		runtime.Gosched()
+	}
+	for i := range closeReturned {
+		if closeReturned[i].Load() != 0 {
+			t.Fatalf("Close %d returned while a Select was still on its worker", i)
+		}
+	}
+	close(release)
+	if resp := <-inflight; resp.Err != nil || !resp.Result.Confirmed {
+		t.Fatalf("in-flight Select: Err=%v Confirmed=%v, want its normal answer", resp.Err, resp.Result.Confirmed)
+	}
+	for range closers {
+		if err := <-closeErrs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range closeReturned {
+		if got, sel := closeReturned[i].Load(), selReturned.Load(); got <= sel {
+			t.Errorf("Close %d returned at event %d, before the in-flight selector at event %d", i, got, sel)
+		}
+	}
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("after closing second engine", base+2)
-	if err := eng2.Close(); err != nil { // idempotent
-		t.Fatal(err)
+
+	before := eng.Stats()
+	refused := int64(0)
+	for range DefaultBreakerThreshold + 1 {
+		refused++
+		if resp := eng.Select(ctx, chaosFrame()); !errors.Is(resp.Err, ErrClosed) || resp.Degraded {
+			t.Fatalf("Select after Close: Err=%v Degraded=%v, want ErrClosed", resp.Err, resp.Degraded)
+		}
 	}
-	check("after double-close", base+2)
-	if err := eng1.Close(); err != nil {
-		t.Fatal(err)
+	for i, resp := range eng.SelectBatch(ctx, []SelectRequest{chaosFrame(), chaosFrame()}) {
+		refused++
+		if !errors.Is(resp.Err, ErrClosed) || resp.Degraded {
+			t.Fatalf("SelectBatch request %d after Close: Err=%v Degraded=%v, want ErrClosed", i, resp.Err, resp.Degraded)
+		}
 	}
-	check("after closing both", base)
+	in := make(chan SelectRequest, 1)
+	in <- chaosFrame()
+	close(in)
+	for resp := range eng.Serve(ctx, in) {
+		refused++
+		if !errors.Is(resp.Err, ErrClosed) || resp.Degraded {
+			t.Fatalf("Serve after Close: Err=%v Degraded=%v, want ErrClosed", resp.Err, resp.Degraded)
+		}
+	}
+	if _, err := eng.NewSession("uav-late"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("NewSession after Close: err = %v, want ErrClosed", err)
+	}
+	if adv := sess.Advance(ctx, chaosFrame()); !errors.Is(adv.Err, ErrClosed) || adv.Degraded {
+		t.Fatalf("Advance after Close: Err=%v Degraded=%v, want ErrClosed", adv.Err, adv.Degraded)
+	}
+
+	st := eng.Stats()
+	if st.Requests-before.Requests != refused || st.Failed-before.Failed != refused || st.Served != before.Served {
+		t.Errorf("refused requests: Requests +%d, Failed +%d, Served +%d; want +%d, +%d, +0",
+			st.Requests-before.Requests, st.Failed-before.Failed, st.Served-before.Served, refused, refused)
+	}
+	if st.Degraded != 0 || st.Frames != 0 || st.BreakerOpen != 0 || !eng.Healthy() {
+		t.Errorf("after refusals: Degraded=%d Frames=%d BreakerOpen=%d Healthy=%v, want 0/0/0/true",
+			st.Degraded, st.Frames, st.BreakerOpen, eng.Healthy())
+	}
+	if idle := eng.pool.idle(); idle != eng.Workers() {
+		t.Errorf("closed engine has %d idle of %d workers", idle, eng.Workers())
+	}
 }

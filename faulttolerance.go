@@ -81,24 +81,6 @@ func WithRetryBackoff(base, max time.Duration) Option {
 	}
 }
 
-// WithBreaker shapes the engine's circuit breaker: threshold consecutive
-// serve failures open it (new sessions rejected with ErrShardUnhealthy),
-// and after cooldown recovery observations — successful serves by sticky
-// sessions, or rejected placement attempts — it half-opens for a probe
-// placement whose outcome closes or re-opens it. Values below 1 keep the
-// defaults (threshold DefaultBreakerThreshold, cooldown
-// DefaultBreakerCooldown).
-func WithBreaker(threshold, cooldown int) Option {
-	return func(c *engineConfig) {
-		if threshold >= 1 {
-			c.breakerThreshold = threshold
-		}
-		if cooldown >= 1 {
-			c.breakerCooldown = cooldown
-		}
-	}
-}
-
 // Breaker defaults: three consecutive failures open a shard, four recovery
 // observations earn the half-open probe. Small numbers on purpose — a
 // descent frame is ~100ms of compute, so a shard that failed three frames

@@ -450,56 +450,6 @@ func vehicleHomedOn(t *testing.T, r *Router, eng *Engine) string {
 	return ""
 }
 
-// TestSessionRunStream pins the streaming arm: Run serves every request
-// from the channel in order, closes its output when the input closes, and
-// shuts down cleanly on context cancellation.
-func TestSessionRunStream(t *testing.T) {
-	sys := quickSystem(t)
-	scene := descentScene(42)
-	frames := descentFrames(scene.Image, 3, 11)
-	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess, err := eng.NewSession("uav-stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	in := make(chan SelectRequest)
-	out := sess.Run(context.Background(), in)
-	go func() {
-		for _, f := range frames {
-			in <- SelectRequest{Image: f, MPP: scene.MPP}
-		}
-		close(in)
-	}()
-	var got int
-	for resp := range out {
-		if resp.Err != nil {
-			t.Errorf("streamed frame %d: %v", got, resp.Err)
-		}
-		got++
-	}
-	if got != len(frames) {
-		t.Fatalf("streamed %d responses for %d frames", got, len(frames))
-	}
-	if st := eng.Stats(); st.Frames != int64(len(frames)) {
-		t.Errorf("stats Frames = %d, want %d", st.Frames, len(frames))
-	}
-
-	// Cancellation: the stream ends without consuming further input.
-	ctx, cancel := context.WithCancel(context.Background())
-	in2 := make(chan SelectRequest)
-	out2 := sess.Run(ctx, in2)
-	cancel()
-	if _, ok := <-out2; ok {
-		t.Error("cancelled stream delivered a response for no request")
-	}
-}
-
 // TestSessionFleetChaosHammer is the -race chaos drill: a two-shard fleet
 // serves concurrent descents under random injected faults (selector
 // errors, replica stalls, shard blackouts) while safety triggers fire on
@@ -555,24 +505,7 @@ func TestSessionFleetChaosHammer(t *testing.T) {
 					trig.Trigger("chaos drill")
 				}()
 			}
-			vframes := descentFrames(scene.Image, frames, int64(100+v))
-			if v%3 == 0 {
-				// A third of the fleet streams through Run instead of
-				// calling Advance directly.
-				in := make(chan SelectRequest)
-				out := sess.Run(context.Background(), in)
-				go func() {
-					for _, f := range vframes {
-						in <- SelectRequest{Image: f, MPP: scene.MPP}
-					}
-					close(in)
-				}()
-				for resp := range out {
-					checkChaosResponse(t, v, resp, &served, &degraded)
-				}
-				return
-			}
-			for _, f := range vframes {
+			for _, f := range descentFrames(scene.Image, frames, int64(100+v)) {
 				checkChaosResponse(t, v, sess.Advance(context.Background(), SelectRequest{Image: f, MPP: scene.MPP}), &served, &degraded)
 			}
 		}(v)

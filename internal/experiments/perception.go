@@ -170,11 +170,12 @@ func RunE9(e *Env, w io.Writer) error {
 	// emergency scenes, served once on a single worker and once on the
 	// configured pool. The scenes flow from the shared corpus through
 	// Engine.Serve — the single-worker pass generates them just ahead of
-	// consumption, the pool pass replays them from cache. On a multi-core
-	// runner the pool cuts wall-clock near-linearly until the
-	// internally-parallel forward passes contend; the responses themselves
-	// are byte-identical (per-call monitor reseeding), so the speedup is
-	// free of result drift.
+	// consumption, the pool pass replays them from cache. Every inference
+	// op runs on its worker's goroutine, so the single-worker pass uses one
+	// core and the speedup is pool scaling alone: near-linear on a
+	// multi-core runner until the workers contend for the machine. The
+	// responses are byte-identical (per-call monitor reseeding), so the
+	// speedup is free of result drift.
 	fleetSpecs := scenario.Set(e.SceneConfig(), urban.DefaultConditions(), e.Cfg.CompareScenes, e.Cfg.Seed+91)
 	fleetReq := func(_ int, s *urban.Scene) safeland.SelectRequest {
 		return safeland.SelectRequest{Scene: s}
@@ -199,8 +200,6 @@ func RunE9(e *Env, w io.Writer) error {
 			}
 		}
 		wall[i] = time.Since(t0)
-		// Release this pool's parallelism share before the next pool is
-		// timed: a stale reservation would shrink its per-op fan-out.
 		eng.Close()
 		fmt.Fprintf(w, "  %d worker(s): %10v\n", workers, wall[i])
 	}

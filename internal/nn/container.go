@@ -81,8 +81,8 @@ func (p *ParallelConcat) Forward(x *Tensor, train bool) *Tensor {
 		panic("nn: ParallelConcat with no branches")
 	}
 	outs := make([]*Tensor, len(p.Branches))
-	// Branches run sequentially: the inner conv loops already saturate the
-	// worker pool, and nesting parallelism would oversubscribe.
+	// Branches run one after another on the calling goroutine, like every
+	// inference op: serving's only concurrency is the Engine's worker pool.
 	for i, b := range p.Branches {
 		outs[i] = b.Forward(x, train)
 	}

@@ -191,8 +191,8 @@ func (c *Conv2D) run(x, out *Tensor, packed, ep []float32) {
 	blockLen := (1 + c.InC*k*k) * convLanes
 	lastC := c.InC - 1
 
-	// Parallelize over (batch, output row) pairs: disjoint output slices.
-	parallelFor(n*oh, func(job int) {
+	// One job per (batch, output row) pair, on the calling goroutine.
+	for job := 0; job < n*oh; job++ {
 		bi, oy := job/oh, job%oh
 		iy0 := oy*c.Stride - c.Pad
 		kyLo, kyHi := tapRange(iy0, d, k, h)
@@ -236,7 +236,7 @@ func (c *Conv2D) run(x, out *Tensor, packed, ep []float32) {
 			}
 			finishRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], ow-chunk, live, epi)
 		}
-	})
+	}
 }
 
 // finishRun stores the first n pixel-major results of run (see storeRun),

@@ -345,7 +345,7 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 // infer normalises x into out with the running statistics.
 func (bn *BatchNorm2D) infer(x, out *Tensor) {
 	n, c, h, w := x.Dims4()
-	parallelFor(c, func(ci int) {
+	for ci := 0; ci < c; ci++ {
 		inv := float32(1 / math.Sqrt(float64(bn.RunningVar[ci]+bn.Eps)))
 		mean := bn.RunningMean[ci]
 		g, b := bn.Gamma.Value.Data[ci], bn.Beta.Value.Data[ci]
@@ -358,7 +358,7 @@ func (bn *BatchNorm2D) infer(x, out *Tensor) {
 				out.Data[base+i] = float32(g*(x.Data[base+i]-mean)*inv) + b
 			}
 		}
-	})
+	}
 }
 
 // Backward implements the standard batch-norm gradient.
@@ -417,7 +417,7 @@ func (u *Upsample2x) Forward(x *Tensor, train bool) *Tensor {
 	n, c, h, w := x.Dims4()
 	u.inH, u.inW = h, w
 	out := allocOut(u.sc, train, n, c, h*2, w*2)
-	parallelFor(n*c, func(job int) {
+	for job := 0; job < n*c; job++ {
 		inBase := job * h * w
 		outBase := job * h * w * 4
 		for y := 0; y < h; y++ {
@@ -430,7 +430,7 @@ func (u *Upsample2x) Forward(x *Tensor, train bool) *Tensor {
 				out.Data[o+2*w+1] = v
 			}
 		}
-	})
+	}
 	return out
 }
 

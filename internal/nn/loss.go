@@ -29,7 +29,7 @@ func SoftmaxChannelsInPlace(logits *Tensor) *Tensor {
 // before its slot in out is written, and columns are independent.
 func softmaxChannelsInto(out, logits *Tensor) {
 	n, c, h, w := logits.Dims4()
-	parallelFor(n*h, func(job int) {
+	for job := 0; job < n*h; job++ {
 		bi, y := job/h, job%h
 		for x := 0; x < w; x++ {
 			// max for numerical stability
@@ -51,7 +51,7 @@ func softmaxChannelsInto(out, logits *Tensor) {
 				out.Data[((bi*c+ci)*h+y)*w+x] *= inv
 			}
 		}
-	})
+	}
 }
 
 // ArgmaxChannels returns the per-pixel argmax class of a 4-D scores tensor

@@ -3,82 +3,23 @@ package nn
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// parallelCap caps per-op goroutine fan-out; 0 means no manual cap.
-var parallelCap atomic.Int32
+// Parallelism reports how many goroutines one inference operation runs on:
+// always 1. Inference ops run on their caller's goroutine, so the only
+// concurrency in serving is the Engine's worker pool. The function stays
+// because the EL-service benchmark (bench/main.go), whose sources change
+// only in a benchmark change, records it as nn_parallelism in every run's
+// machine record; returning 1 keeps that record what every run in its
+// ledger already says.
+func Parallelism() int { return 1 }
 
-// reservedWorkers counts concurrently-serving pool workers registered via
-// ReserveWorkers across the whole process.
-var reservedWorkers atomic.Int64
-
-// SetParallelism caps how many goroutines a single nn operation (one
-// convolution, one batch norm, one softmax) fans out to. n <= 0 removes the
-// cap. Values above the machine share are no-ops: the cap only ever shrinks
-// the fan-out.
-//
-// The cap is a process-wide manual override that composes with the
-// ReserveWorkers registry: the effective limit is the smaller of the two.
-// Serving pools should not use it — they register their worker counts with
-// ReserveWorkers instead, which is additive across pools rather than
-// last-writer-wins.
-//
-// Neither mechanism ever changes results: parallelFor work items write
-// disjoint memory and each item's accumulation order is internal to the
-// item.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelCap.Store(int32(n))
-}
-
-// ReserveWorkers registers n goroutines that will run nn operations
-// concurrently — a serving pool's worker count. While reservations are
-// outstanding, every nn operation fans out to GOMAXPROCS divided by the
-// total reserved workers (at least 1), so pools never multiply into
-// workers × GOMAXPROCS goroutines, and two pools in one process shrink
-// each other's shares instead of clobbering a global cap. The returned
-// release function is idempotent and must be called when the pool stops
-// serving; it restores the other pools' shares.
-func ReserveWorkers(n int) (release func()) {
-	if n < 1 {
-		n = 1
-	}
-	reservedWorkers.Add(int64(n))
-	var once sync.Once
-	return func() {
-		once.Do(func() { reservedWorkers.Add(-int64(n)) })
-	}
-}
-
-// ReservedWorkers reports the total worker count currently registered via
-// ReserveWorkers.
-func ReservedWorkers() int { return int(reservedWorkers.Load()) }
-
-// Parallelism reports the effective per-op goroutine limit: the machine
-// share under the current ReserveWorkers registrations, further capped by
-// SetParallelism.
-func Parallelism() int {
-	eff := runtime.GOMAXPROCS(0)
-	if r := int(reservedWorkers.Load()); r > 0 {
-		eff /= r
-		if eff < 1 {
-			eff = 1
-		}
-	}
-	if c := int(parallelCap.Load()); c > 0 && c < eff {
-		eff = c
-	}
-	return eff
-}
-
-// parallelFor runs fn(i) for i in [0, n) across up to Parallelism() workers.
-// Work items must write to disjoint memory. Small loops run inline to avoid
-// goroutine overhead.
+// parallelFor runs fn(i) for i in [0, n) across up to GOMAXPROCS
+// goroutines. Only training code (backward passes, BatchNorm's training
+// forward, the loss gradient) calls it. Work items must write to disjoint
+// memory. Small loops run inline to avoid goroutine overhead.
 func parallelFor(n int, fn func(i int)) {
-	workers := Parallelism()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -127,8 +126,8 @@ func TestArenaCutsSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("warm arena missed %d times during steady-state forwards", sc.misses-misses)
 	}
 
-	// And the aggregate effect: object counts drop to the parallelFor
-	// closure noise, well below the fresh-allocation baseline.
+	// And the aggregate effect: object counts drop to a handful of small
+	// per-pass objects, well below the fresh-allocation baseline.
 	without := testing.AllocsPerRun(20, func() { plain.Forward(x, false) })
 	with := testing.AllocsPerRun(20, func() { sc.Put(arena.Forward(x, false)) })
 	if with > without/3 {
@@ -359,36 +358,6 @@ func TestSoftmaxCommutesWithUpsample(t *testing.T) {
 					t.Fatalf("%dx%d ×%v: element %d = %v, upsample-then-softmax %v", hw[0], hw[1], scale, i, got.Data[i], want.Data[i])
 				}
 			}
-		}
-	}
-}
-
-func TestSetParallelismCapsAndRestores(t *testing.T) {
-	defer SetParallelism(0)
-	max := runtime.GOMAXPROCS(0)
-	SetParallelism(1)
-	if got := Parallelism(); got != 1 {
-		t.Fatalf("capped parallelism = %d, want 1", got)
-	}
-	SetParallelism(max + 100) // above GOMAXPROCS: the cap only shrinks
-	if got := Parallelism(); got != max {
-		t.Fatalf("over-cap parallelism = %d, want %d", got, max)
-	}
-	SetParallelism(-3) // negative resets
-	if got := Parallelism(); got != max {
-		t.Fatalf("reset parallelism = %d, want %d", got, max)
-	}
-
-	// A capped op still computes the same bits.
-	rng := rand.New(rand.NewSource(17))
-	c := NewConv2D("c", 2, 3, 3, 1, 1, 1, rng)
-	x := randomInput([]int{2, 2, 12, 12}, 18)
-	want := c.Forward(x, false)
-	SetParallelism(1)
-	got := c.Forward(x, false)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("capped conv differs at %d", i)
 		}
 	}
 }

@@ -110,9 +110,9 @@ func (r *Router) Stats() []EngineStats {
 	return out
 }
 
-// Close releases every shard's parallelism reservation (Engine.Close),
-// closing all shards even when one fails and returning the per-shard
-// errors joined.
+// Close closes every shard (Engine.Close): each refuses new work and
+// drains what it already took. It closes all shards even when one fails
+// and returns the per-shard errors joined.
 func (r *Router) Close() error {
 	var errs []error
 	for i, e := range r.engines {

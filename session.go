@@ -122,9 +122,15 @@ type prior struct {
 // sessions (WithMaxSessions), NewSession fails immediately with
 // ErrSessionLimit, and while the engine's circuit breaker is open it fails
 // immediately with ErrShardUnhealthy — it never blocks — and either
-// rejection is counted in EngineStats.SessionRejects. Close the session
-// when the descent ends.
+// rejection is counted in EngineStats.SessionRejects. After Engine.Close it
+// fails with ErrClosed. Close the session when the descent ends.
 func (e *Engine) NewSession(vehicleID string, opts ...SessionOption) (*Session, error) {
+	e.closeMu.Lock()
+	closed := e.closed
+	e.closeMu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("%w: shard %q refusing vehicle %q", ErrClosed, e.name, vehicleID)
+	}
 	if !e.health.admit() {
 		e.sessionRejects.Add(1)
 		return nil, fmt.Errorf("%w: shard %q refusing vehicle %q", ErrShardUnhealthy, e.name, vehicleID)
@@ -190,7 +196,8 @@ type SessionResponse struct {
 	// Elapsed is the processing time, excluding queueing.
 	Elapsed time.Duration
 	// Err is non-nil when the advance was cancelled, timed out while
-	// queued, preempted (ErrPreempted), or the request was malformed.
+	// queued, preempted (ErrPreempted), the request was malformed, or the
+	// engine was closed (ErrClosed).
 	Err error
 }
 
@@ -240,38 +247,6 @@ func (s *Session) Advance(ctx context.Context, req SelectRequest) SessionRespons
 // carries no trial, and a degraded answer is never confirmed.
 func monitorConfirmed(r core.Result) bool {
 	return r.Confirmed && len(r.Trials) > 0 && r.Trials[len(r.Trials)-1].Verdict.Confirmed
-}
-
-// Run turns the session into a streaming service over its descent: it
-// consumes requests from in until in closes or ctx is cancelled, Advances
-// over each in arrival order (streams are per-vehicle, so ordering is the
-// session's contract), and delivers every response on the returned channel,
-// which closes when the stream ends. Like Engine.Serve, a response whose
-// Advance completed is always delivered, even when ctx is cancelled
-// concurrently — callers must drain the channel until it closes (at most
-// one in-flight response remains after cancellation, so the drain is
-// short). Cancelling ctx stops consumption and fails the in-flight Advance
-// fast; closing in is the clean shutdown. Run does not close the session —
-// the caller still owns its lifetime.
-func (s *Session) Run(ctx context.Context, in <-chan SelectRequest) <-chan SessionResponse {
-	out := make(chan SessionResponse)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case req, ok := <-in:
-				if !ok {
-					return
-				}
-				// Unconditional send: a served frame is never dropped on
-				// cancellation; the loop head stops further consumption.
-				out <- s.Advance(ctx, req)
-			}
-		}
-	}()
-	return out
 }
 
 // registerPreemptible enters a routine advance's cancel into the engine's
