@@ -35,7 +35,8 @@ MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkFullFrameVerdict)$$
 # arm64 build could compute other verdict bits than the amd64 one that was
 # validated. The training path (Backward passes, optimisers) is not listed.
 FMA_FREE = nn.convRun nn.convTapsGo nn.(*Conv2D).run nn.bnReLUGo nn.(*BatchNorm2D).infer \
-	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.(*Upsample2x).Forward nn.softmaxChannelsInto \
+	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.applyKeep nn.applyKeepGo nn.(*Upsample2x).Forward \
+	nn.softmaxChannelsInto nn.softmaxPixels nn.(*fusedConcat).Forward nn.(*fusedConcat).ForwardCtx \
 	monitor.(*Bayesian).mcMoments monitor.accumulateMoments monitor.finalizeMoments \
 	monitor.Rule.PixelFlags monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
 	monitor.accumulateEntropy monitor.entropyOf
@@ -55,9 +56,11 @@ build:
 	$(GO) build ./...
 
 # Conv2D's run kernel and the frozen network's BatchNorm→ReLU epilogue are
-# AVX assembly on amd64 (taken when the CPU reports AVX; the portable Go
-# bodies otherwise) and portable Go on every other GOARCH, wired in by a
-# file no amd64 build compiles: vet and build for arm64 too. (The amd64 vet
+# AVX assembly on amd64 (taken when the CPU reports AVX), the channel
+# softmax AVX2+FMA assembly and the dropout mask AVX2 assembly (taken when
+# the CPU reports those; internal/cpu reads the flags), the portable Go
+# bodies otherwise, and portable Go on every other GOARCH, wired in by
+# files no amd64 build compiles: vet and build for arm64 too. (The amd64 vet
 # already checks the assembly's frames against their Go declarations.) Then
 # read the arm64 assembly of the FMA_FREE functions and fail on a fused
 # multiply-add in any of them, or on a listed function it no longer finds.
@@ -155,4 +158,5 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzConvForwardMatchesReference -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzFrozenNetMatchesNet -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
+	$(GO) test -run=^$$ -fuzz=FuzzSoftmaxMatchesPerPixelLoop -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults

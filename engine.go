@@ -158,7 +158,7 @@ type EngineStats struct {
 // engineConfig collects the functional options.
 type engineConfig struct {
 	train       Options
-	samples     int // 0 = keep the system's monitor setting
+	samples     *int // nil keeps the system's monitor setting
 	system      *System
 	checkpoint  string
 	factory     SelectorFactory
@@ -184,9 +184,11 @@ func WithSeed(seed int64) Option {
 
 // WithMonitorSamples sets the Bayesian monitor's Monte-Carlo sample count
 // (the paper uses 10). It applies to every worker replica, including ones
-// built around a loaded checkpoint or an adopted System.
+// built around a loaded checkpoint or an adopted System. n must be at
+// least 2, since the monitor's standard deviation needs two samples:
+// NewEngine returns an error for any smaller n.
 func WithMonitorSamples(n int) Option {
-	return func(c *engineConfig) { c.samples = n; c.train.MCSamples = n }
+	return func(c *engineConfig) { c.samples = &n; c.train.MCSamples = n }
 }
 
 // WithTraining sets the in-process training scale used when neither
@@ -352,6 +354,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if cfg.factory == nil {
 		cfg.factory = PipelineSelector()
 	}
+	if cfg.samples != nil && *cfg.samples < 2 {
+		return nil, fmt.Errorf("safeland: WithMonitorSamples(%d): the Bayesian monitor needs at least 2 Monte-Carlo samples", *cfg.samples)
+	}
 
 	sys := cfg.system
 	switch {
@@ -387,8 +392,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("safeland: building worker %d: %w", i, err)
 		}
-		if cfg.samples > 0 {
-			rep.Pipeline.Monitor.Samples = cfg.samples
+		if cfg.samples != nil {
+			rep.Pipeline.Monitor.Samples = *cfg.samples
 		}
 		sel, err := cfg.factory(rep)
 		if err != nil {

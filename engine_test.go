@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,6 +108,38 @@ func TestEngineMonitorSamplesOverride(t *testing.T) {
 	if rep.pipe.Model == sys.Pipeline.Model {
 		t.Error("worker shares the source model; want a replica")
 	}
+}
+
+// TestEngineRejectsTooFewMonitorSamples pins that a monitor sample count
+// the Bayesian monitor cannot run is refused when the engine or system is
+// built, never met by the first Monte-Carlo trial: NewEngine returns an
+// error naming WithMonitorSamples for every n < 2 (0 included, which is
+// not a "keep the default"), and NewSystem panics on Options.MCSamples = 1
+// before it trains.
+func TestEngineRejectsTooFewMonitorSamples(t *testing.T) {
+	for _, n := range []int{-1, 0, 1} {
+		eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithMonitorSamples(n))
+		if err == nil {
+			eng.Close()
+			t.Errorf("WithMonitorSamples(%d): NewEngine returned no error", n)
+			continue
+		}
+		if !strings.Contains(err.Error(), "WithMonitorSamples") {
+			t.Errorf("WithMonitorSamples(%d): error %q does not name the option", n, err)
+		}
+	}
+	if eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithMonitorSamples(2)); err != nil {
+		t.Fatalf("WithMonitorSamples(2): %v", err)
+	} else {
+		eng.Close()
+	}
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MCSamples") {
+			t.Errorf("NewSystem with MCSamples 1: recovered %v, want a panic naming MCSamples", r)
+		}
+	}()
+	NewSystem(Options{Seed: 1, TrainScenes: 1, TrainSteps: 1, SceneSize: 32, MCSamples: 1})
 }
 
 // errSelector fails requests with negative MPP — a cheap way to route some

@@ -100,8 +100,8 @@ func Candidates(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig) []Candidate
 // ladder proposes candidates under the configured drift buffer, relaxing it
 // stepwise (never below a quarter zone) until a rung yields a candidate
 // that keep, when non-nil, retains. It returns those candidates and the
-// buffer that produced them. The buffer-independent zone field is built
-// once for all rungs.
+// buffer that produced them. The buffer-independent zone field, and its
+// scan of the windows, are computed once for all rungs.
 func ladder(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig, keep func([]Candidate) []Candidate) ([]Candidate, float64) {
 	field := newZoneField(pred, mpp)
 	zones := cfg
@@ -122,18 +122,32 @@ func ladder(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig, keep func([]Can
 	return cands, zones.BufferM
 }
 
-// zoneField is the part of candidate generation that depends on the frame
-// alone: each pixel's distance to the nearest predicted busy-road pixel and
-// the integral of landable pixels. Only the scan depends on the zone
-// configuration.
+// zoneField is the part of candidate generation that does not depend on
+// the road buffer: each pixel's distance to the nearest predicted
+// busy-road pixel, the integral of landable pixels, and the scan of the
+// zone windows, kept for the window geometry it was made for. Each ladder
+// rung only filters and scores the scanned windows.
 type zoneField struct {
 	pred   *imaging.LabelMap
 	mpp    float64
 	dist   *imaging.Map
 	safeIt *imaging.Integral
+
+	// scan holds every window of geometry scanned (zone side, stride and
+	// border margin in pixels), in scan order.
+	scanned [3]int
+	scan    []zoneWindow
 }
 
-func newZoneField(pred *imaging.LabelMap, mpp float64) zoneField {
+// zoneWindow is one scanned zone: its origin, its minimum distance to a
+// predicted road pixel (in pixels) and its landable fraction.
+type zoneWindow struct {
+	x, y    int
+	minDist float32
+	frac    float64
+}
+
+func newZoneField(pred *imaging.LabelMap, mpp float64) *zoneField {
 	if mpp <= 0 {
 		panic(fmt.Sprintf("core: invalid meters-per-pixel %v", mpp))
 	}
@@ -143,7 +157,7 @@ func newZoneField(pred *imaging.LabelMap, mpp float64) zoneField {
 			safe.Pix[i] = 1
 		}
 	}
-	return zoneField{
+	return &zoneField{
 		pred:   pred,
 		mpp:    mpp,
 		dist:   pred.DistanceTransform(imaging.Class.BusyRoad),
@@ -151,9 +165,39 @@ func newZoneField(pred *imaging.LabelMap, mpp float64) zoneField {
 	}
 }
 
-// candidates scans the field for the zones cfg admits and ranks them.
-func (f zoneField) candidates(cfg ZoneConfig) []Candidate {
-	pred, mpp, dist := f.pred, f.mpp, f.dist
+// windows returns the zonePx-sided windows from margin to the far margin in
+// steps of stride, each with its minimum road distance and landable
+// fraction, scanning only when the geometry differs from the last scan's.
+func (f *zoneField) windows(zonePx, stride, margin int) []zoneWindow {
+	// zonePx is at least 1, so the zero value of scanned matches no scan.
+	geom := [3]int{zonePx, stride, margin}
+	if f.scanned == geom {
+		return f.scan
+	}
+	pred, dist := f.pred, f.dist
+	var scan []zoneWindow
+	for y := margin; y+zonePx <= pred.H-margin; y += stride {
+		for x := margin; x+zonePx <= pred.W-margin; x += stride {
+			minDist := float32(math.Inf(1))
+			for yy := y; yy < y+zonePx; yy++ {
+				row := dist.Pix[yy*dist.W+x : yy*dist.W+x+zonePx]
+				for _, d := range row {
+					if d < minDist {
+						minDist = d
+					}
+				}
+			}
+			frac := f.safeIt.RectMean(x, y, x+zonePx, y+zonePx)
+			scan = append(scan, zoneWindow{x: x, y: y, minDist: minDist, frac: frac})
+		}
+	}
+	f.scanned, f.scan = geom, scan
+	return scan
+}
+
+// candidates keeps the scanned windows cfg admits and ranks them.
+func (f *zoneField) candidates(cfg ZoneConfig) []Candidate {
+	pred, mpp := f.pred, f.mpp
 	zonePx := int(math.Ceil(cfg.ZoneSizeM / mpp))
 	if zonePx <= 0 || zonePx > pred.W || zonePx > pred.H {
 		return nil
@@ -183,41 +227,25 @@ func (f zoneField) candidates(cfg ZoneConfig) []Candidate {
 	}
 
 	var cands []Candidate
-	for y := margin; y+zonePx <= pred.H-margin; y += stride {
-		for x := margin; x+zonePx <= pred.W-margin; x += stride {
-			// Minimum distance to predicted road over the zone.
-			minDist := float32(math.Inf(1))
-			for yy := y; yy < y+zonePx; yy++ {
-				row := dist.Pix[yy*dist.W+x : yy*dist.W+x+zonePx]
-				for _, d := range row {
-					if d < minDist {
-						minDist = d
-					}
-				}
-			}
-			if minDist < bufferPx {
-				continue
-			}
-			frac := f.safeIt.RectMean(x, y, x+zonePx, y+zonePx)
-			if frac < cfg.MinSafeFraction {
-				continue
-			}
-			distM := float64(minDist) * mpp
-			if distM > maxUsefulDistM || math.IsInf(distM, 1) {
-				distM = maxUsefulDistM
-			}
-			c := Candidate{
-				X0: x, Y0: y, SizePx: zonePx,
-				MinRoadDistM: distM,
-				SafeFraction: frac,
-			}
-			c.Score = distM + 10*frac
-			if cfg.HomeX != 0 || cfg.HomeY != 0 {
-				cx, cy := c.CenterM(mpp)
-				c.Score -= 0.08 * math.Hypot(cx-cfg.HomeX, cy-cfg.HomeY)
-			}
-			cands = append(cands, c)
+	for _, w := range f.windows(zonePx, stride, margin) {
+		if w.minDist < bufferPx || w.frac < cfg.MinSafeFraction {
+			continue
 		}
+		distM := float64(w.minDist) * mpp
+		if distM > maxUsefulDistM || math.IsInf(distM, 1) {
+			distM = maxUsefulDistM
+		}
+		c := Candidate{
+			X0: w.x, Y0: w.y, SizePx: zonePx,
+			MinRoadDistM: distM,
+			SafeFraction: w.frac,
+		}
+		c.Score = distM + 10*w.frac
+		if cfg.HomeX != 0 || cfg.HomeY != 0 {
+			cx, cy := c.CenterM(mpp)
+			c.Score -= 0.08 * math.Hypot(cx-cfg.HomeX, cy-cfg.HomeY)
+		}
+		cands = append(cands, c)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
 	cands = diversify(cands, zonePx)

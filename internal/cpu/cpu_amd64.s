@@ -1,0 +1,19 @@
+#include "textflag.h"
+
+// func cpuid(eax, ecx uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eax+0(FP), AX
+	MOVL ecx+4(FP), CX
+	CPUID
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET

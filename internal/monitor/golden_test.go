@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"safeland/internal/cpu"
 	"safeland/internal/imaging"
 	"safeland/internal/nn"
 	"safeland/internal/segment"
@@ -184,32 +185,43 @@ func goldenRun(t *testing.T, m *segment.Model) (map[string]uint64, map[imaging.C
 // TestGoldenInferenceDigest pins the logits, the label map, the
 // Monte-Carlo statistics and the verdicts of a fixed model to
 // goldenDigests, on the trainable model and on a frozen clone, which runs
-// the fused inference network: both paths must compute exactly those bits.
+// the fused inference network, and on every set of kernel bodies the CPU
+// can run, selected through cpu.Use: the vector bodies, then the portable
+// ones. Every path must compute exactly those bits.
 func TestGoldenInferenceDigest(t *testing.T) {
 	m := goldenModel()
 	clone, err := m.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name  string
-		model *segment.Model
-	}{{"trainable", m}, {"frozen clone", clone}} {
-		got, classes, fracs := goldenRun(t, tc.model)
-		for name, want := range goldenDigests {
-			if got[name] != want {
-				t.Errorf("%s: digest %s = %#x, golden %#x", tc.name, name, got[name], want)
+	bodySets := []cpu.Features{{}}
+	if cpu.Detected != (cpu.Features{}) {
+		bodySets = []cpu.Features{cpu.Detected, {}}
+	}
+	defer func(saved cpu.Features) { cpu.Use = saved }(cpu.Use)
+	for _, use := range bodySets {
+		cpu.Use = use
+		for _, tc := range []struct {
+			name  string
+			model *segment.Model
+		}{{"trainable", m}, {"frozen clone", clone}} {
+			name := fmt.Sprintf("bodies %+v, %s", use, tc.name)
+			got, classes, fracs := goldenRun(t, tc.model)
+			for digest, want := range goldenDigests {
+				if got[digest] != want {
+					t.Errorf("%s: digest %s = %#x, golden %#x", name, digest, got[digest], want)
+				}
 			}
-		}
-		if len(classes) < 3 {
-			t.Errorf("%s: label map holds %d classes; the frame no longer exercises the argmax", tc.name, len(classes))
-		}
-		partial := false
-		for _, f := range fracs {
-			partial = partial || (f > 0 && f < 1)
-		}
-		if !partial {
-			t.Errorf("%s: no verdict flags part of its crop (%v); the digests no longer exercise the rule", tc.name, fracs)
+			if len(classes) < 3 {
+				t.Errorf("%s: label map holds %d classes; the frame no longer exercises the argmax", name, len(classes))
+			}
+			partial := false
+			for _, f := range fracs {
+				partial = partial || (f > 0 && f < 1)
+			}
+			if !partial {
+				t.Errorf("%s: no verdict flags part of its crop (%v); the digests no longer exercise the rule", name, fracs)
+			}
 		}
 	}
 }

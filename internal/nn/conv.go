@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+
+	"safeland/internal/cpu"
 )
 
 // Conv2D is a 2-D convolution with configurable stride, zero padding and
@@ -44,10 +46,6 @@ const convLanes = 16
 // storing them: one chunk's results fill a stack buffer of convRunMax ×
 // convLanes floats.
 const convRunMax = 32
-
-// haveAVX selects the AVX kernel in convRun. It is read once, at package
-// init; the tests clear it to run the portable body on the same inputs.
-var haveAVX = cpuAVX()
 
 // NewConv2D constructs a convolution with He-initialized weights.
 func NewConv2D(name string, inC, outC, k, stride, pad, dilation int, rng *rand.Rand) *Conv2D {
@@ -157,7 +155,7 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	} else {
 		c.x = nil
 	}
-	c.run(x, out, c.packWeights(), nil)
+	c.run(x, out, c.packWeights(), nil, 0)
 	return out
 }
 
@@ -175,15 +173,16 @@ func (c *Conv2D) output(x *Tensor, train bool) *Tensor {
 	return allocOut(c.sc, train, n, c.OutC, oh, ow)
 }
 
-// run convolves x into out with packed, B and W as packWeights lays them
-// out. It is the body both Forward and the frozen network's fused layer
-// run: ep is nil for a plain convolution, and otherwise holds one
-// epilogueLen block of BatchNorm→ReLU constants per convLanes output
-// channels (see fusedConv), applied to each chunk of results before it is
-// stored.
-func (c *Conv2D) run(x, out *Tensor, packed, ep []float32) {
+// run convolves x into channels [off, off+OutC) of out with packed, B and
+// W as packWeights lays them out. It is the body Forward and the frozen
+// network's fused layers run: off is 0 unless the conv is one branch of a
+// fused concat (fusedConcat), and ep is nil for a plain convolution and
+// otherwise holds one epilogueLen block of BatchNorm→ReLU constants per
+// convLanes output channels (see fusedConv), applied to each chunk of
+// results before it is stored.
+func (c *Conv2D) run(x, out *Tensor, packed, ep []float32, off int) {
 	n, _, h, w := x.Dims4()
-	_, _, oh, ow := out.Dims4()
+	_, outC, oh, ow := out.Dims4()
 	runs := c.columnRuns(w, ow)
 	xd, od := x.Data, out.Data
 	k, d := c.K, c.Dilation
@@ -198,7 +197,7 @@ func (c *Conv2D) run(x, out *Tensor, packed, ep []float32) {
 		kyLo, kyHi := tapRange(iy0, d, k, h)
 		ny := kyHi - kyLo + 1
 		xB := bi * c.InC * hw
-		outRow := bi*c.OutC*ohw + oy*ow
+		outRow := (bi*outC+off)*ohw + oy*ow
 		// res holds one chunk of up to convRunMax columns, pixel-major, for
 		// one block of output channels.
 		var res [convRunMax * convLanes]float32
@@ -274,7 +273,7 @@ func storeRun(od []float32, ohw int, run []float32, n, live int) {
 // convTapsGo computes one pixel at a time.
 func convRun(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int) {
 	out = out[:np*convLanes]
-	if haveAVX {
+	if cpu.Use.AVX {
 		convRunAVX(out, b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
 		return
 	}

@@ -254,26 +254,3 @@ eppixel:
 
 epdone:
 	RET
-
-// func cpuAVX() bool
-//
-// Reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS saves the
-// YMM registers: XSAVE enabled (OSXSAVE, bit 27) and XCR0 covering both the
-// XMM and the YMM state (bits 1 and 2).
-TEXT ·cpuAVX(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x18000000, CX
-	CMPL  CX, $0x18000000
-	JNE   noavx
-	XORL  CX, CX
-	XGETBV
-	ANDL  $6, AX
-	CMPL  AX, $6
-	JNE   noavx
-	MOVB  $1, ret+0(FP)
-
-noavx:
-	RET

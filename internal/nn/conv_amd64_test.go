@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"safeland/internal/cpu"
 )
 
 // TestConvTapsMatchesPortable runs the AVX run kernel and the portable Go
@@ -14,7 +16,7 @@ import (
 // pixel must come out bit-for-bit the same, and zero tap counts must leave
 // each pixel at its biases.
 func TestConvTapsMatchesPortable(t *testing.T) {
-	if !cpuAVX() {
+	if !cpu.Detected.AVX {
 		t.Skip("CPU without AVX: convRun runs the portable body only")
 	}
 	rng := rand.New(rand.NewSource(20261017))
@@ -81,7 +83,7 @@ func TestConvTapsMatchesPortable(t *testing.T) {
 // ±0 — the cases where max(v, 0) with its operands swapped would keep -0 or
 // NaN. Guard pixels either side catch stray stores.
 func TestBNReLUAVXMatchesGo(t *testing.T) {
-	if !cpuAVX() {
+	if !cpu.Detected.AVX {
 		t.Skip("CPU without AVX: bnReLU runs the portable body only")
 	}
 	rng := rand.New(rand.NewSource(20261018))

@@ -2,10 +2,6 @@
 
 package nn
 
-// cpuAVX is false on every GOARCH without the AVX kernel, so convRun takes
-// the portable body.
-func cpuAVX() bool { return false }
-
 // convRunAVX exists only on amd64; convRun never calls it elsewhere.
 func convRunAVX(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int) {
 	panic("nn: AVX convolution kernel called off amd64")

@@ -3,6 +3,8 @@ package nn
 import (
 	"math/rand"
 	"testing"
+
+	"safeland/internal/cpu"
 )
 
 // convRefForward is the seed implementation of Conv2D.Forward — the naive
@@ -152,16 +154,17 @@ func convCase(t testing.TB, inC, outC, k, stride, pad, dil, n, h, w int, seed in
 	return c, x, true
 }
 
-// forEachKernel calls f once per convRun body this CPU can run — the AVX
-// kernel where cpuAVX allows it, then the portable one — with haveAVX set
-// to select it, and restores haveAVX afterwards.
+// forEachKernel calls f once per set of kernel bodies this CPU can run —
+// the AVX bodies (the conv kernel, the fused epilogue, the softmax and the
+// dropout mask) where the CPU has them, then the portable ones — with
+// cpu.Use set to select them, and restores cpu.Use afterwards.
 func forEachKernel(f func(kernel string)) {
-	defer func(saved bool) { haveAVX = saved }(haveAVX)
-	if cpuAVX() {
-		haveAVX = true
+	defer func(saved cpu.Features) { cpu.Use = saved }(cpu.Use)
+	if cpu.Detected != (cpu.Features{}) {
+		cpu.Use = cpu.Detected
 		f("avx")
 	}
-	haveAVX = false
+	cpu.Use = cpu.Features{}
 	f("portable")
 }
 

@@ -1,6 +1,12 @@
 package nn
 
-import "math"
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"safeland/internal/cpu"
+)
 
 // epilogueLen is the length of one block of fused BatchNorm→ReLU constants:
 // the running mean, γ, 1/√(var+ε) and β of convLanes output channels, in
@@ -15,7 +21,10 @@ const epilogueLen = 4 * convLanes
 //     layer also applies both to each chunk of conv results before storing
 //     it — BatchNorm's exact g*(v-mean)*inv + b with inv = 1/√(var+ε)
 //     computed here as BatchNorm computes it, then v > 0 ? v : 0 — so the
-//     network keeps no ReLU mask, batch-norm cache or conv input cache.
+//     network keeps no ReLU mask, batch-norm cache or conv input cache;
+//   - a ParallelConcat whose branches each freeze to one fused conv
+//     becomes one layer (fusedConcat) that runs each conv straight into
+//     its channel slice of the concat's output.
 //
 // Every other layer — Dropout and Upsample2x in MSDnet — is l's own
 // instance, so SetDropoutMode and ReseedDropout on either network reach the
@@ -53,6 +62,9 @@ func NewFrozenNet(l Layer) Layer {
 		branches := make([]Layer, len(v.Branches))
 		for i, b := range v.Branches {
 			branches[i] = NewFrozenNet(b)
+		}
+		if f := newFusedConcat(branches, v.sc); f != nil {
+			return f
 		}
 		return &ParallelConcat{Branches: branches, sc: v.sc}
 	case *Conv2D:
@@ -105,7 +117,7 @@ func (f *fusedConv) Forward(x *Tensor, train bool) *Tensor {
 		panic("nn: training pass through a frozen inference network")
 	}
 	out := f.conv.output(x, false)
-	f.conv.run(x, out, f.conv.packed, f.ep)
+	f.conv.run(x, out, f.conv.packed, f.ep, 0)
 	return out
 }
 
@@ -117,13 +129,104 @@ func (f *fusedConv) Backward(*Tensor) *Tensor {
 // Params returns nil: the weights were read once, at construction.
 func (f *fusedConv) Params() []*Param { return nil }
 
+// fusedConcat is the frozen network's ParallelConcat when every branch
+// froze to one fused conv: each conv stores straight into its channel
+// slice of one output, so no branch output is allocated or copied. The
+// channels land where ParallelConcat's copy would put them, so the output
+// is the same bits.
+type fusedConcat struct {
+	convs []*fusedConv
+	// off holds each conv's first output channel; outC is their total.
+	off  []int
+	outC int
+	sc   *Scratch
+}
+
+// newFusedConcat returns the fused concat of frozen branches, or nil when
+// there is none or a branch is not one fused conv, bare or as the single
+// layer of a Sequential.
+func newFusedConcat(branches []Layer, sc *Scratch) *fusedConcat {
+	if len(branches) == 0 {
+		return nil
+	}
+	f := &fusedConcat{sc: sc}
+	for _, b := range branches {
+		if s, ok := b.(*Sequential); ok && len(s.Layers) == 1 {
+			b = s.Layers[0]
+		}
+		c, ok := b.(*fusedConv)
+		if !ok {
+			return nil
+		}
+		f.convs = append(f.convs, c)
+		f.off = append(f.off, f.outC)
+		f.outC += c.conv.OutC
+	}
+	return f
+}
+
+func (f *fusedConcat) setScratch(s *Scratch) { f.sc = s }
+
+// Walk visits each branch conv.
+func (f *fusedConcat) Walk(v Visitor) {
+	for _, c := range f.convs {
+		v(c)
+	}
+}
+
+// Forward runs every branch conv into its channel slice of one output. It
+// panics on a training pass, like fusedConv.
+func (f *fusedConcat) Forward(x *Tensor, train bool) *Tensor {
+	out, _ := f.ForwardCtx(context.Background(), x, train)
+	return out
+}
+
+// ForwardCtx implements ContextForwarder: ctx is checked before each
+// branch conv, so one conv stays the cancellation granularity. On
+// cancellation the partly written output returns to the arena.
+func (f *fusedConcat) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*Tensor, error) {
+	if train {
+		panic("nn: training pass through a frozen inference network")
+	}
+	n, ic, h, w := x.Dims4()
+	oh, ow := f.convs[0].conv.OutSize(h, w)
+	for i, c := range f.convs {
+		if ic != c.conv.InC {
+			panic(fmt.Sprintf("nn: conv expects %d input channels, got %d", c.conv.InC, ic))
+		}
+		if bh, bw := c.conv.OutSize(h, w); bh != oh || bw != ow {
+			panic(fmt.Sprintf("nn: branch %d output %dx%d mismatches %dx%d", i, bh, bw, oh, ow))
+		}
+	}
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: conv output %dx%d non-positive for input %dx%d", oh, ow, h, w))
+	}
+	out := allocOut(f.sc, false, n, f.outC, oh, ow)
+	for i, c := range f.convs {
+		if err := ctx.Err(); err != nil {
+			f.sc.Put(out)
+			return nil, err
+		}
+		c.conv.run(x, out, c.conv.packed, c.ep, f.off[i])
+	}
+	return out, nil
+}
+
+// Backward panics: the frozen network is inference-only.
+func (f *fusedConcat) Backward(*Tensor) *Tensor {
+	panic("nn: Backward through a frozen inference network")
+}
+
+// Params returns nil: the weights were read once, at construction.
+func (f *fusedConcat) Params() []*Param { return nil }
+
 // bnReLU applies one block of epilogue constants to each pixel of res,
 // convLanes lanes per pixel: lane l becomes γ*(v-mean)*inv + β, then
-// v > 0 ? v : 0. It runs bnReLUAVX where the CPU has AVX (haveAVX) and
+// v > 0 ? v : 0. It runs bnReLUAVX where the CPU has AVX (cpu.Use) and
 // bnReLUGo elsewhere; both give BatchNorm2D.Forward then ReLU.Forward's
 // bits.
 func bnReLU(res []float32, ep *[epilogueLen]float32) {
-	if haveAVX {
+	if cpu.Use.AVX {
 		bnReLUAVX(res, ep)
 		return
 	}

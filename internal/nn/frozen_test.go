@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,8 +225,9 @@ func FuzzFrozenNetMatchesNet(f *testing.F) {
 // TestFrozenNetStructure pins what NewFrozenNet shares and what it
 // replaces: the source network is left as it was, the frozen one shares
 // its dropout and upsample instances (so dropout modes, reseeds and
-// records reach both), fuses each conv→BN→ReLU and packs the head alone,
-// and rejects training.
+// records reach both), fuses each conv→BN→ReLU, turns the concat of two
+// fused branches into one fused concat whose convs store at channels 0
+// and 4, packs the head alone, and rejects training.
 func TestFrozenNetStructure(t *testing.T) {
 	net := miniMSDNet(5)
 	before := append([]Layer(nil), net.Layers...)
@@ -251,6 +254,19 @@ func TestFrozenNetStructure(t *testing.T) {
 	}
 	if f := frozen.Layers[4].(*fusedConv); f.ep != nil {
 		t.Fatal("head conv runs an epilogue")
+	}
+	concat, ok := frozen.Layers[2].(*fusedConcat)
+	if !ok {
+		t.Fatalf("frozen concat is %T, want *fusedConcat", frozen.Layers[2])
+	}
+	if len(concat.convs) != 2 || concat.outC != 8 || len(concat.off) != 2 || concat.off[0] != 0 || concat.off[1] != 4 {
+		t.Fatalf("fused concat: %d convs at channel offsets %v of %d, want 2 at [0 4] of 8",
+			len(concat.convs), concat.off, concat.outC)
+	}
+	for i, c := range concat.convs {
+		if c.ep == nil || c.conv.OutC != 4 {
+			t.Fatalf("branch %d: epilogue %v, %d channels; want a fused conv→BN→ReLU of 4", i, c.ep != nil, c.conv.OutC)
+		}
 	}
 	if got := fusedEpilogues(frozen); got != 3 {
 		t.Fatalf("%d fused epilogues, want 3 (stem and two branches)", got)
@@ -294,5 +310,42 @@ func TestReLUBranchFreeMatchesCompare(t *testing.T) {
 			t.Fatalf("bits %#x: out %#x mask %v, want %#x mask %v",
 				bits[i], math.Float32bits(out.Data[i]), r.mask[i], math.Float32bits(want), v > 0)
 		}
+	}
+}
+
+// countdownCtx is a context whose Err turns to Canceled after left calls.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestFusedConcatCancelsBetweenConvs pins that the fused concat checks
+// its context before each branch conv, so one conv stays the cancellation
+// granularity, and returns its partly written output to the arena.
+func TestFusedConcatCancelsBetweenConvs(t *testing.T) {
+	net := miniMSDNet(5)
+	sc := NewScratch()
+	AttachScratch(net, sc)
+	concat := NewFrozenNet(net).(*Sequential).Layers[2].(*fusedConcat)
+	x := randomInput([]int{1, 6, 8, 8}, 2)
+	for checks := 0; checks < len(concat.convs); checks++ {
+		out, err := concat.ForwardCtx(&countdownCtx{Context: context.Background(), left: checks}, x, false)
+		if out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled before conv %d: output %v, error %v", checks, out != nil, err)
+		}
+		if free := sc.free[1*8*8*8]; len(free) != 1 {
+			t.Fatalf("cancelled before conv %d: arena holds %d output-sized buffers, want 1", checks, len(free))
+		}
+	}
+	if _, err := concat.ForwardCtx(&countdownCtx{Context: context.Background(), left: len(concat.convs)}, x, false); err != nil {
+		t.Fatalf("one check per conv cancelled the pass: %v", err)
 	}
 }

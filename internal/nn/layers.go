@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+
+	"safeland/internal/cpu"
 )
 
 // ReLU is the rectified linear activation.
@@ -157,27 +159,44 @@ func (d *Dropout) active(train bool) bool {
 	}
 }
 
-// Forward applies (or bypasses) the dropout mask. The output is always a
-// copy (arena-backed on inference passes), never the input itself.
+// Forward applies the dropout mask into a new tensor (arena-backed on
+// inference passes). An inactive layer — Auto outside training, Off, or
+// P = 0 — returns x itself: every caller that recycles intermediates
+// already refuses to recycle a tensor that is its own input or output.
 func (d *Dropout) Forward(x *Tensor, train bool) *Tensor {
-	out := allocOut(d.sc, train, x.Shape...)
 	if !d.active(train) || d.P == 0 {
 		d.mask = nil
-		copy(out.Data, x.Data)
-		return out
+		return x
 	}
+	out := allocOut(d.sc, train, x.Shape...)
 	d.mu.Lock()
 	keep := d.decisions(len(x.Data), train)
 	d.mu.Unlock()
 	d.mask = keep
-	scale := float32(1 / (1 - d.P))
-	dst := out.Data[:len(keep)]
-	for i, v := range x.Data[:len(keep)] {
-		// Masking the bits, not multiplying by 0, keeps a dropped unit +0
-		// whatever v's sign (v*0 is -0 for negative v).
+	applyKeep(out.Data[:len(keep)], x.Data[:len(keep)], keep, float32(1/(1-d.P)))
+	return out
+}
+
+// applyKeep sets dst[i] to the bits of src[i]*scale ANDed with -keep[i]:
+// the scaled unit where keep[i] is 1 and +0 where it is 0. Masking the
+// bits, not multiplying by 0, keeps a dropped unit +0 whatever its sign
+// (v*0 is -0 for negative v). It runs applyKeepAVX where the CPU has AVX2
+// (cpu.Use) and applyKeepGo elsewhere, with the same bits. dst and src
+// hold len(keep) elements.
+func applyKeep(dst, src []float32, keep []byte, scale float32) {
+	if cpu.Use.AVX2 {
+		applyKeepAVX(dst, src, keep, scale)
+		return
+	}
+	applyKeepGo(dst, src, keep, scale)
+}
+
+// applyKeepGo is the portable body of applyKeep.
+func applyKeepGo(dst, src []float32, keep []byte, scale float32) {
+	dst, src = dst[:len(keep)], src[:len(keep)]
+	for i, v := range src {
 		dst[i] = math.Float32frombits(math.Float32bits(v*scale) & -uint32(keep[i]))
 	}
-	return out
 }
 
 // decisions returns the next n keep decisions: replayed from the record and

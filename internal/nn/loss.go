@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"safeland/internal/cpu"
 )
 
 // SoftmaxChannels applies a channel-wise softmax at every spatial location
@@ -24,32 +26,77 @@ func SoftmaxChannelsInPlace(logits *Tensor) *Tensor {
 	return logits
 }
 
+// softmaxGroup is the pixel group softmaxAVX computes at once: eight
+// float32 lanes.
+const softmaxGroup = 8
+
+// softmaxBlock bounds the pixels softmaxPixels takes per call: its running
+// maxima and sums live in stack arrays of this length.
+const softmaxBlock = 64
+
 // softmaxChannelsInto computes the channel softmax of logits into out,
-// which may alias logits: within one (bi, y, x) column every logit is read
-// before its slot in out is written, and columns are independent.
+// which may alias logits. Every pixel gets the operations of the per-pixel
+// textbook loop, in its order: the maximum m of its logits by v > m from
+// −Inf, then each channel's e = float32(math.Exp(float64(v - m))) stored
+// and summed in channel order, then one 1/sum that scales every e. The
+// work goes one channel row at a time across a run of pixels, over
+// contiguous memory: softmaxAVX takes groups of eight pixels where the CPU
+// has AVX2 and FMA (cpu.Use), and softmaxPixels takes the rest — a group
+// softmaxAVX refuses, the last pixels of a plane short of a group, and
+// every pixel elsewhere. Within a pixel every logit is read before its
+// slot in out is written, and pixels are independent.
 func softmaxChannelsInto(out, logits *Tensor) {
 	n, c, h, w := logits.Dims4()
-	for job := 0; job < n*h; job++ {
-		bi, y := job/h, job%h
-		for x := 0; x < w; x++ {
-			// max for numerical stability
-			maxV := float32(math.Inf(-1))
-			for ci := 0; ci < c; ci++ {
-				v := logits.Data[((bi*c+ci)*h+y)*w+x]
-				if v > maxV {
-					maxV = v
+	hw := h * w
+	vector := cpu.Use.AVX2 && cpu.Use.FMA
+	for bi := 0; bi < n; bi++ {
+		o, x := out.Data[bi*c*hw:(bi+1)*c*hw], logits.Data[bi*c*hw:(bi+1)*c*hw]
+		for p := 0; p < hw; {
+			np := min(softmaxBlock, hw-p)
+			if vector {
+				if done := softmaxAVX(o[p:], x[p:], hw-p, c, hw); done > 0 {
+					p += done
+					continue
 				}
+				np = min(softmaxGroup, hw-p)
 			}
-			var sum float32
-			for ci := 0; ci < c; ci++ {
-				e := float32(math.Exp(float64(logits.Data[((bi*c+ci)*h+y)*w+x] - maxV)))
-				out.Data[((bi*c+ci)*h+y)*w+x] = e
-				sum += e
+			softmaxPixels(o[p:], x[p:], np, c, hw)
+			p += np
+		}
+	}
+}
+
+// softmaxPixels is the portable body of softmaxChannelsInto for np ≤
+// softmaxBlock pixels whose channel ci sits at x[ci*stride:][:np]; out is
+// laid out alike and may alias x.
+func softmaxPixels(out, x []float32, np, c, stride int) {
+	var maxV, sum [softmaxBlock]float32
+	m, s := maxV[:np], sum[:np]
+	for i := range m {
+		m[i] = float32(math.Inf(-1))
+	}
+	for ci := 0; ci < c; ci++ {
+		for i, v := range x[ci*stride:][:np] {
+			if v > m[i] {
+				m[i] = v
 			}
-			inv := 1 / sum
-			for ci := 0; ci < c; ci++ {
-				out.Data[((bi*c+ci)*h+y)*w+x] *= inv
-			}
+		}
+	}
+	for ci := 0; ci < c; ci++ {
+		row := out[ci*stride:][:np]
+		for i, v := range x[ci*stride:][:np] {
+			e := float32(math.Exp(float64(v - m[i])))
+			row[i] = e
+			s[i] += e
+		}
+	}
+	for i, v := range s {
+		s[i] = 1 / v
+	}
+	for ci := 0; ci < c; ci++ {
+		row := out[ci*stride:][:np]
+		for i := range row {
+			row[i] *= s[i]
 		}
 	}
 }

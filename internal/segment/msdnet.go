@@ -247,21 +247,31 @@ func (m *Model) PredictCtx(ctx context.Context, img *imaging.Image) (*imaging.La
 		return nil, err
 	}
 	lm := labelMap(scores, up != nil, img.W, img.H)
-	m.scratch.Put(scores) // the label map copied everything out
+	m.scratch.Put(scores) // labelMap consumed it
 	return lm, nil
 }
 
 // labelMap builds the w×h label map of scores' argmax, replicating each
-// label over a 2×2 block when upsampled.
+// label over a 2×2 block when upsampled. It goes one channel row at a
+// time, straight into the label map, and keeps each pixel's best score so
+// far in the first channel's row, which it overwrites. As in
+// nn.ArgmaxChannels, a class wins only with a score greater than the best
+// so far, so ties keep the lower class and a NaN never wins.
 func labelMap(scores *nn.Tensor, upsampled bool, w, h int) *imaging.LabelMap {
-	am := nn.ArgmaxChannels(scores)[0]
+	_, c, sh, sw := scores.Dims4()
+	n := sh * sw
 	out := imaging.NewLabelMap(w, h)
-	for i, c := range am {
-		out.Pix[i] = imaging.Class(c)
+	labels, best := out.Pix[:n], scores.Data[:n]
+	for ci := 1; ci < c; ci++ {
+		for i, v := range scores.Data[ci*n : (ci+1)*n] {
+			if v > best[i] {
+				best[i] = v
+				labels[i] = imaging.Class(ci)
+			}
+		}
 	}
 	if upsampled {
-		_, _, sh, sw := scores.Dims4()
-		imaging.Expand2x(out.Pix, out.Pix[:sh*sw], sw, sh)
+		imaging.Expand2x(out.Pix, labels, sw, sh)
 	}
 	return out
 }

@@ -59,7 +59,10 @@ type Options struct {
 	TrainSteps int
 	// SceneSize is the generated scene side in pixels.
 	SceneSize int
-	// MCSamples is the Bayesian monitor sample count (paper: 10).
+	// MCSamples is the Bayesian monitor sample count (paper: 10). Zero or
+	// less selects DefaultOptions' count; 1 is invalid, as the monitor's
+	// standard deviation needs two samples, and NewSystem panics on it
+	// before training.
 	MCSamples int
 	// Progress, when non-nil, receives training progress lines.
 	Progress io.Writer
@@ -99,8 +102,11 @@ func NewSystem(opts Options) *System {
 			opts.SceneSize = o.SceneSize
 		}
 	}
-	if opts.MCSamples <= 0 {
+	switch {
+	case opts.MCSamples <= 0:
 		opts.MCSamples = DefaultOptions().MCSamples
+	case opts.MCSamples < 2:
+		panic(fmt.Sprintf("safeland: Options.MCSamples = %d: the Bayesian monitor needs at least 2 Monte-Carlo samples", opts.MCSamples))
 	}
 	ucfg := urban.DefaultConfig()
 	ucfg.W, ucfg.H = opts.SceneSize, opts.SceneSize
