@@ -160,3 +160,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzSoftmaxMatchesPerPixelLoop -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzServingContract -fuzztime=5s .

@@ -33,17 +33,6 @@ type SelectRequest struct {
 	// HomeX, HomeY bias candidate ranking toward this position in meters
 	// (both zero disables the bias), mirroring ZoneConfig.HomeX/HomeY.
 	HomeX, HomeY float64
-	// Deadline, when nonzero, bounds how long this one request may wait
-	// for a worker, in addition to the context passed to the Engine call.
-	// By default the deadline guards queueing only: a request that reaches
-	// a worker before the deadline runs under the caller's context alone,
-	// which — unlike the deadline — is honored mid-trial by the perception
-	// stack, so cancelling the Engine call aborts a selection already in
-	// progress. In degraded mode (WithDegradedFallback) the deadline is the
-	// request's whole compute budget instead: it bounds queueing, retries
-	// and the selection itself, and blowing it answers with the FT fallback
-	// rather than an error.
-	Deadline time.Time
 }
 
 // SelectResponse wraps one selection outcome with trace metadata.
@@ -64,41 +53,24 @@ type SelectResponse struct {
 	// transient fault (always 0 outside degraded mode, at most the bounded
 	// retry budget inside it).
 	Retried int
-	// Degraded is true when the budget was exhausted and Result carries the
+	// Degraded is true when the shard failed the request — a fault that
+	// persisted through the bounded retry, or one no retry fixes — in
+	// degraded mode (WithDegradedFallback), so Result carries the
 	// fault-tolerant fallback zone instead of a monitored selection:
 	// Result.State is core.Degraded and Result.Confirmed is false — a
 	// degraded answer never claims verification. Err is nil on a degraded
-	// response; DegradedCause names the fault that exhausted the budget.
+	// response; DegradedCause names the fault.
 	Degraded bool
-	// DegradedCause is the budget-exhausting fault ("selector-error",
-	// "shard-blackout", "preempted", "budget-exhausted", ...); "" unless
-	// Degraded.
+	// DegradedCause is the fault the fallback answers for
+	// ("selector-error", "replica-stall", "shard-blackout", "preempted",
+	// or a selector's own error text); "" unless Degraded.
 	DegradedCause string
-	// Err is non-nil when the request was cancelled, timed out while
-	// queued, was rejected by the backend (e.g. a malformed request), or
-	// reached the engine after Close (ErrClosed).
+	// Err is non-nil when the request was cancelled or timed out through
+	// its context, was rejected by the backend (e.g. a malformed request),
+	// failed on a shard fault outside degraded mode, or reached the engine
+	// after Close (ErrClosed).
 	Err error
 }
-
-// CorpusStats is a snapshot of the scene-source cache counters an Engine
-// surfaces through Stats when a source is attached with WithCorpusStats.
-// The safeland package has no view into the cache itself (the scenario
-// corpus lives above it and feeds Serve through request channels), so the
-// counters arrive through the attached snapshot function.
-type CorpusStats struct {
-	// Generated counts scenes built by running the generator.
-	Generated int64
-	// Hits counts lookups served from the in-memory cache.
-	Hits int64
-	// DiskHits counts lookups satisfied from an on-disk layer.
-	DiskHits int64
-	// Resident is the number of distinct scenes currently cached.
-	Resident int
-}
-
-// Lookups returns the total cache lookups the counters cover: every lookup
-// is exactly one of a generation, a memory hit, or a disk hit.
-func (s CorpusStats) Lookups() int64 { return s.Generated + s.Hits + s.DiskHits }
 
 // EngineStats is a point-in-time snapshot of an Engine's serving counters —
 // the service-dashboard view of the pool.
@@ -133,7 +105,7 @@ type EngineStats struct {
 	// their worker could be handed to a safety-class advance.
 	Preempted int64
 	// Degraded counts requests and session frames answered by the
-	// fault-tolerant fallback after their compute budget was exhausted
+	// fault-tolerant fallback because the shard failed them
 	// (WithDegradedFallback). Degraded frames are included in Frames — they
 	// were served, just not by the monitored pipeline.
 	Degraded int64
@@ -150,9 +122,6 @@ type EngineStats struct {
 	// ErrShardUnhealthy (also counted in SessionRejects) and the Router
 	// routes new vehicles around the shard.
 	BreakerOpen int64
-	// Corpus reports the attached scene source (WithCorpusStats); zero
-	// when no source is attached.
-	Corpus CorpusStats
 }
 
 // engineConfig collects the functional options.
@@ -164,7 +133,6 @@ type engineConfig struct {
 	factory     SelectorFactory
 	workers     int
 	maxSessions int
-	corpusStats func() CorpusStats
 
 	// Fault-tolerance knobs (faulttolerance.go options).
 	name        string
@@ -243,15 +211,6 @@ func WithMaxSessions(n int) Option {
 	return func(c *engineConfig) { c.maxSessions = n }
 }
 
-// WithCorpusStats attaches a scene-source counter snapshot to the engine:
-// Engine.Stats folds fn's result into its Corpus field, so one Stats call
-// describes both the pool and the cache feeding it. The scenario corpus
-// provides a ready adapter (scenario.Corpus.EngineStats). fn must be safe
-// for concurrent use; nil detaches.
-func WithCorpusStats(fn func() CorpusStats) Option {
-	return func(c *engineConfig) { c.corpusStats = fn }
-}
-
 // DefaultWorkers is the worker-pool size NewEngine uses when WithWorkers
 // is not given: one worker per CPU, each running its requests on one
 // goroutine, so a saturated pool uses the whole machine and no more.
@@ -290,8 +249,8 @@ type Engine struct {
 	pool     *replicaPool
 	// inj is the chaos injector (WithFaultInjector); nil injects nothing.
 	inj *faults.Injector
-	// degrade enables degraded-mode serving (WithDegradedFallback): budget
-	// semantics for Deadline, bounded retries, FT fallback on exhaustion.
+	// degrade enables degraded-mode serving (WithDegradedFallback): a
+	// bounded retry, then the FT fallback for a shard's failure.
 	degrade     bool
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -306,8 +265,6 @@ type Engine struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	corpusStats func() CorpusStats
-
 	requests atomic.Int64
 	served   atomic.Int64
 	failed   atomic.Int64
@@ -316,7 +273,6 @@ type Engine struct {
 	sessionRejects atomic.Int64
 	frames         atomic.Int64
 	framesReused   atomic.Int64
-	preempted      atomic.Int64
 	degraded       atomic.Int64
 	retried        atomic.Int64
 	spilled        atomic.Int64
@@ -325,14 +281,6 @@ type Engine struct {
 	// chaosSeq numbers stateless Select/Serve requests as fault-injection
 	// frame coordinates (sessions use their own per-stream frame counter).
 	chaosSeq atomic.Int64
-
-	// preemptible registers the cancel funcs of in-flight routine session
-	// advances, keyed by a monotonically increasing id so preemption picks
-	// the oldest. Plain Select/SelectBatch/Serve requests never register:
-	// only session traffic is preemptible.
-	preemptMu   sync.Mutex
-	preemptSeq  int64
-	preemptible map[int64]context.CancelCauseFunc
 }
 
 // NewEngine builds an engine. The model comes from, in order of
@@ -377,8 +325,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		sys:         sys,
 		workers:     cfg.workers,
 		maxSessions: cfg.maxSessions,
-		corpusStats: cfg.corpusStats,
-		preemptible: make(map[int64]context.CancelCauseFunc),
 		name:        cfg.name,
 		inj:         cfg.inj,
 		degrade:     cfg.degrade,
@@ -452,12 +398,11 @@ func (e *Engine) Workers() int { return e.workers }
 // SelectorName returns the name of the configured backend.
 func (e *Engine) SelectorName() string { return e.selector }
 
-// Stats returns a snapshot of the engine's serving counters, plus the
-// scene-source cache counters when a source is attached (WithCorpusStats).
-// Counters are cumulative over the engine's lifetime; callers tracking one
-// workload diff two snapshots.
+// Stats returns a snapshot of the engine's serving counters. Counters are
+// cumulative over the engine's lifetime; callers tracking one workload
+// diff two snapshots.
 func (e *Engine) Stats() EngineStats {
-	st := EngineStats{
+	return EngineStats{
 		Requests:       e.requests.Load(),
 		Served:         e.served.Load(),
 		Failed:         e.failed.Load(),
@@ -465,16 +410,12 @@ func (e *Engine) Stats() EngineStats {
 		SessionRejects: e.sessionRejects.Load(),
 		Frames:         e.frames.Load(),
 		FramesReused:   e.framesReused.Load(),
-		Preempted:      e.preempted.Load(),
+		Preempted:      e.pool.preempted.Load(),
 		Degraded:       e.degraded.Load(),
 		Retried:        e.retried.Load(),
 		Spilled:        e.spilled.Load(),
 		BreakerOpen:    e.breakerOpened.Load(),
 	}
-	if e.corpusStats != nil {
-		st.Corpus = e.corpusStats()
-	}
-	return st
 }
 
 // Save writes the engine's model checkpoint to path.
@@ -487,8 +428,7 @@ func (e *Engine) Certify(claims core.Claims) sora.Assessment {
 }
 
 // Select serves one request synchronously: it waits for a free worker
-// (honoring ctx and the request deadline while queued) and runs the
-// backend on it. The backend keeps honoring ctx mid-trial — a cancelled
+// (honoring ctx while queued) and runs the backend on it. The backend keeps honoring ctx mid-trial — a cancelled
 // selection stops within one network layer's work and carries ctx's error
 // in the response.
 func (e *Engine) Select(ctx context.Context, req SelectRequest) SelectResponse {
@@ -542,12 +482,11 @@ type outcome struct {
 	err      error
 }
 
-// serve is the attempt loop behind Select and Session.Advance. The request
-// deadline bounds queueing — and in degraded mode the whole compute budget,
-// retries included. A transient fault gets the bounded retry with backoff,
-// the breaker observes how the call ended, and in degraded mode a failure
-// the shard caused is answered by the FT fallback. After Close it refuses
-// the call with ErrClosed before any of that.
+// serve is the attempt loop behind Select and Session.Advance, bounded by
+// the caller's context alone. A transient fault gets the bounded retry with
+// backoff, the breaker observes how the call ended, and in degraded mode a
+// failure the shard caused is answered by the FT fallback. After Close it
+// refuses the call with ErrClosed before any of that.
 func (e *Engine) serve(ctx context.Context, c call) outcome {
 	var o outcome
 	if !e.enter() {
@@ -555,34 +494,37 @@ func (e *Engine) serve(ctx context.Context, c call) outcome {
 		return o
 	}
 	defer e.inflight.Done()
-	waitCtx := ctx
-	if !c.req.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithDeadline(ctx, c.req.Deadline)
-		defer cancel()
-	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			e.retried.Add(1)
 			o.retried++
-			if err = sleepCtx(waitCtx, e.retryDelay(c.point, c.frame, attempt)); err != nil {
+			if err = sleepCtx(ctx, e.retryDelay(c.point, c.frame, attempt)); err != nil {
 				break
 			}
 		}
-		if err = e.attempt(ctx, waitCtx, c, attempt, &o); err == nil {
+		if err = e.attempt(ctx, c, attempt, &o); err == nil {
 			e.health.observe(true)
 			return o
 		}
-		if attempt >= e.retryBudget() || !e.retryableFault(err) || waitCtx.Err() != nil {
+		if attempt >= e.retryBudget() || !e.retryableFault(err) || ctx.Err() != nil {
 			break
 		}
 	}
-	if shardFault(err, ctx) {
+	if shardFault(err) {
 		e.health.observe(false)
 	}
-	if e.degrade && degradable(err, ctx) {
-		if img, mpp, ferr := c.req.frame(); ferr == nil {
+	if e.degrade && !errors.Is(err, errBadRequest) {
+		// The FT fallback answers for the shard's failures only: a caller
+		// that gave up gets its context's error, and a request with no
+		// frame to fall back on is malformed, whatever the shard did.
+		img, mpp, ferr := c.req.frame()
+		switch {
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		case ferr != nil:
+			err = ferr
+		default:
 			e.degraded.Add(1)
 			o.res = e.ftFallback(c.req, img, mpp)
 			o.degraded, o.cause = true, degradedCause(err)
@@ -594,11 +536,13 @@ func (e *Engine) serve(ctx context.Context, c call) outcome {
 }
 
 // attempt runs one try of a call: blackout check, worker acquisition in the
-// call's priority class, preemption registration for routine session work,
-// transient injection on first attempts, then the selection. Queued and
-// Elapsed accumulate across attempts; Safety reflects the last one (a
-// trigger can fire between attempts and promote the retry).
-func (e *Engine) attempt(ctx, waitCtx context.Context, c call, attempt int, o *outcome) error {
+// call's priority class, transient injection on first attempts, then the
+// selection. A routine session frame runs under a context of its own whose
+// cancel the pool keeps with the worker, so a safety-class acquire can
+// preempt it; it also aborts when the session's own trigger fires
+// mid-frame. Queued and Elapsed accumulate across attempts; Safety reflects
+// the last one (a trigger can fire between attempts and promote the retry).
+func (e *Engine) attempt(ctx context.Context, c call, attempt int, o *outcome) error {
 	safety := c.trigger != nil && c.trigger.Triggered()
 	o.safety = safety
 
@@ -608,52 +552,29 @@ func (e *Engine) attempt(ctx, waitCtx context.Context, c call, attempt int, o *o
 		return err
 	}
 
+	cctx := ctx
+	var preempt context.CancelCauseFunc
+	if c.session && !safety {
+		cctx, preempt = context.WithCancelCause(ctx)
+		defer preempt(nil)
+	}
 	enqueued := time.Now()
-	var w *worker
-	var err error
-	if safety {
-		// No free worker: preempt the oldest routine session frame, then
-		// wait at safety priority for the first release (the preempted
-		// frame aborts within one layer's work).
-		if w = e.pool.tryAcquire(); w == nil {
-			e.preemptOneRoutine()
-		}
-	}
-	if w == nil {
-		w, err = e.pool.acquire(waitCtx, safety)
-	}
+	w, err := e.pool.acquire(ctx, safety, preempt)
 	o.queued += time.Since(enqueued)
 	if err != nil {
 		return err
 	}
 	defer e.pool.release(w)
-	if err := waitCtx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if !c.session && !o.served {
 		o.served = true
 		e.served.Add(1)
 	}
-
-	// In degraded mode the budget bounds the compute too; otherwise the
-	// deadline keeps guarding queueing only.
-	cctx := ctx
-	if e.degrade {
-		cctx = waitCtx
-	}
-	if c.session && !safety {
-		// Routine session work is preemptible: register a cancel-with-cause
-		// so a safety-class frame can take the worker, and abort when the
-		// session's own trigger fires mid-frame.
-		var cancel context.CancelCauseFunc
-		cctx, cancel = context.WithCancelCause(cctx)
-		defer cancel(nil)
-		id := e.registerPreemptible(cancel)
-		defer e.unregisterPreemptible(id)
-		if c.trigger != nil {
-			stop := context.AfterFunc(c.trigger.ctx, func() { cancel(ErrPreempted) })
-			defer stop()
-		}
+	if preempt != nil && c.trigger != nil {
+		stop := context.AfterFunc(c.trigger.ctx, func() { preempt(ErrPreempted) })
+		defer stop()
 	}
 
 	start := time.Now()
@@ -664,7 +585,7 @@ func (e *Engine) attempt(ctx, waitCtx context.Context, c call, attempt int, o *o
 		}
 	}
 	o.res, o.reused, err = c.selectOn(cctx, w, attempt)
-	if err != nil && c.session && errors.Is(context.Cause(cctx), ErrPreempted) {
+	if err != nil && preempt != nil && errors.Is(context.Cause(cctx), ErrPreempted) {
 		err = fmt.Errorf("%w (vehicle %q)", ErrPreempted, c.point)
 	}
 	return err

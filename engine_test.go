@@ -90,11 +90,10 @@ func TestEngineMonitorSamplesOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := eng.pool.tryAcquire()
-	if w == nil {
-		t.Fatal("no free replica in a fresh pool")
+	if idle := eng.pool.idle(); idle != 1 {
+		t.Fatalf("fresh one-worker pool has %d idle workers", idle)
 	}
-	defer eng.pool.release(w)
+	w := eng.pool.free[0]
 	rep, ok := w.sel.(*pipelineSelector)
 	if !ok {
 		t.Fatalf("default selector is %T, want *pipelineSelector", w.sel)
@@ -190,9 +189,6 @@ func TestEngineStatsCounters(t *testing.T) {
 	if st.Requests != 7 || st.Served != 6 || st.Failed != 3 {
 		t.Errorf("after cancelled select: stats = %+v, want 7 requests / 6 served / 3 failed", st)
 	}
-	if st.Corpus != (CorpusStats{}) {
-		t.Errorf("engine without a corpus source reports %+v", st.Corpus)
-	}
 }
 
 // TestEngineStatsCountsServeDrops pins the Serve side of the accounting: a
@@ -234,28 +230,6 @@ func TestEngineStatsCountsServeDrops(t *testing.T) {
 	st := eng.Stats()
 	if st.Requests != 2 || st.Served != 1 || st.Failed != 2 {
 		t.Errorf("stats after cancelled Serve = %+v, want 2 requests / 1 served / 2 failed", st)
-	}
-}
-
-func TestEngineStatsSurfacesCorpusSource(t *testing.T) {
-	src := CorpusStats{Generated: 27, Hits: 216, DiskHits: 3, Resident: 27}
-	var snapshots atomic.Int32
-	eng, err := NewEngine(
-		WithSystem(stubSystem()), WithWorkers(1),
-		WithCorpusStats(func() CorpusStats { snapshots.Add(1); return src }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Corpus != src {
-		t.Errorf("corpus stats = %+v, want %+v", st.Corpus, src)
-	}
-	if got := st.Corpus.Lookups(); got != 27+216+3 {
-		t.Errorf("lookups = %d, want %d", got, 27+216+3)
-	}
-	if snapshots.Load() != 1 {
-		t.Errorf("stats source sampled %d times for one Stats call", snapshots.Load())
 	}
 }
 
@@ -338,6 +312,9 @@ func TestEngineContextCancellationMidBatch(t *testing.T) {
 	}
 }
 
+// TestEngineRequestDeadline pins that a request's deadline is its
+// context's: an expired one fails the request with the context's error,
+// and a future one, or none, leaves it to be served.
 func TestEngineRequestDeadline(t *testing.T) {
 	var calls atomic.Int32
 	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithSelector(stubFactory(&calls, nil)))
@@ -345,17 +322,23 @@ func TestEngineRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name    string
-		req     SelectRequest
-		wantErr error
+		name     string
+		deadline time.Time // zero: no deadline
+		wantErr  error
 	}{
-		{"expired deadline", SelectRequest{MPP: 1, Deadline: time.Now().Add(-time.Second)}, context.DeadlineExceeded},
-		{"no deadline", SelectRequest{MPP: 1}, nil},
-		{"future deadline", SelectRequest{MPP: 1, Deadline: time.Now().Add(time.Minute)}, nil},
+		{"expired deadline", time.Now().Add(-time.Second), context.DeadlineExceeded},
+		{"no deadline", time.Time{}, nil},
+		{"future deadline", time.Now().Add(time.Minute), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := eng.Select(context.Background(), tc.req)
+			ctx := context.Background()
+			if !tc.deadline.IsZero() {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithDeadline(ctx, tc.deadline)
+				defer cancel()
+			}
+			resp := eng.Select(ctx, SelectRequest{MPP: 1})
 			if resp.Err != tc.wantErr {
 				t.Errorf("err = %v, want %v", resp.Err, tc.wantErr)
 			}
@@ -501,11 +484,10 @@ func TestEngineReplicasShareWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := sys.Pipeline.Model.Net.Params()
-	for w := 0; w < eng.Workers(); w++ {
-		wk := eng.pool.tryAcquire()
-		if wk == nil {
-			t.Fatalf("worker %d: no free replica in a fresh pool", w)
-		}
+	if idle := eng.pool.idle(); idle != eng.Workers() {
+		t.Fatalf("fresh pool has %d idle of %d workers", idle, eng.Workers())
+	}
+	for w, wk := range eng.pool.free {
 		rep, ok := wk.sel.(*pipelineSelector)
 		if !ok {
 			t.Fatalf("worker %d selector is %T", w, wk.sel)
@@ -522,7 +504,6 @@ func TestEngineReplicasShareWeights(t *testing.T) {
 				t.Fatalf("worker %d param %d (%s) copied instead of shared", w, i, src[i].Name)
 			}
 		}
-		defer eng.pool.release(wk)
 	}
 }
 

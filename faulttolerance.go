@@ -47,20 +47,21 @@ func WithShardName(name string) Option {
 // WithDegradedFallback toggles degraded-mode serving (default off, which
 // preserves the fail-hard contract). When on:
 //
-//   - the request deadline (SelectRequest.Deadline) becomes a per-request
-//     compute budget — it bounds the selection itself, not just queueing;
 //   - transient faults (injected selector errors, replica stalls, a
 //     preempted routine advance) get one bounded retry with
 //     deterministic-jitter exponential backoff (WithRetryBackoff);
-//   - on budget exhaustion the engine answers with the paper's
+//   - when the fault outlasts that retry, or no retry can fix it (a shard
+//     blackout, a selector error), the engine answers with the paper's
 //     fault-tolerant baseline zone (FT-center, or flatness when the request
 //     carries a Scene) instead of an error: the response is marked Degraded
 //     with its cause, Result.State is core.Degraded, and Result.Confirmed
 //     is always false — the monitor's refusal semantics survive the
 //     fallback, a degraded zone never claims verification.
 //
-// Caller-initiated cancellation and malformed requests still surface as
-// errors: degradation answers for the shard's failures, not the caller's.
+// The caller's context bounds the whole call, retries included, in either
+// mode. Its cancellation or deadline, a malformed request and ErrClosed
+// still surface as errors: degradation answers for the shard's failures,
+// not the caller's.
 func WithDegradedFallback(on bool) Option {
 	return func(c *engineConfig) { c.degrade = on }
 }
@@ -215,8 +216,8 @@ func (e *Engine) retryDelay(point string, frame, attempt int) time.Duration {
 // attempt-scoped injected faults, and a routine advance preempted by a
 // safety-class request (the replica comes back after the safety frame).
 // Shard blackouts are frame-wide — the retry would hit the same wall — and
-// everything else (caller cancellation, malformed requests, budget
-// exhaustion) is not a fault retries fix.
+// everything else (caller cancellation, malformed requests) is not a fault
+// retries fix.
 func (e *Engine) retryableFault(err error) bool {
 	if fe := faults.AsInjected(err); fe != nil {
 		return fe.Kind.Transient()
@@ -225,37 +226,17 @@ func (e *Engine) retryableFault(err error) bool {
 }
 
 // shardFault classifies failures attributable to the shard itself — the
-// ones the circuit breaker should count: injected chaos faults, preempted
-// advances, and a blown compute budget while the caller was still waiting.
-// Caller cancellation and malformed requests are the caller's, not the
-// shard's.
-func shardFault(err error, callerCtx context.Context) bool {
-	if err == nil {
-		return false
-	}
-	if faults.AsInjected(err) != nil || errors.Is(err, ErrPreempted) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded) && callerCtx.Err() == nil
+// ones the circuit breaker should count: injected chaos faults and
+// preempted advances. Caller cancellation and malformed requests are the
+// caller's, not the shard's.
+func shardFault(err error) bool {
+	return faults.AsInjected(err) != nil || errors.Is(err, ErrPreempted)
 }
 
-// degradable classifies failures the FT fallback may answer for: anything
-// the shard did to the request. The caller's own cancellation stays an
-// error — degrading it would invent an answer nobody is waiting for — and
-// so does a malformed request, which no shard can serve.
-func degradable(err error, callerCtx context.Context) bool {
-	return err != nil && callerCtx.Err() == nil && !errors.Is(err, errBadRequest)
-}
-
-// degradedCause renders the budget-exhausting fault for the response
-// marker (SelectResponse.DegradedCause).
+// degradedCause renders the fault the fallback answers for as the
+// response marker (SelectResponse.DegradedCause).
 func degradedCause(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, context.DeadlineExceeded):
-		return "budget-exhausted"
-	case errors.Is(err, ErrPreempted):
+	if errors.Is(err, ErrPreempted) {
 		return "preempted"
 	}
 	if fe := faults.AsInjected(err); fe != nil {

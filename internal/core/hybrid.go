@@ -57,39 +57,11 @@ func (h *Hybrid) SelectWithConfig(scene *urban.Scene, cfg ZoneConfig) Result {
 }
 
 // SelectWithConfigCtx is SelectWithConfig with cooperative cancellation;
-// the semantics mirror Pipeline.SelectWithConfigCtx.
+// the semantics mirror Pipeline.SelectWithConfigCtx, whose trial loop it
+// runs with the static-map fusion as the candidate filter.
 func (h *Hybrid) SelectWithConfigCtx(ctx context.Context, scene *urban.Scene, cfg ZoneConfig) (Result, error) {
-	p := h.Pipeline
-	pred, err := p.Model.PredictCtx(ctx, scene.Image)
-	if err != nil {
-		return Result{}, err
-	}
 	static := buildFiniteIntegral(riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg))
-	cands, bufferM := ladder(pred, scene.MPP, cfg, func(c []Candidate) []Candidate { return h.fuse(c, static) })
-	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: bufferM}
-	dm := NewDecisionModule(p.MaxTrials)
-	for _, cand := range cands {
-		sub := scene.Image.Crop(evenAlign(cand.X0, scene.Image.W, cand.SizePx),
-			evenAlign(cand.Y0, scene.Image.H, cand.SizePx),
-			evenSize(cand.SizePx), evenSize(cand.SizePx))
-		verdict, err := p.Monitor.VerifyRegionCtx(ctx, sub, p.Rule)
-		if err != nil {
-			return res, err
-		}
-		res.Trials = append(res.Trials, Trial{Candidate: cand, Verdict: verdict})
-		switch dm.Offer(verdict) {
-		case Landing:
-			res.Confirmed = true
-			res.Zone = cand
-			res.State = Landing
-			return res, nil
-		case Aborted:
-			res.State = Aborted
-			return res, nil
-		}
-	}
-	res.State = dm.Exhausted()
-	return res, nil
+	return h.Pipeline.selectCtx(ctx, scene.Image, scene.MPP, cfg, func(c []Candidate) []Candidate { return h.fuse(c, static) })
 }
 
 // fuse drops candidates the static map forbids and re-ranks the survivors.

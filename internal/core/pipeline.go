@@ -106,11 +106,19 @@ func (p *Pipeline) SelectWithConfig(img *imaging.Image, mpp float64, cfg ZoneCon
 // The monitor verifies each candidate as its own crop, exactly as the
 // paper's Figure 2 draws it.
 func (p *Pipeline) SelectWithConfigCtx(ctx context.Context, img *imaging.Image, mpp float64, cfg ZoneConfig) (Result, error) {
+	return p.selectCtx(ctx, img, mpp, cfg, nil)
+}
+
+// selectCtx is the one trial loop behind Pipeline and Hybrid: segment,
+// propose candidates on the buffer ladder (keep, when non-nil, filters and
+// re-ranks each rung's candidates), verify each candidate's crop with the
+// monitor, and let the Decision Module confirm, retry or abort.
+func (p *Pipeline) selectCtx(ctx context.Context, img *imaging.Image, mpp float64, cfg ZoneConfig, keep func([]Candidate) []Candidate) (Result, error) {
 	pred, err := p.Model.PredictCtx(ctx, img)
 	if err != nil {
 		return Result{}, err
 	}
-	cands, bufferM := ladder(pred, mpp, cfg, nil)
+	cands, bufferM := ladder(pred, mpp, cfg, keep)
 	res := Result{Pred: pred, CandidateCount: len(cands), UsedBufferM: bufferM}
 	dm := NewDecisionModule(p.MaxTrials)
 	for _, cand := range cands {

@@ -288,10 +288,10 @@ func (e *Env) Engine() (*safeland.Engine, error) {
 // EngineWith builds an engine over the shared model with an arbitrary
 // selector backend — how the E8 strategy fleet runs every landing strategy
 // behind the same SelectBatch surface. workers <= 0 uses Workers(). The
-// Env's scene corpus is attached as the engine's stats source, so
-// Engine.Stats reports the cache feeding the fleets (E11 asserts its grid
-// dedup through that surface). Extra options append after the shared ones —
-// the E14 chaos fleet passes shard names, injectors and degraded mode.
+// engine knows nothing of the scene corpus feeding it: read e.Corpus.Stats
+// for the cache counters (E11 asserts its grid dedup there). Extra options
+// append after the shared ones — the E14 chaos fleet passes shard names,
+// injectors and degraded mode.
 func (e *Env) EngineWith(factory safeland.SelectorFactory, workers int, opts ...safeland.Option) (*safeland.Engine, error) {
 	if workers <= 0 {
 		workers = e.Workers()
@@ -300,7 +300,6 @@ func (e *Env) EngineWith(factory safeland.SelectorFactory, workers int, opts ...
 		safeland.WithSystem(e.System()),
 		safeland.WithSelector(factory),
 		safeland.WithWorkers(workers),
-		safeland.WithCorpusStats(e.Corpus.EngineStats),
 	}
 	return safeland.NewEngine(append(base, opts...)...)
 }

@@ -27,12 +27,12 @@ import (
 // rejection rate, safe-landing rate, E[fatality] — and closes with the
 // corpus dedup check: wind and failure variants share scene specs, so the
 // grid's scenario lookups must collapse to layout × density × hour distinct
-// scenes (verified against Engine.Stats' corpus counters; an experiment
-// that regenerated scenes per scenario would fail here, not just in unit
-// tests). Everything printed is deterministic: per-scenario wind seeds,
-// ordered collection and the monitor's per-call reseeding keep the report
-// byte-identical whatever the worker count — the parity pinned by
-// TestE11ParallelMatchesSequential.
+// scenes (verified against the corpus's own counters, Corpus.Stats, read
+// around the fleet; an experiment that regenerated scenes per scenario
+// would fail here, not just in unit tests). Everything printed is
+// deterministic: per-scenario wind seeds, ordered collection and the
+// monitor's per-call reseeding keep the report byte-identical whatever the
+// worker count — the parity pinned by TestE11ParallelMatchesSequential.
 func RunE11(e *Env, w io.Writer) error {
 	axes := e.GridAxes()
 	scens, err := axes.Enumerate(e.Cfg.SceneSize, e.Cfg.Seed+110)
@@ -52,13 +52,13 @@ func RunE11(e *Env, w io.Writer) error {
 	fmt.Fprintln(w, "selection, then flies a failure-injection mission under the scenario's wind and")
 	fmt.Fprintln(w, "failure profile with the streamed selection as its landing plan.")
 
-	before := eng.Stats()
+	before, corpusBefore := eng.Stats(), e.Corpus.Stats()
 	scenes, resps, err := gridSelect(e, eng, scens)
 	if err != nil {
 		return err
 	}
 	outs := gridMissions(context.Background(), e, scens, scenes, resps)
-	after := eng.Stats()
+	after, corpusAfter := eng.Stats(), e.Corpus.Stats()
 
 	// gridSelect aborts on the first failed response, so reaching this
 	// point means every selection succeeded — the report says exactly that
@@ -99,10 +99,10 @@ func RunE11(e *Env, w io.Writer) error {
 	// measured counters go to the progress log — they depend on what
 	// earlier experiments already cached, so the report itself states
 	// only the grid-derived facts and the verification outcome.
-	delta := safeland.CorpusStats{
-		Generated: after.Corpus.Generated - before.Corpus.Generated,
-		Hits:      after.Corpus.Hits - before.Corpus.Hits,
-		DiskHits:  after.Corpus.DiskHits - before.Corpus.DiskHits,
+	delta := scenario.Stats{
+		Generated: corpusAfter.Generated - corpusBefore.Generated,
+		Hits:      corpusAfter.Hits - corpusBefore.Hits,
+		DiskHits:  corpusAfter.DiskHits - corpusBefore.DiskHits,
 	}
 	fmt.Fprintf(e.Log, "[E11] corpus delta: %d generated, %d cache hits, %d disk hits over %d lookups\n",
 		delta.Generated, delta.Hits, delta.DiskHits, delta.Lookups())
@@ -115,7 +115,7 @@ func RunE11(e *Env, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nScene corpus dedup verified: %d scenario lookups collapsed onto at most %d\n",
 		len(scens), axes.DistinctScenes())
-	fmt.Fprintf(w, "distinct scenes (wind x failure collapse factor %dx) — Engine.Stats corpus counters.\n",
+	fmt.Fprintf(w, "distinct scenes (wind x failure collapse factor %dx) — scene corpus counters.\n",
 		len(axes.Winds)*len(axes.Failures))
 	return nil
 }

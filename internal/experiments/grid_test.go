@@ -81,10 +81,11 @@ func TestE11ParallelMatchesSequential(t *testing.T) {
 }
 
 // TestE11EngineStatsGridDedup pins the 243→27 dedup on the production path
-// for the default grid: the fleet's scene traffic, observed through
-// Engine.Stats' corpus counters, must be exactly 27 generations and 216
-// in-memory cache hits — one generation per layout × density × hour cell,
-// every wind × failure variant served from cache.
+// for the default grid: the fleet's scene traffic, observed through the
+// corpus's own counters (Corpus.Stats), must be exactly 27 generations and
+// 216 in-memory cache hits — one generation per layout × density × hour
+// cell, every wind × failure variant served from cache — while the engine
+// serves all 243 selections.
 func TestE11EngineStatsGridDedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trained-model experiment")
@@ -110,19 +111,20 @@ func TestE11EngineStatsGridDedup(t *testing.T) {
 	if _, _, err := gridSelect(env, eng, scens); err != nil {
 		t.Fatal(err)
 	}
+	cs := env.Corpus.Stats()
+	if cs.Generated != 27 {
+		t.Errorf("default grid generated %d scenes, want 27", cs.Generated)
+	}
+	if cs.Hits != 216 {
+		t.Errorf("default grid hit the cache %d times, want 216", cs.Hits)
+	}
+	if cs.DiskHits != 0 {
+		t.Errorf("in-memory corpus reported %d disk hits", cs.DiskHits)
+	}
+	if cs.Resident != 27 {
+		t.Errorf("corpus holds %d scenes, want 27", cs.Resident)
+	}
 	st := eng.Stats()
-	if st.Corpus.Generated != 27 {
-		t.Errorf("default grid generated %d scenes, want 27", st.Corpus.Generated)
-	}
-	if st.Corpus.Hits != 216 {
-		t.Errorf("default grid hit the cache %d times, want 216", st.Corpus.Hits)
-	}
-	if st.Corpus.DiskHits != 0 {
-		t.Errorf("in-memory corpus reported %d disk hits", st.Corpus.DiskHits)
-	}
-	if st.Corpus.Resident != 27 {
-		t.Errorf("corpus holds %d scenes, want 27", st.Corpus.Resident)
-	}
 	if st.Requests != 243 || st.Served != 243 || st.Failed != 0 {
 		t.Errorf("engine counters = %+v, want 243 requests / 243 served / 0 failed", st)
 	}

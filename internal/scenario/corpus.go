@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"safeland"
 	"safeland/internal/urban"
 )
 
@@ -144,6 +143,10 @@ type Stats struct {
 	Resident int
 }
 
+// Lookups returns the total scene lookups the counters cover: every lookup
+// is exactly one of a generation, a memory hit, or a disk hit.
+func (s Stats) Lookups() int64 { return s.Generated + s.Hits + s.DiskHits }
+
 // Stats returns the corpus counters; Generated is the number the
 // repeated-Env cache tests pin.
 func (c *Corpus) Stats() Stats {
@@ -162,22 +165,6 @@ func (c *Corpus) Stats() Stats {
 		Hits:      c.hits.Load(),
 		DiskHits:  c.diskHits.Load(),
 		Resident:  resident,
-	}
-}
-
-// EngineStats adapts the corpus counters to the Engine's stats surface:
-// wire it with safeland.WithCorpusStats so Engine.Stats reports the scene
-// cache feeding the pool alongside the serving counters (how the E11 grid
-// experiment asserts its 243→27 scene dedup on the production path).
-// The method value binds the corpus at wiring time, so a snapshot always
-// describes the cache the engine was built over.
-func (c *Corpus) EngineStats() safeland.CorpusStats {
-	st := c.Stats()
-	return safeland.CorpusStats{
-		Generated: st.Generated,
-		Hits:      st.Hits,
-		DiskHits:  st.DiskHits,
-		Resident:  st.Resident,
 	}
 }
 

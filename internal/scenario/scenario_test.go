@@ -224,6 +224,24 @@ func TestDiskCorpusRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCorpusLookupsCounted pins that every lookup is counted exactly once,
+// as a generation, a memory hit or a disk hit — the identity E11's dedup
+// check reads off the counters.
+func TestCorpusLookupsCounted(t *testing.T) {
+	if got := (Stats{Generated: 27, Hits: 216, DiskHits: 3, Resident: 27}).Lookups(); got != 27+216+3 {
+		t.Errorf("lookups = %d, want %d", got, 27+216+3)
+	}
+	dir := t.TempDir()
+	NewDiskCorpus(dir).Scene(tinySpec(5))
+	c := NewDiskCorpus(dir)
+	c.Scene(tinySpec(5)) // disk hit
+	c.Scene(tinySpec(5)) // memory hit
+	c.Scene(tinySpec(6)) // generation
+	if st := c.Stats(); st.Generated != 1 || st.Hits != 1 || st.DiskHits != 1 || st.Lookups() != 3 {
+		t.Errorf("stats = %+v, lookups %d; want one of each over 3 lookups", st, st.Lookups())
+	}
+}
+
 // TestDiskCorpusCorruptEntryRegenerates pins the robustness contract of
 // the disk layer: a truncated or garbled cache file reads as a miss, the
 // scene is regenerated bit-identically, and the fresh store overwrites the

@@ -184,20 +184,23 @@ type SessionResponse struct {
 	// Retried counts how many extra attempts this frame took after a
 	// transient fault (always 0 outside degraded mode).
 	Retried int
-	// Degraded is true when the frame's compute budget was exhausted and
-	// Result carries the fault-tolerant fallback zone: Result.State is
-	// core.Degraded and Result.Confirmed is false — a degraded frame never
-	// claims a verified zone. Err is nil on a degraded response.
+	// Degraded is true when the shard failed the frame in degraded mode
+	// (WithDegradedFallback) and Result carries the fault-tolerant fallback
+	// zone: Result.State is core.Degraded and Result.Confirmed is false — a
+	// degraded frame never claims a verified zone. Err is nil on a degraded
+	// response.
 	Degraded bool
-	// DegradedCause names the budget-exhausting fault; "" unless Degraded.
+	// DegradedCause names the fault the fallback answers for; "" unless
+	// Degraded.
 	DegradedCause string
 	// Queued is how long the advance waited for a worker.
 	Queued time.Duration
 	// Elapsed is the processing time, excluding queueing.
 	Elapsed time.Duration
-	// Err is non-nil when the advance was cancelled, timed out while
-	// queued, preempted (ErrPreempted), the request was malformed, or the
-	// engine was closed (ErrClosed).
+	// Err is non-nil when the advance was cancelled or timed out through
+	// its context, preempted (ErrPreempted) or failed on a shard fault
+	// outside degraded mode, the request was malformed, or the engine was
+	// closed (ErrClosed).
 	Err error
 }
 
@@ -247,45 +250,4 @@ func (s *Session) Advance(ctx context.Context, req SelectRequest) SessionRespons
 // carries no trial, and a degraded answer is never confirmed.
 func monitorConfirmed(r core.Result) bool {
 	return r.Confirmed && len(r.Trials) > 0 && r.Trials[len(r.Trials)-1].Verdict.Confirmed
-}
-
-// registerPreemptible enters a routine advance's cancel into the engine's
-// preemption registry and returns its id.
-func (e *Engine) registerPreemptible(cancel context.CancelCauseFunc) int64 {
-	e.preemptMu.Lock()
-	defer e.preemptMu.Unlock()
-	e.preemptSeq++
-	e.preemptible[e.preemptSeq] = cancel
-	return e.preemptSeq
-}
-
-func (e *Engine) unregisterPreemptible(id int64) {
-	e.preemptMu.Lock()
-	delete(e.preemptible, id)
-	e.preemptMu.Unlock()
-}
-
-// preemptOneRoutine cancels the oldest in-flight routine session advance
-// with cause ErrPreempted, freeing its worker for a safety-class advance
-// within one layer's work. It reports whether an advance was preempted.
-func (e *Engine) preemptOneRoutine() bool {
-	e.preemptMu.Lock()
-	best := int64(-1)
-	for id := range e.preemptible {
-		if best < 0 || id < best {
-			best = id
-		}
-	}
-	var cancel context.CancelCauseFunc
-	if best >= 0 {
-		cancel = e.preemptible[best]
-		delete(e.preemptible, best)
-	}
-	e.preemptMu.Unlock()
-	if cancel == nil {
-		return false
-	}
-	cancel(ErrPreempted)
-	e.preempted.Add(1)
-	return true
 }

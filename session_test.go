@@ -267,15 +267,20 @@ func TestSessionBaselineSelectorNeverReuses(t *testing.T) {
 	}
 }
 
-// waitForPreemptible blocks until a routine advance has registered in the
-// engine's preemption registry (i.e. is mid-compute on a worker replica).
+// waitForPreemptible blocks until a routine session frame holds a worker
+// the pool may preempt (i.e. is on a worker replica).
 func waitForPreemptible(t *testing.T, e *Engine) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		e.preemptMu.Lock()
-		n := len(e.preemptible)
-		e.preemptMu.Unlock()
+		e.pool.mu.Lock()
+		n := 0
+		for _, w := range e.pool.held {
+			if w.preempt != nil {
+				n++
+			}
+		}
+		e.pool.mu.Unlock()
 		if n > 0 {
 			return
 		}
@@ -363,6 +368,90 @@ func TestSessionSafetyPreemptsRoutine(t *testing.T) {
 	victim := <-done
 	if !errors.Is(victim.Err, ErrPreempted) {
 		t.Fatalf("routine advance err = %v, want ErrPreempted", victim.Err)
+	}
+	if st := eng.Stats(); st.Preempted != 1 {
+		t.Errorf("stats Preempted = %d, want 1", st.Preempted)
+	}
+}
+
+// orderSelector serves stub frames whose MPP tags them: tag 1 runs until
+// its context is cancelled, every other tag is recorded in serving order
+// and confirmed at once.
+type orderSelector struct {
+	mu    *sync.Mutex
+	order *[]float64
+}
+
+func (orderSelector) Name() string { return "order-stub" }
+
+func (s orderSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	if req.MPP == 1 {
+		<-ctx.Done()
+		return core.Result{}, ctx.Err()
+	}
+	s.mu.Lock()
+	*s.order = append(*s.order, req.MPP)
+	s.mu.Unlock()
+	return core.Result{Confirmed: true, State: core.Landing}, nil
+}
+
+// TestSafetyPreemptionJumpsRoutineQueue pins the pool's promise to a safety
+// frame: with the one worker held by a routine session frame and a routine
+// Select queued behind it, a triggered session's advance preempts the
+// frame (ErrPreempted, Preempted 1) and is served on the freed worker
+// before the Select that queued first.
+func TestSafetyPreemptionJumpsRoutineQueue(t *testing.T) {
+	var mu sync.Mutex
+	var order []float64
+	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1),
+		WithSelector(func(*System) (Selector, error) { return orderSelector{mu: &mu, order: &order}, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	routine, err := eng.NewSession("uav-routine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routine.Close()
+	trig := NewSafetyTrigger()
+	urgent, err := eng.NewSession("uav-urgent", WithSessionTrigger(trig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer urgent.Close()
+	ctx := context.Background()
+	frame := func(tag float64) SelectRequest { return SelectRequest{Image: imaging.NewImage(32, 32), MPP: tag} }
+
+	victim := make(chan SessionResponse, 1)
+	go func() { victim <- routine.Advance(ctx, frame(1)) }()
+	waitForPreemptible(t, eng)
+	queued := make(chan SelectResponse, 1)
+	go func() { queued <- eng.Select(ctx, frame(2)) }()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		eng.pool.mu.Lock()
+		n := len(eng.pool.routine)
+		eng.pool.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the routine Select never queued")
+		}
+	}
+
+	trig.Trigger("motor failure")
+	if resp := urgent.Advance(ctx, frame(3)); resp.Err != nil || !resp.Safety {
+		t.Fatalf("safety advance: Err=%v Safety=%v", resp.Err, resp.Safety)
+	}
+	if v := <-victim; !errors.Is(v.Err, ErrPreempted) {
+		t.Fatalf("routine frame err = %v, want ErrPreempted", v.Err)
+	}
+	if q := <-queued; q.Err != nil {
+		t.Fatalf("queued Select: %v", q.Err)
+	}
+	if want := []float64{3, 2}; !reflect.DeepEqual(order, want) {
+		t.Errorf("served tags %v, want %v: the safety frame must jump the routine queue", order, want)
 	}
 	if st := eng.Stats(); st.Preempted != 1 {
 		t.Errorf("stats Preempted = %d, want 1", st.Preempted)
