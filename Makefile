@@ -1,7 +1,7 @@
 # Developer workflow for the safeland reproduction.
 #
 #   make check       # tier-1 gate + arm64 cross-build and FMA check + race detector (shuffled) + bench smoke + bench module
-#   make bench       # benchmarks; engine + fleet + hot-path numbers land in BENCH_*.json
+#   make bench       # paper-artifact benchmarks; hot-path and monitoring numbers land in BENCH_nn/monitor.json
 #   make bench-smoke # one iteration of each perception benchmark (keeps the harness honest)
 #   make grid        # E11 grid coverage standalone (quick scale)
 #   make e12         # E12 full-frame monitoring standalone (quick scale)
@@ -55,15 +55,17 @@ vet:
 build:
 	$(GO) build ./...
 
-# Conv2D's run kernel and the frozen network's BatchNorm→ReLU epilogue are
-# AVX assembly on amd64 (taken when the CPU reports AVX), the channel
-# softmax AVX2+FMA assembly and the dropout mask AVX2 assembly (taken when
-# the CPU reports those; internal/cpu reads the flags), the portable Go
-# bodies otherwise, and portable Go on every other GOARCH, wired in by
-# files no amd64 build compiles: vet and build for arm64 too. (The amd64 vet
-# already checks the assembly's frames against their Go declarations.) Then
-# read the arm64 assembly of the FMA_FREE functions and fail on a fused
-# multiply-add in any of them, or on a listed function it no longer finds.
+# Conv2D's run kernel is AVX-512 or AVX assembly on amd64 (taken when the
+# CPU reports those), its transposing store and the frozen network's
+# BatchNorm→ReLU epilogue AVX assembly (taken when the CPU reports AVX),
+# the channel softmax AVX2+FMA assembly and the dropout mask AVX2 assembly
+# (taken when the CPU reports those; internal/cpu reads the flags), the
+# portable Go bodies otherwise, and portable Go on every other GOARCH,
+# wired in by files no amd64 build compiles: vet and build for arm64 too.
+# (The amd64 vet already checks the assembly's frames against their Go
+# declarations.) Then read the arm64 assembly of the FMA_FREE functions and
+# fail on a fused multiply-add in any of them, or on a listed function it
+# no longer finds.
 cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	@GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn ./internal/monitor 2>&1 | awk -v want='$(FMA_FREE)' ' \
@@ -94,25 +96,14 @@ race-experiments:
 	$(GO) vet ./internal/experiments ./internal/scenario
 	$(GO) test -race -timeout 120m ./internal/experiments ./internal/scenario
 
-# One pass over every benchmark, split so nothing runs twice: the
-# paper-artifact benchmarks (BenchmarkE1..E10*) print human-readably, the
-# Engine batch scaling curve (BenchmarkEngineBatch{1,4,8}Workers) lands in
-# BENCH_engine.json, the descent-session fleet curve
-# (BenchmarkSessionFleet{100,1000}, reuse vs full-recompute arms with
-# ns/frame metrics, plus BenchmarkSessionFleetChaos — the same fleet under
-# injected faults with degraded-mode serving) in BENCH_serve.json, the
-# strategy-fleet curve
-# (BenchmarkExperimentE8Workers{1,4,8}) in BENCH_experiments.json and the
-# E11 grid-fleet curve (BenchmarkExperimentE11Workers{1,4,8}) in
-# BENCH_grid.json as test2json events. Those four are machine-specific
-# dumps that git ignores; the perception hot-path and frame-monitoring
-# baselines, BENCH_nn.json and BENCH_monitor.json, are the committed ones.
+# One pass over the go test benchmarks: the paper-artifact benchmarks
+# (BenchmarkE1..E10*) print human-readably, and the perception hot-path and
+# frame-monitoring baselines land in BENCH_nn.json and BENCH_monitor.json,
+# which are committed. Serving speed (engine, sessions, fleets under
+# faults) is measured by the EL-service benchmark under bench/, whose
+# `--compare --ledger` output is committed as BENCH_e2e.json.
 bench:
 	$(GO) test -bench='^BenchmarkE[0-9]' -benchtime=1x -run=^$$ .
-	$(GO) test -bench=BenchmarkEngineBatch -benchtime=1x -run=^$$ -json . > BENCH_engine.json
-	$(GO) test -bench=BenchmarkSessionFleet -benchtime=1x -run=^$$ -timeout 60m -json . > BENCH_serve.json
-	$(GO) test -bench=BenchmarkExperimentE8 -benchtime=1x -run=^$$ -json ./internal/experiments > BENCH_experiments.json
-	$(GO) test -bench=BenchmarkExperimentE11 -benchtime=1x -run=^$$ -json ./internal/experiments > BENCH_grid.json
 	$(GO) test -bench='$(NN_BENCH)' -benchmem -cpu 1 -run=^$$ -json $(NN_BENCH_PKGS) > BENCH_nn.json
 	$(GO) test -bench='$(MONITOR_BENCH)' -benchmem -cpu 1 -benchtime=10x -run=^$$ -json ./internal/monitor > BENCH_monitor.json
 

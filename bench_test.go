@@ -8,7 +8,6 @@ package safeland
 // first use; the fixture cost is paid once per `go test -bench` run).
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -214,44 +213,6 @@ func BenchmarkE9MonitorFullFrame(b *testing.B) {
 		sys.Pipeline.Monitor.VerifyRegion(frame.Image, rule)
 	}
 }
-
-// benchmarkEngineBatch measures Engine.SelectBatch over 8 synthetic
-// emergency scenes at the given worker-pool size, recording the parallel
-// throughput trajectory of the request/response API next to the
-// single-call E7–E9 numbers.
-func benchmarkEngineBatch(b *testing.B, workers int) {
-	sys, _, _ := benchSystem(b)
-	eng, err := NewEngine(WithSystem(sys), WithWorkers(workers))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := urban.DefaultConfig()
-	cfg.W, cfg.H = 192, 192
-	reqs := make([]SelectRequest, 8)
-	for i := range reqs {
-		scene := urban.Generate(cfg, urban.DefaultConditions(), 600+int64(i))
-		reqs[i] = SelectRequest{Image: scene.Image, MPP: scene.MPP}
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, resp := range eng.SelectBatch(ctx, reqs) {
-			if resp.Err != nil {
-				b.Fatal(resp.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkEngineBatch1Worker is the sequential floor of the batch path.
-func BenchmarkEngineBatch1Worker(b *testing.B) { benchmarkEngineBatch(b, 1) }
-
-// BenchmarkEngineBatch4Workers is the default-scale worker pool.
-func BenchmarkEngineBatch4Workers(b *testing.B) { benchmarkEngineBatch(b, 4) }
-
-// BenchmarkEngineBatch8Workers oversubscribes most CPUs; it bounds the
-// scaling curve where the workers start to contend for cores.
-func BenchmarkEngineBatch8Workers(b *testing.B) { benchmarkEngineBatch(b, 8) }
 
 // BenchmarkE10TauSweep measures the monitor ROC sweep on one OOD scene.
 func BenchmarkE10TauSweep(b *testing.B) {

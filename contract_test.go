@@ -3,6 +3,7 @@ package safeland
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,15 +16,25 @@ import (
 )
 
 // contractSelector is FuzzServingContract's stub backend: it rejects a
-// malformed frame as the real backends do, works for HomeX microseconds
-// while honoring ctx, and answers with contractResult, whose candidate
-// count is the request's MPP, so each response names its request.
+// malformed frame as the real backends do — no frame, no scale, or an odd
+// width, through the same request check the Engine runs before its fault
+// points — works for HomeX microseconds while honoring ctx, and answers
+// with contractResult, whose candidate count is the request's MPP, so each
+// response names its request.
 type contractSelector struct{}
 
 func (contractSelector) Name() string { return "contract-stub" }
 
-func (contractSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
-	if _, _, err := req.frame(); err != nil {
+func (contractSelector) checkRequest(req SelectRequest) error {
+	img, _, err := req.frame()
+	if err == nil && img.W%2 != 0 {
+		err = fmt.Errorf("%w: odd width %d", errBadRequest, img.W)
+	}
+	return err
+}
+
+func (s contractSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	if err := s.checkRequest(req); err != nil {
 		return core.Result{}, err
 	}
 	if err := sleepCtx(ctx, time.Duration(req.HomeX)*time.Microsecond); err != nil {
@@ -76,10 +87,12 @@ func (l *contractLedger) check(t *testing.T, degrade bool, closing *atomic.Bool,
 	if retried > 1 || (!degrade && retried > 0) {
 		t.Errorf("request %v retried %d times (degraded mode %v)", c.req.MPP, retried, degrade)
 	}
-	_, _, ferr := c.req.frame()
+	rejected := contractSelector{}.checkRequest(c.req)
 	switch {
 	case err != nil && degraded:
 		t.Errorf("request %v: error %v on a degraded response", c.req.MPP, err)
+	case degraded && rejected != nil:
+		t.Errorf("request %v: degraded answer (cause %q) to a request the backend rejects: %v", c.req.MPP, cause, rejected)
 	case err == nil && !degraded:
 		if !reflect.DeepEqual(res, contractResult(c.req)) {
 			t.Errorf("request %v: result %+v is not the selector's", c.req.MPP, res)
@@ -94,7 +107,7 @@ func (l *contractLedger) check(t *testing.T, degrade bool, closing *atomic.Bool,
 			t.Errorf("request %v: degraded with cause %q", c.req.MPP, cause)
 		}
 	case c.ctx.Err() != nil && errors.Is(err, c.ctx.Err()):
-	case errors.Is(err, errBadRequest) && ferr != nil:
+	case errors.Is(err, errBadRequest) && rejected != nil:
 	case errors.Is(err, ErrClosed) && closing.Load():
 	case errors.Is(err, ErrSessionClosed) && c.sessionClosed:
 	case !degrade && faults.AsInjected(err) != nil:
@@ -112,9 +125,10 @@ func (l *contractLedger) check(t *testing.T, degrade bool, closing *atomic.Bool,
 // malformed requests, caller cancellations before and during a call, and
 // deadlines, while triggers fire, sessions close and the engine closes.
 // Every response must be exactly one of: the Selector's result; a degraded
-// FT answer, never confirmed, with a cause; an error the caller caused (its
-// context's error, a malformed request, ErrClosed, ErrSessionClosed); or,
-// with degraded mode off only, an injected fault or ErrPreempted.
+// FT answer, never confirmed, with a cause, and never to a request the
+// backend rejects; an error the caller caused (its context's error, a
+// malformed request, ErrClosed, ErrSessionClosed); or, with degraded mode
+// off only, an injected fault or ErrPreempted.
 // EngineStats must reconcile with the responses, and every worker must be
 // back in the pool once Close has returned.
 //
@@ -135,6 +149,11 @@ func FuzzServingContract(f *testing.F) {
 	// A session frame whose caller cancelled, on a blacked-out frame in
 	// degraded mode: the caller's context error is the answer.
 	f.Add(uint8(0), true, []byte{2, 0}, []byte{13})
+	// An odd-width Select and an odd-width session frame, each on a
+	// blacked-out frame 0 in degraded mode: the malformed request, not the
+	// blackout, is the answer.
+	f.Add(uint8(0), true, []byte{2, 0}, []byte{72})
+	f.Add(uint8(0), true, []byte{2, 0}, []byte{73})
 	f.Fuzz(func(t *testing.T, workers uint8, degrade bool, schedule, ops []byte) {
 		const clients, maxOps, maxFaults = 4, 64, 8
 		points := []string{"shard", "v1", "v2", "v3"}
@@ -186,11 +205,14 @@ func FuzzServingContract(f *testing.F) {
 					switch op % 8 {
 					case 1:
 						req.HomeX = 200
-					case 2: // malformed: no frame, or no scale
-						if op&8 == 0 {
+					case 2: // malformed: no frame, no scale, or an odd width
+						switch op / 8 % 3 {
+						case 0:
 							req.Image = nil
-						} else {
+						case 1:
 							req.MPP = 0
+						default:
+							req.Image = imaging.NewImage(7, 8)
 						}
 					case 3: // cancelled before the call
 						ctx, cancel = context.WithCancel(ctx)

@@ -78,7 +78,8 @@ type EngineStats struct {
 	// Requests counts selections accepted by Select, SelectBatch or Serve.
 	Requests int64
 	// Served counts requests that reached a worker's backend (Requests
-	// minus the ones cancelled or timed out while queued).
+	// minus the ones rejected as malformed before the attempt loop and the
+	// ones cancelled or timed out while queued).
 	Served int64
 	// Failed counts requests that ended in an error: an error response
 	// (failed while queued or on a worker), or a Serve request dropped by
@@ -247,6 +248,9 @@ type Engine struct {
 	selector string
 	name     string
 	pool     *replicaPool
+	// check is the backend's request check (requestChecker); nil for a
+	// custom Selector.
+	check requestChecker
 	// inj is the chaos injector (WithFaultInjector); nil injects nothing.
 	inj *faults.Injector
 	// degrade enables degraded-mode serving (WithDegradedFallback): a
@@ -347,6 +351,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		if i == 0 {
 			e.selector = sel.Name()
+			e.check, _ = sel.(requestChecker)
 		}
 		ws = append(ws, &worker{sel: sel, pipe: rep.Pipeline})
 	}
@@ -486,7 +491,9 @@ type outcome struct {
 // the caller's context alone. A transient fault gets the bounded retry with
 // backoff, the breaker observes how the call ended, and in degraded mode a
 // failure the shard caused is answered by the FT fallback. After Close it
-// refuses the call with ErrClosed before any of that.
+// refuses the call with ErrClosed before any of that, and then a request
+// the backend's check rejects gets its malformed-request error, before any
+// fault point.
 func (e *Engine) serve(ctx context.Context, c call) outcome {
 	var o outcome
 	if !e.enter() {
@@ -494,6 +501,11 @@ func (e *Engine) serve(ctx context.Context, c call) outcome {
 		return o
 	}
 	defer e.inflight.Done()
+	if e.check != nil {
+		if o.err = e.check.checkRequest(c.req); o.err != nil {
+			return o
+		}
+	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {

@@ -216,50 +216,65 @@ func TestDegradedModeRefusesMalformedRequest(t *testing.T) {
 // odd width or height on the stride-2 stem — is the caller's error on the
 // pipeline and hybrid backends, on Select and on a session advance: never
 // a panic in the worker goroutine, and never an FT answer in degraded
-// mode. The engine then serves the next even frame normally.
+// mode, not even when a shard blackout is scheduled on that very frame.
+// The check runs before the attempt loop, so the odd frame never reaches
+// a worker. The engine then serves the next even frame normally.
 func TestEngineRejectsOddFrame(t *testing.T) {
 	cfg := urban.DefaultConfig()
 	cfg.W, cfg.H = 64, 64
 	scene := urban.Generate(cfg, urban.DefaultConditions(), 7)
 	even := SelectRequest{Scene: scene}
-	for _, tc := range []struct {
-		sel       SelectorFactory
-		odd, odd2 SelectRequest
-	}{
-		{PipelineSelector(),
-			SelectRequest{Image: imaging.NewImage(63, 64), MPP: 0.5},
-			SelectRequest{Image: imaging.NewImage(64, 63), MPP: 0.5}},
-		{HybridSelector(),
-			SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(63, 64), MPP: 0.5}},
-			SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(64, 63), MPP: 0.5}}},
-	} {
-		eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(1), WithSelector(tc.sel), WithDegradedFallback(true))
-		if err != nil {
-			t.Fatal(err)
+	for _, blackout := range []bool{false, true} {
+		for _, tc := range []struct {
+			sel       SelectorFactory
+			odd, odd2 SelectRequest
+		}{
+			{PipelineSelector(),
+				SelectRequest{Image: imaging.NewImage(63, 64), MPP: 0.5},
+				SelectRequest{Image: imaging.NewImage(64, 63), MPP: 0.5}},
+			{HybridSelector(),
+				SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(63, 64), MPP: 0.5}},
+				SelectRequest{Scene: &urban.Scene{Image: imaging.NewImage(64, 63), MPP: 0.5}}},
+		} {
+			opts := []Option{WithSystem(stubSystem()), WithWorkers(1), WithSelector(tc.sel),
+				WithDegradedFallback(true), WithShardName("shardX")}
+			if blackout {
+				// The odd Select and the odd advance are each frame 0 of
+				// their stream, the frame the blackout takes.
+				inj := faults.NewInjector(1, faults.Rates{})
+				inj.ScheduleFault(faults.ShardBlackout, "shardX", 0)
+				opts = append(opts, WithFaultInjector(inj))
+			}
+			eng, err := NewEngine(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s (blackout %v)", eng.SelectorName(), blackout)
+			ctx := context.Background()
+			if resp := eng.Select(ctx, tc.odd); !errors.Is(resp.Err, errBadRequest) || resp.Degraded {
+				t.Fatalf("%s: odd Select Err=%v Degraded=%v cause=%q, want a malformed-request error",
+					name, resp.Err, resp.Degraded, resp.DegradedCause)
+			}
+			if resp := eng.Select(ctx, even); resp.Err != nil || resp.Degraded {
+				t.Fatalf("%s: even Select after an odd one: Err=%v Degraded=%v", name, resp.Err, resp.Degraded)
+			}
+			sess, err := eng.NewSession("uav-odd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adv := sess.Advance(ctx, tc.odd2); !errors.Is(adv.Err, errBadRequest) || adv.Degraded {
+				t.Fatalf("%s: odd Advance Err=%v Degraded=%v cause=%q, want a malformed-request error",
+					name, adv.Err, adv.Degraded, adv.DegradedCause)
+			}
+			if adv := sess.Advance(ctx, even); adv.Err != nil || adv.Degraded {
+				t.Fatalf("%s: even Advance after an odd one: Err=%v Degraded=%v", name, adv.Err, adv.Degraded)
+			}
+			if st := eng.Stats(); st.Degraded != 0 || st.Failed != 1 || st.Served != 1 || st.Frames != 1 {
+				t.Errorf("%s: stats Degraded=%d Failed=%d Served=%d Frames=%d, want 0/1/1/1", name, st.Degraded, st.Failed, st.Served, st.Frames)
+			}
+			sess.Close()
+			eng.Close()
 		}
-		name := eng.SelectorName()
-		ctx := context.Background()
-		if resp := eng.Select(ctx, tc.odd); !errors.Is(resp.Err, errBadRequest) || resp.Degraded {
-			t.Fatalf("%s: odd Select Err=%v Degraded=%v, want a malformed-request error", name, resp.Err, resp.Degraded)
-		}
-		if resp := eng.Select(ctx, even); resp.Err != nil || resp.Degraded {
-			t.Fatalf("%s: even Select after an odd one: Err=%v Degraded=%v", name, resp.Err, resp.Degraded)
-		}
-		sess, err := eng.NewSession("uav-odd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if adv := sess.Advance(ctx, tc.odd2); !errors.Is(adv.Err, errBadRequest) || adv.Degraded {
-			t.Fatalf("%s: odd Advance Err=%v Degraded=%v, want a malformed-request error", name, adv.Err, adv.Degraded)
-		}
-		if adv := sess.Advance(ctx, even); adv.Err != nil || adv.Degraded {
-			t.Fatalf("%s: even Advance after an odd one: Err=%v Degraded=%v", name, adv.Err, adv.Degraded)
-		}
-		if st := eng.Stats(); st.Degraded != 0 || st.Failed != 1 || st.Served != 2 || st.Frames != 1 {
-			t.Errorf("%s: stats Degraded=%d Failed=%d Served=%d Frames=%d, want 0/1/2/1", name, st.Degraded, st.Failed, st.Served, st.Frames)
-		}
-		sess.Close()
-		eng.Close()
 	}
 }
 

@@ -14,6 +14,9 @@ type Features struct {
 	AVX2 bool
 	// FMA is fused multiply-add.
 	FMA bool
+	// AVX512 is AVX-512F: 512-bit float vectors and opmasks, with the
+	// opmask and ZMM state saved by the OS.
+	AVX512 bool
 }
 
 // Detected is the feature set of this CPU and OS: none off amd64.

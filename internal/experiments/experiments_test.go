@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"regexp"
 	"strings"
 	"sync"
@@ -444,30 +443,3 @@ func TestFleetRunCoversAllIndicesOnce(t *testing.T) {
 	}
 	fleetRun(4, 0, func(int) { t.Fatal("fn called for empty fleet") })
 }
-
-func benchmarkExperimentE8(b *testing.B, workers int) {
-	sharedEnv.once.Do(func() {
-		sharedEnv.env = NewEnv(QuickConfig(), nil)
-	})
-	env := sharedEnv.env
-	restore := env.Cfg.Workers
-	defer func() { env.Cfg.Workers = restore }()
-	env.Cfg.Workers = workers
-	env.Model() // pay the training fixture outside the timed loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := RunE8(env, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExperimentE8Workers{1,4,8} trace the strategy-fleet scaling
-// curve; on a multi-core runner the 4-worker point should beat 1 worker
-// while producing byte-identical reports (TestE8ParallelMatchesSequential).
-func BenchmarkExperimentE8Workers1(b *testing.B) { benchmarkExperimentE8(b, 1) }
-
-func BenchmarkExperimentE8Workers4(b *testing.B) { benchmarkExperimentE8(b, 4) }
-
-func BenchmarkExperimentE8Workers8(b *testing.B) { benchmarkExperimentE8(b, 8) }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -129,34 +128,3 @@ func TestE11EngineStatsGridDedup(t *testing.T) {
 		t.Errorf("engine counters = %+v, want 243 requests / 243 served / 0 failed", st)
 	}
 }
-
-func benchmarkExperimentE11(b *testing.B, workers int) {
-	sharedEnv.once.Do(func() {
-		sharedEnv.env = NewEnv(QuickConfig(), nil)
-	})
-	env := sharedEnv.env
-	restoreWorkers, restoreGrid := env.Cfg.Workers, env.Cfg.Grid
-	defer func() { env.Cfg.Workers, env.Cfg.Grid = restoreWorkers, restoreGrid }()
-	env.Cfg.Workers = workers
-	// The benchmark grid spans every axis at two variants each (32
-	// scenarios, 8 scenes): enough fan-out to expose pool scaling without
-	// paying the full 243-scenario fleet per iteration.
-	env.Cfg.Grid = scenario.DefaultAxes().Truncate(2)
-	env.Model() // pay the training fixture outside the timed loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := RunE11(env, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExperimentE11Workers{1,4,8} trace the grid-fleet scaling curve
-// (make bench lands them in BENCH_grid.json); reports stay byte-identical
-// across worker counts (TestE11ParallelMatchesSequential).
-func BenchmarkExperimentE11Workers1(b *testing.B) { benchmarkExperimentE11(b, 1) }
-
-func BenchmarkExperimentE11Workers4(b *testing.B) { benchmarkExperimentE11(b, 4) }
-
-func BenchmarkExperimentE11Workers8(b *testing.B) { benchmarkExperimentE11(b, 8) }

@@ -186,17 +186,22 @@ func goldenRun(t *testing.T, m *segment.Model) (map[string]uint64, map[imaging.C
 // Monte-Carlo statistics and the verdicts of a fixed model to
 // goldenDigests, on the trainable model and on a frozen clone, which runs
 // the fused inference network, and on every set of kernel bodies the CPU
-// can run, selected through cpu.Use: the vector bodies, then the portable
-// ones. Every path must compute exactly those bits.
+// can run, selected through cpu.Use: the vector bodies, the same without
+// AVX-512 (the AVX conv kernel), then the portable ones. Every path must
+// compute exactly those bits.
 func TestGoldenInferenceDigest(t *testing.T) {
 	m := goldenModel()
 	clone, err := m.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodySets := []cpu.Features{{}}
+	bodySets := []cpu.Features{cpu.Detected}
+	if d := cpu.Detected; d.AVX512 {
+		d.AVX512 = false
+		bodySets = append(bodySets, d)
+	}
 	if cpu.Detected != (cpu.Features{}) {
-		bodySets = []cpu.Features{cpu.Detected, {}}
+		bodySets = append(bodySets, cpu.Features{})
 	}
 	defer func(saved cpu.Features) { cpu.Use = saved }(cpu.Use)
 	for _, use := range bodySets {

@@ -16,12 +16,12 @@ import (
 // time. It repacks the weights so the convLanes channels of each tap sit
 // side by side behind their biases, splits each output row into runs of
 // pixels whose valid kx taps are the same (tapRange), and hands each run to
-// convRun: AVX on amd64 CPUs that have it (conv_amd64.s), the portable
-// convTapsGo pixel by pixel elsewhere. Every lane starts from its bias and
-// adds each product, rounded to float32, in the icc→ky→kx order of the
-// naive reference loop (convRefForward in the tests), skipping out-of-range
-// taps instead of adding zero padding, so outputs are byte-identical to that
-// loop at every geometry and on either kernel.
+// convRun: AVX-512 or AVX on amd64 CPUs that have them (conv_amd64.s), the
+// portable convTapsGo pixel by pixel elsewhere. Every lane starts from its
+// bias and adds each product, rounded to float32, in the icc→ky→kx order of
+// the naive reference loop (convRefForward in the tests), skipping
+// out-of-range taps instead of adding zero padding, so outputs are
+// byte-identical to that loop at every geometry and on every kernel.
 type Conv2D struct {
 	InC, OutC int
 	K         int // square kernel size
@@ -38,8 +38,8 @@ type Conv2D struct {
 	runs   []colRun  // output column runs per Forward, see columnRuns
 }
 
-// convLanes is how many output channels convRun accumulates per pixel: two
-// 8-wide AVX registers.
+// convLanes is how many output channels convRun accumulates per pixel: one
+// AVX-512 register, or two 8-wide AVX registers.
 const convLanes = 16
 
 // convRunMax is the chunk of output columns Forward computes before
@@ -250,12 +250,27 @@ func finishRun(od []float32, ohw int, run []float32, n, live int, epi *[epilogue
 
 // storeRun copies the first live lanes of n pixel-major results into
 // channel-major output: lane l's n values go to od[l*ohw:][:n], one
-// contiguous row per output channel. It stays out of line: inlined into
-// Forward's row loop, its loop counter lives on the stack, and the copy
-// runs about half as fast.
+// contiguous row per output channel, for 1 <= live <= convLanes. Where the
+// CPU has AVX (cpu.Use), storeRunAVX transposes the pixels up to the last
+// multiple of eight and storeRunGo copies the rest; it only copies, so
+// either way the rows hold the same bits.
+func storeRun(od []float32, ohw int, run []float32, n, live int) {
+	done := 0
+	if cpu.Use.AVX && n >= 8 {
+		done = n &^ 7
+		_ = od[(live-1)*ohw+done-1] // the last cell storeRunAVX writes
+		_ = run[done*convLanes-1]
+		storeRunAVX(od, ohw, run, done, live)
+	}
+	storeRunGo(od[done:], ohw, run[done*convLanes:], n-done, live)
+}
+
+// storeRunGo is the portable body of storeRun. It stays out of line:
+// inlined into Forward's row loop, its loop counter lives on the stack,
+// and the copy runs about half as fast.
 //
 //go:noinline
-func storeRun(od []float32, ohw int, run []float32, n, live int) {
+func storeRunGo(od []float32, ohw int, run []float32, n, live int) {
 	for l := 0; l < live; l++ {
 		dst, j := od[l*ohw:][:n], l
 		for i := range dst {
@@ -269,10 +284,14 @@ func storeRun(od []float32, ohw int, run []float32, n, live int) {
 // pixels p of a run, with the convLanes biases b plus the taps of pixel p:
 // for nc channels × ny rows × nx columns, tap (ci, y, t) adds the convLanes
 // weights w[ci*wc + y*wy + t*convLanes:] times the sample x[ci*xc + y*xy +
-// t*xx + p*px]. With AVX it computes four pixels per weight load; otherwise
-// convTapsGo computes one pixel at a time.
+// t*xx + p*px]. With AVX-512 it computes eight pixels per weight load,
+// with AVX four; otherwise convTapsGo computes one pixel at a time.
 func convRun(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int) {
 	out = out[:np*convLanes]
+	if cpu.Use.AVX512 {
+		convRunAVX512(out, b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
+		return
+	}
 	if cpu.Use.AVX {
 		convRunAVX(out, b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
 		return

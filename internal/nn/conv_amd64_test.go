@@ -8,67 +8,131 @@ import (
 	"safeland/internal/cpu"
 )
 
-// TestConvTapsMatchesPortable runs the AVX run kernel and the portable Go
-// body, pixel by pixel, on the same random run lengths (1-9 pixels: every
-// mix of four-pixel blocks and a one-to-three-pixel tail), pixel strides 1
-// and 2, tap counts (zero included) and operands spread over six orders of
-// magnitude, so rounding differences would surface: every lane of every
-// pixel must come out bit-for-bit the same, and zero tap counts must leave
-// each pixel at its biases.
+// TestConvTapsMatchesPortable runs each vector run kernel the CPU has
+// (convRunAVX512, convRunAVX) and the portable Go body, pixel by pixel, on
+// the same random runs: 1-33 pixels, which covers every mix of eight-,
+// four-, two- and one-pixel blocks, pixel strides 1 and 2, tap counts
+// (zero included) and operands over six orders of magnitude with ±0,
+// ±Inf, NaN and denormals among them. Every lane of every pixel must come
+// out with convTapsGo's bits (any two NaNs count as equal there, as Go
+// does not fix which operand a NaN comes from), zero tap counts must leave
+// each pixel at its biases, and a guard pixel on each side must stay
+// untouched. Where the CPU has both kernels, the AVX-512 one must also
+// match the AVX one bit for bit, NaN payloads included: it multiplies and
+// adds with the same operands in the same roles.
 func TestConvTapsMatchesPortable(t *testing.T) {
-	if !cpu.Detected.AVX {
+	type kernel struct {
+		name string
+		run  func(out []float32, b *[convLanes]float32, w, x []float32, np, px, nc, ny, nx, xc, xy, xx, wc, wy int)
+	}
+	var kernels []kernel
+	if cpu.Detected.AVX512 {
+		kernels = append(kernels, kernel{"avx512", convRunAVX512})
+	}
+	if cpu.Detected.AVX {
+		kernels = append(kernels, kernel{"avx", convRunAVX})
+	}
+	if len(kernels) == 0 {
 		t.Skip("CPU without AVX: convRun runs the portable body only")
 	}
 	rng := rand.New(rand.NewSource(20261017))
-	value := func() float32 {
-		return float32(rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3))
-	}
-	for trial := 0; trial < 1000; trial++ {
-		np, px := 1+rng.Intn(9), 1+rng.Intn(2)
+	for trial := 0; trial < 2000; trial++ {
+		np, px := 1+trial%33, 1+rng.Intn(2)
 		nc, ny, nx := rng.Intn(25), rng.Intn(6), rng.Intn(6)
 		xx := 1 + rng.Intn(5)
 		xy := nx*xx + rng.Intn(9)
 		xc := ny*xy + rng.Intn(17)
 		wy := (nx + rng.Intn(3)) * convLanes
 		wc := ny*wy + rng.Intn(3)*convLanes
+		rate := []float64{0, 0.002, 0.05}[trial%3]
 		var x, w []float32
 		if nc > 0 && ny > 0 && nx > 0 {
-			x = make([]float32, (nc-1)*xc+(ny-1)*xy+(nx-1)*xx+(np-1)*px+1)
-			w = make([]float32, (nc-1)*wc+(ny-1)*wy+nx*convLanes)
-		}
-		for i := range x {
-			x[i] = value()
-		}
-		for i := range w {
-			w[i] = value()
+			x = specialInput(rng, rate, (nc-1)*xc+(ny-1)*xy+(nx-1)*xx+(np-1)*px+1).Data
+			w = specialInput(rng, rate, (nc-1)*wc+(ny-1)*wy+nx*convLanes).Data
 		}
 		var b [convLanes]float32
-		for l := range b {
-			b[l] = value()
-		}
+		copy(b[:], specialInput(rng, rate, convLanes).Data)
 		// One spare pixel on each side catches a store outside the run.
-		avx := make([]float32, (np+2)*convLanes)
-		for i := range avx {
-			avx[i] = value()
-		}
-		guard := append([]float32(nil), avx...)
-		convRunAVX(avx[convLanes:(np+1)*convLanes], &b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
-		for _, i := range []int{0, np + 1} {
-			for l := 0; l < convLanes; l++ {
-				if j := i*convLanes + l; math.Float32bits(avx[j]) != math.Float32bits(guard[j]) {
-					t.Fatalf("trial %d (np=%d): store outside the run at float %d", trial, np, j)
+		guard := specialInput(rng, 0, (np+2)*convLanes).Data
+		var first []float32
+		for _, k := range kernels {
+			got := append([]float32(nil), guard...)
+			k.run(got[convLanes:(np+1)*convLanes], &b, w, x, np, px, nc, ny, nx, xc, xy, xx, wc, wy)
+			for _, i := range []int{0, np + 1} {
+				if d := sameBitsOrNaN(got[i*convLanes:][:convLanes], guard[i*convLanes:][:convLanes]); d >= 0 {
+					t.Fatalf("%s, trial %d (np=%d): store outside the run at float %d", k.name, trial, np, i*convLanes+d)
+				}
+			}
+			for p := 0; p < np; p++ {
+				acc := b
+				if nc > 0 && ny > 0 && nx > 0 {
+					convTapsGo(&acc, w, x[p*px:], nc, ny, nx, xc, xy, xx, wc, wy)
+				}
+				if l := sameBitsOrNaN(got[(p+1)*convLanes:][:convLanes], acc[:]); l >= 0 {
+					t.Fatalf("%s, trial %d (np=%d px=%d nc=%d ny=%d nx=%d xc=%d xy=%d xx=%d wc=%d wy=%d): pixel %d lane %d = %v, portable %v",
+						k.name, trial, np, px, nc, ny, nx, xc, xy, xx, wc, wy, p, l, got[(p+1)*convLanes+l], acc[l])
+				}
+			}
+			if first == nil {
+				first = got
+				continue
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(first[i]) {
+					t.Fatalf("trial %d (np=%d): float %d is %#x on %s, %#x on %s",
+						trial, np, i, math.Float32bits(first[i]), kernels[0].name, math.Float32bits(got[i]), k.name)
 				}
 			}
 		}
-		for p := 0; p < np; p++ {
-			acc := b
-			if nc > 0 && ny > 0 && nx > 0 {
-				convTapsGo(&acc, w, x[p*px:], nc, ny, nx, xc, xy, xx, wc, wy)
+	}
+}
+
+// TestStoreRunMatchesGo runs storeRun on its AVX body and storeRunGo on
+// the same pixel-major results, for every n in 0-32 (eight-pixel blocks
+// and a ragged rest) and every live in 1-16, into rows ohw apart with a
+// gap after each and a random offset: lane l's first n values must land
+// in row l for l < live, and every row at or past live, every cell past n
+// and the gaps must keep their bits. The results hold NaNs with payloads
+// and -0, which must be copied bit for bit.
+func TestStoreRunMatchesGo(t *testing.T) {
+	if !cpu.Detected.AVX {
+		t.Skip("CPU without AVX: storeRun runs the portable body only")
+	}
+	defer func(saved cpu.Features) { cpu.Use = saved }(cpu.Use)
+	cpu.Use = cpu.Detected
+	rng := rand.New(rand.NewSource(20261019))
+	specials := []uint32{0x7fc00001, 0xffc12345, 0x7fa00000, 0xff800001, 0x80000000}
+	for n := 0; n <= convRunMax; n++ {
+		for live := 1; live <= convLanes; live++ {
+			run := make([]float32, convRunMax*convLanes)
+			for i := range run {
+				run[i] = math.Float32frombits(rng.Uint32())
+				if rng.Intn(4) == 0 {
+					run[i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+				}
 			}
-			for l, want := range acc {
-				if got := avx[(p+1)*convLanes+l]; math.Float32bits(got) != math.Float32bits(want) {
-					t.Fatalf("trial %d (np=%d px=%d nc=%d ny=%d nx=%d xc=%d xy=%d xx=%d wc=%d wy=%d): pixel %d lane %d = %v, portable %v",
-						trial, np, px, nc, ny, nx, xc, xy, xx, wc, wy, p, l, got, want)
+			off, ohw := rng.Intn(4), n+1+rng.Intn(5)
+			before := make([]float32, off+(convLanes+1)*ohw)
+			for i := range before {
+				before[i] = math.Float32frombits(rng.Uint32())
+			}
+			want := append([]float32(nil), before...)
+			for l := 0; l < live; l++ {
+				for i := 0; i < n; i++ {
+					want[off+l*ohw+i] = run[i*convLanes+l]
+				}
+			}
+			for _, body := range []struct {
+				name  string
+				store func(od []float32, ohw int, run []float32, n, live int)
+			}{{"storeRun", storeRun}, {"storeRunGo", storeRunGo}} {
+				got := append([]float32(nil), before...)
+				body.store(got[off:], ohw, run, n, live)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s, n=%d live=%d ohw=%d: float %d (row %d, cell %d) = %#x, want %#x",
+							body.name, n, live, ohw, i, (i-off)/ohw, (i-off)%ohw, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
 				}
 			}
 		}

@@ -155,17 +155,31 @@ func convCase(t testing.TB, inC, outC, k, stride, pad, dil, n, h, w int, seed in
 }
 
 // forEachKernel calls f once per set of kernel bodies this CPU can run —
-// the AVX bodies (the conv kernel, the fused epilogue, the softmax and the
-// dropout mask) where the CPU has them, then the portable ones — with
-// cpu.Use set to select them, and restores cpu.Use afterwards.
+// the vector bodies (the conv kernel and store, the fused epilogue, the
+// softmax and the dropout mask) where the CPU has them, then the same
+// without AVX-512, which runs the AVX conv kernel, then the portable ones —
+// with cpu.Use set to select them, and restores cpu.Use afterwards.
 func forEachKernel(f func(kernel string)) {
 	defer func(saved cpu.Features) { cpu.Use = saved }(cpu.Use)
-	if cpu.Detected != (cpu.Features{}) {
-		cpu.Use = cpu.Detected
-		f("avx")
+	sets := []cpu.Features{cpu.Detected}
+	if d := cpu.Detected; d.AVX512 {
+		d.AVX512 = false
+		sets = append(sets, d)
 	}
-	cpu.Use = cpu.Features{}
-	f("portable")
+	if cpu.Detected != (cpu.Features{}) {
+		sets = append(sets, cpu.Features{})
+	}
+	for _, use := range sets {
+		cpu.Use = use
+		switch {
+		case use.AVX512:
+			f("avx512")
+		case use.AVX:
+			f("avx")
+		default:
+			f("portable")
+		}
+	}
 }
 
 func assertSameBits(t *testing.T, name string, got, want []float32) {
@@ -184,8 +198,9 @@ func assertSameBits(t *testing.T, name string, got, want []float32) {
 // reference over a stride/pad/dilation sweep with randomized spatial sizes —
 // including shapes whose taps mostly fall outside the input — and over the
 // MSDnet serving geometries, whose channel counts fill partial and second
-// convLanes blocks. Every case runs on both convRun bodies (forEachKernel),
-// so the portable fallback is checked on AVX machines too.
+// convLanes blocks. Every case runs on every convRun body the CPU has
+// (forEachKernel), so the AVX and portable fallbacks are checked on
+// AVX-512 machines too.
 func TestConvForwardMatchesReference(t *testing.T) {
 	cases := []struct{ k, stride, pad, dil int }{
 		{1, 1, 0, 1}, {1, 1, 2, 1}, {2, 1, 1, 1}, {3, 1, 0, 1},
@@ -279,8 +294,8 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 // FuzzConvForwardMatchesReference fuzzes the geometry space — kernel,
 // stride, padding, dilation, spatial size, 1-24 input and 1-40 output
 // channels (up to three convLanes blocks, the last one partial) and a batch
-// of 1-3; every valid shape must match the reference bit-for-bit on both
-// convRun bodies.
+// of 1-3; every valid shape must match the reference bit-for-bit on every
+// convRun body.
 func FuzzConvForwardMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint8(16), uint8(9), uint8(19), uint8(13), uint8(1), int64(2))

@@ -196,7 +196,7 @@ func checkFrozenMatches(t *testing.T, s msdShape, x *Tensor) {
 // even and odd input sizes, strides 1 and 2, one or two lane blocks, with
 // and without an arena, inputs spanning six orders of magnitude plus ±0,
 // ±Inf, NaN and denormals at several rates, dropout Auto and AlwaysOn, on
-// both conv bodies.
+// every conv body the CPU has.
 func TestFrozenNetMatchesNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for trial := 0; trial < 150; trial++ {
@@ -209,7 +209,7 @@ func TestFrozenNetMatchesNet(t *testing.T) {
 
 // FuzzFrozenNetMatchesNet fuzzes the network shape, the input size and
 // the share of special values; the frozen network must match Net bit for
-// bit on both conv bodies.
+// bit on every conv body the CPU has.
 func FuzzFrozenNetMatchesNet(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(25), uint8(7), uint8(20))

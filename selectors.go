@@ -42,6 +42,17 @@ type SelectorFactory func(sys *System) (Selector, error)
 // fault, so degraded mode answers them with an error, never a fallback.
 var errBadRequest = errors.New("safeland: malformed request")
 
+// requestChecker is implemented by the built-in backends: checkRequest
+// returns the errBadRequest error Select would return for a malformed
+// request, or nil. It reads only what the backend fixed at construction,
+// so the Engine calls it on one worker's instance from any goroutine, once
+// per call and before the fault points of its attempt loop: a malformed
+// frame is the caller's error even when a fault would fire first. A custom
+// Selector validates inside Select.
+type requestChecker interface {
+	checkRequest(req SelectRequest) error
+}
+
 // frame resolves the image and scale of a request, defaulting from the
 // attached scene when the caller supplied one.
 func (r SelectRequest) frame() (*imaging.Image, float64, error) {
@@ -89,14 +100,19 @@ type pipelineSelector struct{ pipe *core.Pipeline }
 
 func (s *pipelineSelector) Name() string { return "msdnet-monitor" }
 
-func (s *pipelineSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
-	img, mpp, err := req.frame()
+func (s *pipelineSelector) checkRequest(req SelectRequest) error {
+	img, _, err := req.frame()
 	if err != nil {
+		return err
+	}
+	return checkSize(s.pipe, img)
+}
+
+func (s *pipelineSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	if err := s.checkRequest(req); err != nil {
 		return core.Result{}, err
 	}
-	if err := checkSize(s.pipe, img); err != nil {
-		return core.Result{}, err
-	}
+	img, mpp, _ := req.frame()
 	zones := s.pipe.Zones
 	zones.HomeX, zones.HomeY = req.HomeX, req.HomeY
 	return s.pipe.SelectWithConfigCtx(ctx, img, mpp, zones)
@@ -119,11 +135,15 @@ type hybridSelector struct{ h *core.Hybrid }
 
 func (s *hybridSelector) Name() string { return "hybrid-gis" }
 
-func (s *hybridSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+func (s *hybridSelector) checkRequest(req SelectRequest) error {
 	if req.Scene == nil {
-		return core.Result{}, fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
+		return fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
 	}
-	if err := checkSize(s.h.Pipeline, req.Scene.Image); err != nil {
+	return checkSize(s.h.Pipeline, req.Scene.Image)
+}
+
+func (s *hybridSelector) Select(ctx context.Context, req SelectRequest) (core.Result, error) {
+	if err := s.checkRequest(req); err != nil {
 		return core.Result{}, err
 	}
 	zones := s.h.Pipeline.Zones
@@ -163,14 +183,19 @@ type baselineSelector struct {
 
 func (s *baselineSelector) Name() string { return "baseline-" + s.sel.Name() }
 
-func (s *baselineSelector) Select(_ context.Context, req SelectRequest) (core.Result, error) {
+func (s *baselineSelector) checkRequest(req SelectRequest) error {
 	if req.Scene == nil {
-		return core.Result{}, fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
+		return fmt.Errorf("%w: %s selector requires SelectRequest.Scene", errBadRequest, s.Name())
 	}
-	_, mpp, err := req.frame()
-	if err != nil {
+	_, _, err := req.frame()
+	return err
+}
+
+func (s *baselineSelector) Select(_ context.Context, req SelectRequest) (core.Result, error) {
+	if err := s.checkRequest(req); err != nil {
 		return core.Result{}, err
 	}
+	_, mpp, _ := req.frame()
 	zonePx := int(math.Ceil(s.zones.ZoneSizeM / mpp))
 	z, ok := s.sel.Select(req.Scene, zonePx)
 	if !ok {
