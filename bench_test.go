@@ -8,6 +8,7 @@ package safeland
 // first use; the fixture cost is paid once per `go test -bench` run).
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -179,7 +180,7 @@ func BenchmarkE8SelectorEL(b *testing.B) {
 	sys, scene, _ := benchSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Pipeline.PlanLanding(scene, scene.Layout.WorldW/2, scene.Layout.WorldH/2)
+		sys.Pipeline.PlanLanding(context.Background(), scene, scene.Layout.WorldW/2, scene.Layout.WorldH/2)
 	}
 }
 

@@ -6,13 +6,13 @@
 // recompute vs session temporal reuse) and the E14 chaos drill (the
 // descent fleet under a published fault schedule with degraded-mode
 // serving and health-aware failover). The model-dependent experiments
-// (E5, E7–E14) run as scenario fleets streamed through the safeland.Engine
-// worker pool, drawing every scene from the shared content-addressed
-// corpus; -workers sizes the pool without changing any reported number
-// (per-scene seeding keeps fleet output byte-identical across worker
-// counts), and -scenecache persists the corpus on disk so repeated runs
-// skip scene generation entirely. -grid and -axes shape the E11 scenario
-// grid. Typical use:
+// (E5, E7–E14) run as scenario fleets over the safeland.Engine worker
+// pool, one Engine.Select per scene (or a session per vehicle), drawing
+// every scene from the shared content-addressed corpus; -workers sizes the
+// pool without changing any reported number (per-scene seeding keeps fleet
+// output byte-identical across worker counts), and -scenecache persists
+// the corpus on disk so repeated runs skip scene generation entirely.
+// -grid and -axes shape the E11 scenario grid. Typical use:
 //
 //	elbench                 # run everything at full scale
 //	elbench -run E7,E9      # run selected experiments

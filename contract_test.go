@@ -120,10 +120,11 @@ func (l *contractLedger) check(t *testing.T, degrade bool, closing *atomic.Bool,
 
 // FuzzServingContract fuzzes the Figure 1 serving contract over stub
 // selectors (no model): 1–3 workers, degraded mode on or off, a fault
-// schedule, and four concurrent clients — one issuing Selects, three each
-// advancing a session with its own safety trigger — whose calls include
-// malformed requests, caller cancellations before and during a call, and
-// deadlines, while triggers fire, sessions close and the engine closes.
+// schedule, and four concurrent clients — one issuing Selects and
+// two-request SelectBatches, three each advancing a session with its own
+// safety trigger — whose calls include malformed requests, caller
+// cancellations before and during a call, and deadlines, while triggers
+// fire, sessions close and the engine closes.
 // Every response must be exactly one of: the Selector's result; a degraded
 // FT answer, never confirmed, with a cause, and never to a request the
 // backend rejects; an error the caller caused (its context's error, a
@@ -135,7 +136,8 @@ func (l *contractLedger) check(t *testing.T, degrade bool, closing *atomic.Bool,
 // schedule is read in byte pairs, each scheduling one fault: the first
 // byte picks the kind and, for the attempt-scoped kinds, the point (the
 // Select client's shard or one vehicle), the second the frame. Each byte
-// of ops is one call: its value mod 4 picks the client, the rest the call.
+// of ops is one call: its value mod 4 picks the client, the rest the call
+// (for the stateless client, a byte of 32 mod 64 is a SelectBatch).
 func FuzzServingContract(f *testing.F) {
 	f.Add(uint8(0), false, []byte{}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 36, 37, 38, 39, 8, 9, 10, 11})
 	f.Add(uint8(1), true, []byte{2, 0, 2, 1, 0, 2, 3, 0, 6, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -154,6 +156,10 @@ func FuzzServingContract(f *testing.F) {
 	// blackout, is the answer.
 	f.Add(uint8(0), true, []byte{2, 0}, []byte{72})
 	f.Add(uint8(0), true, []byte{2, 0}, []byte{73})
+	// SelectBatches whose requests meet a selector error, a stall and a
+	// blackout in degraded mode, and fail-hard batches around a Close.
+	f.Add(uint8(1), true, []byte{0, 0, 1, 1, 2, 3}, []byte{32, 96, 160, 4, 5, 6, 7})
+	f.Add(uint8(0), false, []byte{0, 1}, []byte{32, 12, 224, 28, 32})
 	f.Fuzz(func(t *testing.T, workers uint8, degrade bool, schedule, ops []byte) {
 		const clients, maxOps, maxFaults = 4, 64, 8
 		points := []string{"shard", "v1", "v2", "v3"}
@@ -202,7 +208,10 @@ func FuzzServingContract(f *testing.F) {
 					req := SelectRequest{Image: imaging.NewImage(8, 8), MPP: float64(tags.Add(1))}
 					ctx := context.Background()
 					var cancel context.CancelFunc = func() {}
+					batch := false
 					switch op % 8 {
+					case 0:
+						batch = sess == nil && op/8%2 == 1
 					case 1:
 						req.HomeX = 200
 					case 2: // malformed: no frame, no scale, or an odd width
@@ -241,10 +250,17 @@ func FuzzServingContract(f *testing.F) {
 						continue
 					}
 					call := contractCall{ctx: ctx, req: req, session: sess != nil, sessionClosed: sessionClosed}
-					if sess == nil {
+					switch {
+					case batch:
+						reqs := []SelectRequest{req, {Image: imaging.NewImage(8, 8), MPP: float64(tags.Add(1))}}
+						for i, r := range eng.SelectBatch(ctx, reqs) {
+							call.req = reqs[i]
+							ledger.check(t, degrade, &closing, call, r.Result, r.Degraded, r.DegradedCause, r.Retried, r.Err)
+						}
+					case sess == nil:
 						r := eng.Select(ctx, req)
 						ledger.check(t, degrade, &closing, call, r.Result, r.Degraded, r.DegradedCause, r.Retried, r.Err)
-					} else {
+					default:
 						r := sess.Advance(ctx, req)
 						ledger.check(t, degrade, &closing, call, r.Result, r.Degraded, r.DegradedCause, r.Retried, r.Err)
 					}

@@ -39,9 +39,6 @@ type SelectRequest struct {
 type SelectResponse struct {
 	// Result is the pipeline outcome; meaningful only when Err is nil.
 	Result core.Result
-	// Index is the request's position: its slice index in SelectBatch, its
-	// arrival order in Serve, and 0 for a single Select.
-	Index int
 	// Selector names the backend that served (or would have served) the
 	// request.
 	Selector string
@@ -75,16 +72,14 @@ type SelectResponse struct {
 // EngineStats is a point-in-time snapshot of an Engine's serving counters —
 // the service-dashboard view of the pool.
 type EngineStats struct {
-	// Requests counts selections accepted by Select, SelectBatch or Serve.
+	// Requests counts selections accepted by Select or SelectBatch.
 	Requests int64
 	// Served counts requests that reached a worker's backend (Requests
 	// minus the ones rejected as malformed before the attempt loop and the
 	// ones cancelled or timed out while queued).
 	Served int64
-	// Failed counts requests that ended in an error: an error response
-	// (failed while queued or on a worker), or a Serve request dropped by
-	// cancellation before reaching a worker (its caller-visible slot is
-	// ErrNoResponse / the context's error).
+	// Failed counts error responses: requests that failed while queued or
+	// on a worker.
 	Failed int64
 	// Sessions is the number of descent sessions currently open (NewSession
 	// minus Session.Close), bounded by the admission limit (WithMaxSessions).
@@ -282,7 +277,7 @@ type Engine struct {
 	spilled        atomic.Int64
 	breakerOpened  atomic.Int64
 
-	// chaosSeq numbers stateless Select/Serve requests as fault-injection
+	// chaosSeq numbers stateless Select requests as fault-injection
 	// frame coordinates (sessions use their own per-stream frame counter).
 	chaosSeq atomic.Int64
 }
@@ -365,7 +360,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 var ErrClosed = errors.New("safeland: engine is closed")
 
 // Close stops the engine and drains it. From the moment Close is called,
-// Select, SelectBatch and Serve answer every new request with ErrClosed
+// Select and SelectBatch answer every new request with ErrClosed
 // (counted in Requests and Failed, never by the circuit breaker),
 // NewSession fails with ErrClosed, and so does Advance on a session opened
 // earlier. Work that was already under way runs to completion: Close
@@ -433,21 +428,17 @@ func (e *Engine) Certify(claims core.Claims) sora.Assessment {
 }
 
 // Select serves one request synchronously: it waits for a free worker
-// (honoring ctx while queued) and runs the backend on it. The backend keeps honoring ctx mid-trial — a cancelled
-// selection stops within one network layer's work and carries ctx's error
-// in the response.
+// (honoring ctx while queued) and runs the backend on it. The backend keeps
+// honoring ctx mid-trial — a cancelled selection stops within one network
+// layer's work and carries ctx's error in the response.
 func (e *Engine) Select(ctx context.Context, req SelectRequest) SelectResponse {
-	return e.run(ctx, req, 0)
-}
-
-func (e *Engine) run(ctx context.Context, req SelectRequest, idx int) SelectResponse {
 	e.requests.Add(1)
 	o := e.serve(ctx, call{req: req, point: e.name, frame: int(e.chaosSeq.Add(1) - 1)})
 	if o.err != nil {
 		e.failed.Add(1)
 	}
 	return SelectResponse{
-		Result: o.res, Index: idx, Selector: e.selector, Queued: o.queued, Elapsed: o.elapsed,
+		Result: o.res, Selector: e.selector, Queued: o.queued, Elapsed: o.elapsed,
 		Retried: o.retried, Degraded: o.degraded, DegradedCause: o.cause, Err: o.err,
 	}
 }
@@ -473,7 +464,7 @@ type call struct {
 	img   *imaging.Image
 }
 
-// outcome is what the attempt loop hands back to run and Advance.
+// outcome is what the attempt loop hands back to Select and Advance.
 type outcome struct {
 	res      core.Result
 	reused   bool // res re-verified the prior's zone
@@ -488,12 +479,12 @@ type outcome struct {
 }
 
 // serve is the attempt loop behind Select and Session.Advance, bounded by
-// the caller's context alone. A transient fault gets the bounded retry with
-// backoff, the breaker observes how the call ended, and in degraded mode a
-// failure the shard caused is answered by the FT fallback. After Close it
-// refuses the call with ErrClosed before any of that, and then a request
-// the backend's check rejects gets its malformed-request error, before any
-// fault point.
+// the caller's context alone. A transient fault gets the bounded retry
+// after a jittered delay, the breaker observes how the call ended, and in
+// degraded mode a failure the shard caused is answered by the FT fallback.
+// After Close it refuses the call with ErrClosed before any of that, and
+// then a request the backend's check rejects gets its malformed-request
+// error, before any fault point.
 func (e *Engine) serve(ctx context.Context, c call) outcome {
 	var o outcome
 	if !e.enter() {
@@ -511,7 +502,7 @@ func (e *Engine) serve(ctx context.Context, c call) outcome {
 		if attempt > 0 {
 			e.retried.Add(1)
 			o.retried++
-			if err = sleepCtx(ctx, e.retryDelay(c.point, c.frame, attempt)); err != nil {
+			if err = sleepCtx(ctx, e.retryDelay(c.point, c.frame)); err != nil {
 				break
 			}
 		}
@@ -630,11 +621,11 @@ func (c call) selectOn(ctx context.Context, w *worker, attempt int) (core.Result
 	return res, false, err
 }
 
-// SelectBatch serves a batch of requests across the worker pool and
-// returns when all are done. Response i always corresponds to request i,
-// whatever order the workers finished in. Requests cancelled while queued
-// carry ctx's error in their response; completed responses are kept even
-// when ctx is cancelled mid-batch.
+// SelectBatch serves a batch of requests across the worker pool, one
+// Select per request, and returns when all are done. Response i always
+// corresponds to request i, whatever order the workers finished in.
+// Requests cancelled while queued carry ctx's error in their response;
+// completed responses are kept even when ctx is cancelled mid-batch.
 func (e *Engine) SelectBatch(ctx context.Context, reqs []SelectRequest) []SelectResponse {
 	out := make([]SelectResponse, len(reqs))
 	var wg sync.WaitGroup
@@ -642,120 +633,21 @@ func (e *Engine) SelectBatch(ctx context.Context, reqs []SelectRequest) []Select
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = e.run(ctx, reqs[i], i)
+			out[i] = e.Select(ctx, reqs[i])
 		}(i)
 	}
 	wg.Wait()
 	return out
 }
 
-// Serve turns the engine into a streaming service: it consumes requests
-// from in until in closes or ctx is cancelled, serving up to Workers of
-// them concurrently, and delivers responses on the returned channel, which
-// closes when the last in-flight request is done. Like SelectBatch, a
-// response whose work completed is always delivered, even when ctx is
-// cancelled concurrently — callers must drain the channel until it closes
-// (after cancellation at most Workers responses remain, so the drain is
-// short). Response order follows completion, not arrival; Index records
-// each request's arrival order, so callers can join responses back to the
-// frames they streamed.
-func (e *Engine) Serve(ctx context.Context, in <-chan SelectRequest) <-chan SelectResponse {
-	type taggedRequest struct {
-		req SelectRequest
-		idx int
-	}
-	// A single dispatcher tags arrival order before any worker competes
-	// for the request, so Index is exact even under concurrency.
-	tagged := make(chan taggedRequest)
-	go func() {
-		defer close(tagged)
-		for idx := 0; ; idx++ {
-			select {
-			case <-ctx.Done():
-				return
-			case req, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case tagged <- taggedRequest{req, idx}:
-				case <-ctx.Done():
-					// The request was already consumed from in but will
-					// never reach a worker: account it as accepted and
-					// failed, matching what the same cancellation costs a
-					// queued SelectBatch request (the caller sees the slot
-					// as ErrNoResponse / ctx.Err via Gather).
-					e.requests.Add(1)
-					e.failed.Add(1)
-					return
-				}
-			}
-		}
-	}()
-
-	out := make(chan SelectResponse)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tr := range tagged {
-				// Unconditional send: a completed response is never
-				// dropped on cancellation; the dispatcher has already
-				// stopped feeding new work.
-				out <- e.run(ctx, tr.req, tr.idx)
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// Gather drains a Serve output channel into a slice ordered by request
-// index: response i is the response to the i-th streamed request,
-// restoring SelectBatch's positional contract on the streaming path. n
-// sizes the result when the caller knows how many requests were streamed
-// (pass 0 when unknown); the slice grows to fit whatever arrives. Gather
-// returns when out closes, so it also performs the post-cancellation drain
-// Serve requires of its callers. Slots whose requests never produced a
-// response — dropped by cancellation before Serve dequeued them — carry
-// ErrNoResponse; callers holding the cancelled context can translate those
-// to its error (scenario.Corpus.ServeOrdered does).
-func Gather(out <-chan SelectResponse, n int) []SelectResponse {
-	resps := make([]SelectResponse, n)
-	for i := range resps {
-		resps[i] = SelectResponse{Index: i, Err: ErrNoResponse}
-	}
-	for resp := range out {
-		for resp.Index >= len(resps) {
-			resps = append(resps, SelectResponse{Index: len(resps), Err: ErrNoResponse})
-		}
-		resps[resp.Index] = resp
-	}
-	return resps
-}
-
-// ErrNoResponse marks Gather slots never filled by a response — a request
-// dropped (typically by cancellation) before Serve dequeued it. Match it
-// with errors.Is to distinguish an unserved request from a served failure.
-var ErrNoResponse = fmt.Errorf("safeland: no response delivered for this request")
-
 // PlanLanding implements uav.LandingPlanner, so an Engine drops straight
 // into the mission simulator's safety switch: the request is built from
-// the scene under the vehicle with the current position as the home bias.
-func (e *Engine) PlanLanding(scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
-	return e.PlanLandingCtx(context.Background(), scene, xM, yM)
-}
-
-// PlanLandingCtx implements uav.LandingPlannerCtx: PlanLanding with the
-// mission's context threaded through the selection, so cancelling the
+// the scene under the vehicle with the current position as the home bias,
+// and the mission's context bounds the selection, so cancelling the
 // mission aborts a planning already in progress. An aborted or failed
 // selection reports ok=false — the safety switch's conservative "no
 // verified zone" branch.
-func (e *Engine) PlanLandingCtx(ctx context.Context, scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
+func (e *Engine) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
 	resp := e.Select(ctx, SelectRequest{Scene: scene, HomeX: xM, HomeY: yM})
 	if resp.Err != nil || !resp.Result.Confirmed {
 		return 0, 0, false

@@ -191,18 +191,22 @@ func TestEngineStatsCounters(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCountsServeDrops pins the Serve side of the accounting: a
-// request the dispatcher consumed from in but dropped at cancellation must
-// count as accepted and failed, exactly what the same cancellation costs a
-// queued SelectBatch request. Whichever way the cancellation race resolves
-// for the second request — dropped by the dispatcher, or tagged and then
-// failed fast on a worker — the totals are identical, so the assertions
-// are deterministic.
+// TestEngineStatsCountsServeDrops pins the accounting of a request that
+// SelectBatch accepted but the cancellation dropped before it was served:
+// it counts as accepted and failed, never as served. On one worker, one
+// request blocks the worker until ctx is cancelled; the other waits for the
+// worker and, whichever way the cancellation race resolves for it — its
+// acquire gives up, or it gets the worker and sees ctx already cancelled —
+// never reaches the backend, so the totals are deterministic.
 func TestEngineStatsCountsServeDrops(t *testing.T) {
-	started := make(chan struct{})
+	started := make(chan struct{}, 1)
+	var calls atomic.Int32
 	blocking := func(*System) (Selector, error) {
-		return &stubSelector{calls: new(atomic.Int32), delay: func(SelectRequest) time.Duration {
-			close(started)
+		return &stubSelector{calls: &calls, delay: func(SelectRequest) time.Duration {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
 			return time.Hour // released by cancellation
 		}}, nil
 	}
@@ -211,25 +215,24 @@ func TestEngineStatsCountsServeDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan SelectRequest)
-	out := eng.Serve(ctx, in)
+	done := make(chan []SelectResponse)
+	go func() { done <- eng.SelectBatch(ctx, []SelectRequest{{MPP: 1}, {MPP: 2}}) }()
 
-	in <- SelectRequest{MPP: 1} // reaches the single worker and blocks
-	<-started
-	in <- SelectRequest{MPP: 2} // consumed by the dispatcher, never served
+	<-started // one request holds the single worker; the other waits
 	cancel()
-	close(in)
-	resps := Gather(out, 2)
+	resps := <-done
 
-	if !errors.Is(resps[0].Err, context.Canceled) {
-		t.Fatalf("first request err = %v, want context.Canceled", resps[0].Err)
+	for i, resp := range resps {
+		if !errors.Is(resp.Err, context.Canceled) {
+			t.Errorf("request %d err = %v, want context.Canceled", i, resp.Err)
+		}
 	}
-	if resps[1].Err == nil {
-		t.Fatal("second request reported success despite cancellation")
+	if got := calls.Load(); got != 1 {
+		t.Errorf("backend ran %d times, want 1", got)
 	}
 	st := eng.Stats()
 	if st.Requests != 2 || st.Served != 1 || st.Failed != 2 {
-		t.Errorf("stats after cancelled Serve = %+v, want 2 requests / 1 served / 2 failed", st)
+		t.Errorf("stats after cancelled batch = %+v, want 2 requests / 1 served / 2 failed", st)
 	}
 }
 
@@ -257,8 +260,8 @@ func TestEngineBatchOrderMatchesInput(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatalf("response %d: %v", i, resp.Err)
 		}
-		if resp.Index != i || resp.Result.CandidateCount != i+1 {
-			t.Errorf("response %d carries index %d / payload %d", i, resp.Index, resp.Result.CandidateCount)
+		if resp.Result.CandidateCount != i+1 {
+			t.Errorf("response %d carries request %d's payload", i, resp.Result.CandidateCount-1)
 		}
 		if resp.Selector != "stub" {
 			t.Errorf("response %d selector = %q", i, resp.Selector)
@@ -286,6 +289,10 @@ func (s *cancelSelector) Select(ctx context.Context, _ SelectRequest) (core.Resu
 	return core.Result{}, ctx.Err()
 }
 
+// TestEngineContextCancellationMidBatch pins SelectBatch's cancellation
+// contract: the response whose work completed is kept, every request the
+// cancellation caught while queued carries ctx's error, and the stats count
+// each of those as accepted and failed but never served.
 func TestEngineContextCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -309,6 +316,9 @@ func TestEngineContextCancellationMidBatch(t *testing.T) {
 	}
 	if ok != 1 || cancelled != 5 {
 		t.Errorf("got %d completed / %d cancelled, want 1 / 5", ok, cancelled)
+	}
+	if st := eng.Stats(); st.Requests != 6 || st.Served != 1 || st.Failed != 5 {
+		t.Errorf("stats after cancelled batch = %+v, want 6 requests / 1 served / 5 failed", st)
 	}
 }
 
@@ -346,73 +356,6 @@ func TestEngineRequestDeadline(t *testing.T) {
 	}
 }
 
-func TestEngineServeStreams(t *testing.T) {
-	var calls atomic.Int32
-	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(3), WithSelector(stubFactory(&calls, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan SelectRequest)
-	out := eng.Serve(context.Background(), in)
-	const n = 7
-	go func() {
-		for i := 0; i < n; i++ {
-			in <- SelectRequest{MPP: float64(i + 1)}
-		}
-		close(in)
-	}()
-	seen := map[int]bool{}
-	for resp := range out {
-		if resp.Err != nil {
-			t.Fatalf("response error: %v", resp.Err)
-		}
-		if seen[resp.Index] {
-			t.Fatalf("index %d delivered twice", resp.Index)
-		}
-		seen[resp.Index] = true
-		// Index must record arrival order: the i-th streamed request
-		// carried MPP i+1, which the stub echoes back.
-		if resp.Result.CandidateCount != resp.Index+1 {
-			t.Errorf("index %d tagged onto request %d", resp.Index, resp.Result.CandidateCount-1)
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("got %d responses, want %d (indices %v)", len(seen), n, seen)
-	}
-}
-
-func TestEngineServeDeliversCompletedOnCancel(t *testing.T) {
-	var calls atomic.Int32
-	delay := func(SelectRequest) time.Duration { return 20 * time.Millisecond }
-	eng, err := NewEngine(WithSystem(stubSystem()), WithWorkers(2), WithSelector(stubFactory(&calls, delay)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan SelectRequest)
-	out := eng.Serve(ctx, in)
-	go func() {
-		defer close(in)
-		for i := 0; ; i++ {
-			select {
-			case in <- SelectRequest{MPP: float64(i + 1)}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	first, ok := <-out
-	if !ok || first.Err != nil {
-		t.Fatalf("first response: ok=%v err=%v", ok, first.Err)
-	}
-	cancel()
-	// The channel must still close, delivering every dequeued request's
-	// response on the way; go test's timeout guards against a hang.
-	for range out {
-	}
-}
-
 // TestEngineSelectCancelsMidTrial pins the ctx-aware perception stack: a
 // context cancelled while the pipeline is mid-selection (not merely queued)
 // must surface ctx.Err() promptly instead of running the remaining
@@ -431,7 +374,9 @@ func TestEngineSelectCancelsMidTrial(t *testing.T) {
 
 	// Uncancelled baseline: how long a full selection takes, and its result.
 	// The first selection warms the replica's arena; the deadline is taken
-	// from the second, which is what a served frame costs.
+	// from the fastest of the next three, which is what a served frame
+	// costs on an unloaded host: one warm run slowed by other processes
+	// would stretch the deadline past a whole selection.
 	full := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
 	if full.Err != nil {
 		t.Fatal(full.Err)
@@ -439,16 +384,22 @@ func TestEngineSelectCancelsMidTrial(t *testing.T) {
 	if len(full.Result.Trials) == 0 {
 		t.Fatal("the baseline selection ran no Monte-Carlo trial: the scene no longer exercises a mid-trial cancellation")
 	}
-	warm := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
-	if warm.Err != nil {
-		t.Fatal(warm.Err)
+	var fastest time.Duration
+	for i := 0; i < 3; i++ {
+		warm := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
+		if warm.Err != nil {
+			t.Fatal(warm.Err)
+		}
+		if i == 0 || warm.Elapsed < fastest {
+			fastest = warm.Elapsed
+		}
 	}
 
 	// A timeout of a small fraction of the full selection lands early in
 	// it: the worker is free, so the request dequeues immediately and the
 	// deadline expires inside the perception stack, before the last layer
 	// of the last trial checks the context.
-	timeout := warm.Elapsed / 20
+	timeout := fastest / 20
 	if timeout < time.Millisecond {
 		timeout = time.Millisecond
 	}
@@ -596,93 +547,6 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestServeMatchesSelectBatch is the streaming-parity acceptance check: a
-// request stream served through Serve must reproduce SelectBatch bit for
-// bit, request for request, at 1 worker and at a full pool — the property
-// that lets the experiment fleets move to the pipelined path without any
-// report drifting.
-func TestServeMatchesSelectBatch(t *testing.T) {
-	sys := quickSystem(t)
-	cfg := urban.DefaultConfig()
-	cfg.W, cfg.H = 128, 128
-	const n = 6
-	reqs := make([]SelectRequest, n)
-	for i := range reqs {
-		scene := urban.Generate(cfg, urban.DefaultConditions(), 700+int64(i))
-		reqs[i] = SelectRequest{Image: scene.Image, MPP: scene.MPP}
-	}
-
-	refEng, err := NewEngine(WithSystem(sys), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := refEng.SelectBatch(context.Background(), reqs)
-
-	for _, workers := range []int{1, 4} {
-		eng, err := NewEngine(WithSystem(sys), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make(chan SelectRequest)
-		go func() {
-			defer close(in)
-			for _, req := range reqs {
-				in <- req
-			}
-		}()
-		resps := Gather(eng.Serve(context.Background(), in), n)
-		if len(resps) != n {
-			t.Fatalf("%d workers: gathered %d responses, want %d", workers, len(resps), n)
-		}
-		for i, resp := range resps {
-			if resp.Err != nil {
-				t.Fatalf("%d workers, request %d: %v", workers, i, resp.Err)
-			}
-			if resp.Index != i {
-				t.Fatalf("%d workers: slot %d holds index %d", workers, i, resp.Index)
-			}
-			if !reflect.DeepEqual(resp.Result, ref[i].Result) {
-				t.Errorf("%d workers, request %d diverged from SelectBatch:\n  serve: %s\n  batch: %s",
-					workers, i, describeForDiff(resp.Result), describeForDiff(ref[i].Result))
-			}
-		}
-	}
-}
-
-// TestGatherMarksMissingResponses pins Gather's post-cancellation
-// contract: slots whose requests never produced a response carry an error
-// instead of a zero value masquerading as success.
-func TestGatherMarksMissingResponses(t *testing.T) {
-	out := make(chan SelectResponse, 1)
-	out <- SelectResponse{Index: 2, Selector: "stub"}
-	close(out)
-	resps := Gather(out, 4)
-	if len(resps) != 4 {
-		t.Fatalf("gathered %d slots, want 4", len(resps))
-	}
-	for i, resp := range resps {
-		if resp.Index != i {
-			t.Errorf("slot %d holds index %d", i, resp.Index)
-		}
-		if i == 2 {
-			if resp.Err != nil {
-				t.Errorf("delivered slot carries error %v", resp.Err)
-			}
-			continue
-		}
-		if !errors.Is(resp.Err, ErrNoResponse) {
-			t.Errorf("undelivered slot %d carries %v, want ErrNoResponse", i, resp.Err)
-		}
-	}
-	// Responses beyond n grow the slice.
-	out2 := make(chan SelectResponse, 1)
-	out2 <- SelectResponse{Index: 3}
-	close(out2)
-	if got := Gather(out2, 0); len(got) != 4 || got[3].Err != nil || got[0].Err == nil {
-		t.Errorf("growth path wrong: %+v", got)
-	}
-}
-
 func describeForDiff(r core.Result) string {
 	return fmt.Sprintf("%s (state %v, candidates %d, buffer %.1f m)",
 		r.Describe(), r.State, r.CandidateCount, r.UsedBufferM)
@@ -729,7 +593,7 @@ func (g *gateSelector) Select(ctx context.Context, req SelectRequest) (core.Resu
 // TestEngineCloseDrainsAndRefuses pins Close's contract. Close called —
 // from several goroutines at once — while a Select is on a worker returns
 // only after that Select's selector has returned, and the Select keeps its
-// answer. Afterwards Select, SelectBatch, Serve, NewSession and Advance on
+// answer. Afterwards Select, SelectBatch, NewSession and Advance on
 // a session opened before Close all fail with ErrClosed: an error even in
 // degraded mode, counted in Requests and Failed, never by the breaker.
 // Every worker is back in the pool, and a further Close is a no-op.
@@ -811,15 +675,6 @@ func TestEngineCloseDrainsAndRefuses(t *testing.T) {
 		refused++
 		if !errors.Is(resp.Err, ErrClosed) || resp.Degraded {
 			t.Fatalf("SelectBatch request %d after Close: Err=%v Degraded=%v, want ErrClosed", i, resp.Err, resp.Degraded)
-		}
-	}
-	in := make(chan SelectRequest, 1)
-	in <- chaosFrame()
-	close(in)
-	for resp := range eng.Serve(ctx, in) {
-		refused++
-		if !errors.Is(resp.Err, ErrClosed) || resp.Degraded {
-			t.Fatalf("Serve after Close: Err=%v Degraded=%v, want ErrClosed", resp.Err, resp.Degraded)
 		}
 	}
 	if _, err := eng.NewSession("uav-late"); !errors.Is(err, ErrClosed) {

@@ -48,8 +48,8 @@ func WithShardName(name string) Option {
 // preserves the fail-hard contract). When on:
 //
 //   - transient faults (injected selector errors, replica stalls, a
-//     preempted routine advance) get one bounded retry with
-//     deterministic-jitter exponential backoff (WithRetryBackoff);
+//     preempted routine advance) get one bounded retry after a
+//     deterministic-jitter delay (WithRetryBackoff);
 //   - when the fault outlasts that retry, or no retry can fix it (a shard
 //     blackout, a selector error), the engine answers with the paper's
 //     fault-tolerant baseline zone (FT-center, or flatness when the request
@@ -66,11 +66,11 @@ func WithDegradedFallback(on bool) Option {
 	return func(c *engineConfig) { c.degrade = on }
 }
 
-// WithRetryBackoff bounds the exponential backoff between transient-fault
-// retry attempts in degraded mode: the first retry waits ~base (plus a
-// deterministic jitter keyed on vehicle and frame, so a fleet's retries
-// decorrelate without losing reproducibility), doubling up to max. Values
-// <= 0 keep the defaults (2ms base, 50ms cap).
+// WithRetryBackoff sets the delay before the transient-fault retry in
+// degraded mode: base plus a deterministic jitter of up to half of base,
+// keyed on vehicle and frame so a fleet's retries decorrelate without
+// losing reproducibility, capped at max. Values <= 0 keep the defaults
+// (2ms base, 50ms cap).
 func WithRetryBackoff(base, max time.Duration) Option {
 	return func(c *engineConfig) {
 		if base > 0 {
@@ -205,11 +205,11 @@ func (e *Engine) retryBudget() int {
 	return 0
 }
 
-// retryDelay computes the backoff before retry attempt (1-based) of the
-// work keyed by point/frame.
-func (e *Engine) retryDelay(point string, frame, attempt int) time.Duration {
+// retryDelay computes the delay before the retry of the work keyed by
+// point/frame.
+func (e *Engine) retryDelay(point string, frame int) time.Duration {
 	key := point + "#" + strconv.Itoa(frame)
-	return faults.Backoff(e.inj.Seed(), key, attempt-1, e.backoffBase, e.backoffMax)
+	return faults.Backoff(e.inj.Seed(), key, e.backoffBase, e.backoffMax)
 }
 
 // retryableFault classifies errors a second attempt can outrun: the

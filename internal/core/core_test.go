@@ -217,7 +217,7 @@ func TestPipelineResultTrace(t *testing.T) {
 func TestPipelinePlanLanding(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	s := scenes[0]
-	tx, ty, ok := p.PlanLanding(s, s.Layout.WorldW/2, s.Layout.WorldH/2)
+	tx, ty, ok := p.PlanLanding(context.Background(), s, s.Layout.WorldW/2, s.Layout.WorldH/2)
 	if !ok {
 		t.Skip("no confirmed zone in this scene")
 	}
@@ -261,10 +261,10 @@ func TestSelectorsRejectOddFrame(t *testing.T) {
 	if _, err := h.SelectWithConfigCtx(ctx, scene, p.Zones); err == nil || err.Error() != want.Error() {
 		t.Errorf("Hybrid.SelectWithConfigCtx error %v, want %v", err, want)
 	}
-	if _, _, ok := p.PlanLandingCtx(ctx, scene, 10, 10); ok {
-		t.Error("Pipeline.PlanLandingCtx reports a zone on an odd frame")
+	if _, _, ok := p.PlanLanding(ctx, scene, 10, 10); ok {
+		t.Error("Pipeline.PlanLanding reports a zone on an odd frame")
 	}
-	if _, _, ok := h.PlanLanding(scene, 10, 10); ok {
+	if _, _, ok := h.PlanLanding(ctx, scene, 10, 10); ok {
 		t.Error("Hybrid.PlanLanding reports a zone on an odd frame")
 	}
 }

@@ -85,12 +85,13 @@ func (h *Hybrid) fuse(cands []Candidate, static finiteIntegral) []Candidate {
 	return kept
 }
 
-// PlanLanding implements uav.LandingPlanner with the fused selection.
-func (h *Hybrid) PlanLanding(scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
+// PlanLanding implements uav.LandingPlanner with the fused selection. Like
+// Pipeline.PlanLanding, a cancelled planning reports no zone.
+func (h *Hybrid) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
 	zones := h.Pipeline.Zones
 	zones.HomeX, zones.HomeY = xM, yM
-	res := h.SelectWithConfig(scene, zones)
-	if !res.Confirmed {
+	res, err := h.SelectWithConfigCtx(ctx, scene, zones)
+	if err != nil || !res.Confirmed {
 		return 0, 0, false
 	}
 	txM, tyM := res.Zone.CenterM(scene.MPP)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"safeland/internal/imaging"
@@ -59,9 +60,33 @@ func TestHybridAtLeastAsStrictAsVision(t *testing.T) {
 func TestHybridPlanLandingRestoresConfig(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	h := NewHybrid(p)
-	_, _, _ = h.PlanLanding(scenes[0], 10, 10)
+	_, _, _ = h.PlanLanding(context.Background(), scenes[0], 10, 10)
 	if p.Zones.HomeX != 0 || p.Zones.HomeY != 0 {
 		t.Error("hybrid PlanLanding leaked home bias")
+	}
+}
+
+// TestHybridPlanLandingHonorsCancellation pins that the hybrid planner
+// runs under the mission's context: on a scene where it confirms a zone, a
+// cancelled context makes the same planning report no zone.
+func TestHybridPlanLandingHonorsCancellation(t *testing.T) {
+	p, scenes := trainedPipeline(t)
+	h := NewHybrid(p)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	planned := false
+	for _, s := range scenes {
+		x, y := s.Layout.WorldW/2, s.Layout.WorldH/2
+		if _, _, ok := h.PlanLanding(context.Background(), s, x, y); !ok {
+			continue
+		}
+		planned = true
+		if _, _, ok := h.PlanLanding(cancelled, s, x, y); ok {
+			t.Error("hybrid PlanLanding reports a zone under a cancelled context")
+		}
+	}
+	if !planned {
+		t.Fatal("the hybrid planner confirmed no zone on any scene, so cancellation is untested")
 	}
 }
 

@@ -163,16 +163,10 @@ func evenAlign(x0, w, size int) int {
 
 // PlanLanding implements uav.LandingPlanner: from the scene under the
 // vehicle, pick and verify a landing zone near the current position and
-// return its center in meters.
-func (p *Pipeline) PlanLanding(scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool) {
-	return p.PlanLandingCtx(context.Background(), scene, xM, yM)
-}
-
-// PlanLandingCtx is PlanLanding honoring ctx mid-selection (implementing
-// uav.LandingPlannerCtx): a cancelled or preempted planning aborts within
-// one network layer's work and reports no zone, which the mission simulator
-// treats as EL unavailable.
-func (p *Pipeline) PlanLandingCtx(ctx context.Context, scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool) {
+// return its center in meters. A cancelled or preempted planning aborts
+// within one network layer's work and reports no zone, which the mission
+// simulator treats as EL unavailable.
+func (p *Pipeline) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool) {
 	zones := p.Zones
 	zones.HomeX, zones.HomeY = xM, yM
 	res, err := p.SelectWithConfigCtx(ctx, scene.Image, scene.MPP, zones)

@@ -21,14 +21,14 @@ import (
 // altitude under wind), and the impact is assessed with the casualty model.
 //
 // Every strategy — the monitored pipeline, the GIS hybrid, and each survey
-// baseline — runs as a Selector backend behind a safeland.Engine, and its
-// scenes stream out of the shared scenario corpus through Engine.Serve
-// over the configured worker pool: the first strategy's fleet generates
-// each scene just ahead of its selection, and every later strategy (and
-// every later E8 run in the process) serves the same scenes from cache.
-// Per-scene wind seeds and the monitor's per-call reseeding make the
-// report byte-identical whatever the worker count, and identical between
-// the streaming and materialized-batch paths.
+// baseline — runs as a Selector backend behind a safeland.Engine, and each
+// of its scenes comes out of the shared scenario corpus into one
+// Engine.Select over the configured worker pool: the first strategy's fleet
+// generates each scene on the goroutine that selects in it, and every later
+// strategy (and every later E8 run in the process) serves the same scenes
+// from cache. Per-scene wind seeds and the monitor's per-call reseeding
+// make the report byte-identical whatever the worker count, and identical
+// to a SelectBatch over the materialized scenes.
 func RunE8(e *Env, w io.Writer) error {
 	specs := scenario.Set(e.SceneConfig(), urban.DefaultConditions(), e.Cfg.CompareScenes, e.Cfg.Seed+80)
 	spec := uav.MediDelivery()
@@ -57,7 +57,7 @@ func RunE8(e *Env, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "%d emergency scenes, rush hour, wind 2 m/s with gusts.\n", len(specs))
-	fmt.Fprintln(w, "Each strategy serves the scene fleet by streaming it through Engine.Serve; zone-selection")
+	fmt.Fprintln(w, "Each strategy serves the scene fleet through Engine.Select, one call per scene; zone-selection")
 	fmt.Fprintln(w, "quality is scored over the scenes where the method commits to a zone; a refusal")
 	fmt.Fprintln(w, "falls back to flight termination from cruise altitude (identical for every")
 	fmt.Fprintln(w, "method), accounted separately below.")
@@ -96,7 +96,7 @@ func RunE8(e *Env, w io.Writer) error {
 			if !resp.Result.Confirmed {
 				continue
 			}
-			// Cache hit: the fleet's stream already generated this scene.
+			// Cache hit: the fleet already resolved this scene.
 			s := e.Corpus.Scene(specs[si])
 			x, y := resp.Result.Zone.CenterM(s.MPP)
 			picked++

@@ -8,18 +8,19 @@
 // restriction by tiling the frame into crop verdicts.
 //
 // The model-dependent experiments (E5, E7–E12) run as scenario fleets over
-// a safeland.Engine: scene requests stream through Engine.Serve (or
+// a safeland.Engine: each scene is served by one Engine.Select (or
 // missions share the Engine as their landing planner) across
 // Config.Workers worker replicas that alias one frozen copy of the trained
 // weights. Scenes come from the shared internal/scenario corpus — every
 // Env in the process draws its dataset and fleet scenes from one
 // content-addressed cache, so repeated Envs and repeated experiment runs
-// reuse scenes instead of regenerating them, and Corpus.Stream overlaps
-// the generation of scene i+1 with the perception work on scene i.
+// reuse scenes instead of regenerating them, and Env.Fleet resolves each
+// scene on the goroutine that serves it, overlapping the generation of one
+// scene with the perception work on another.
 // Per-scene seeding plus the monitor's per-call reseeding keep every
 // report byte-identical to a sequential SelectBatch run, whatever the
 // worker count — the parity pinned by TestE8ParallelMatchesSequential and
-// TestExperimentsStreamMatchesBatch.
+// TestFleetMatchesSelectBatch.
 package experiments
 
 import (
@@ -117,10 +118,6 @@ type Env struct {
 	// first use) to isolate an Env or to add an on-disk layer.
 	Corpus *scenario.Corpus
 
-	// batchFleet forces Fleet onto the materialized SelectBatch path; the
-	// streaming/batch parity tests flip it to pin byte-identical reports.
-	batchFleet bool
-
 	dsOnce    sync.Once
 	dataset   *urban.Dataset
 	dsSpecs   struct{ train, test, ood []scenario.Spec }
@@ -168,7 +165,7 @@ func (e *Env) Dataset() *urban.Dataset {
 }
 
 // datasetSpecs returns the corpus specs behind the dataset split, building
-// the dataset if needed — how the fleets re-stream the held-out scenes
+// the dataset if needed — how the fleets serve the held-out scenes again
 // without regenerating them.
 func (e *Env) datasetSpecs() (train, test, ood []scenario.Spec) {
 	e.Dataset()
@@ -176,24 +173,22 @@ func (e *Env) datasetSpecs() (train, test, ood []scenario.Spec) {
 }
 
 // Fleet serves one request per spec through the engine and returns the
-// responses ordered by spec index. The default path is the streaming one:
-// scenes flow out of the corpus through Corpus.Stream into Engine.Serve as
-// they are generated (or found cached), so scene synthesis overlaps
-// perception. The batchFleet test hook materializes every scene first and
-// calls SelectBatch — the pre-streaming layout — which the parity tests
-// pin byte-identical to the streamed reports.
+// responses ordered by spec index. Each spec gets a goroutine that resolves
+// its scene through the corpus, builds the request (build, or
+// scenario.SceneRequest when nil) and serves it with Engine.Select, so scene
+// generation overlaps perception, the corpus's singleflight still builds a
+// shared scene once, and the engine's worker pool bounds the perception
+// work in flight. The responses equal SelectBatch's over the materialized
+// scenes, whatever the worker count.
 func (e *Env) Fleet(ctx context.Context, eng *safeland.Engine, specs []scenario.Spec, build scenario.BuildRequest) []safeland.SelectResponse {
-	if e.batchFleet {
-		if build == nil {
-			build = scenario.SceneRequest
-		}
-		reqs := make([]safeland.SelectRequest, len(specs))
-		for i, s := range e.Corpus.Scenes(specs) {
-			reqs[i] = build(i, s)
-		}
-		return eng.SelectBatch(ctx, reqs)
+	if build == nil {
+		build = scenario.SceneRequest
 	}
-	return e.Corpus.ServeOrdered(ctx, eng, specs, build)
+	out := make([]safeland.SelectResponse, len(specs))
+	fleetRun(len(specs), len(specs), func(i int) {
+		out[i] = eng.Select(ctx, build(i, e.Corpus.Scene(specs[i])))
+	})
+	return out
 }
 
 // Model returns the shared trained MSDnet, training it on first use.

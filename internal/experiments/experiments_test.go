@@ -2,14 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"safeland"
 	"safeland/internal/nn"
 	"safeland/internal/scenario"
+	"safeland/internal/urban"
 )
 
 var sharedEnv struct {
@@ -294,65 +298,65 @@ func TestE8ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestExperimentsStreamMatchesBatch is the streaming-migration acceptance
-// check at the experiments layer: the E8 and E9 reports produced by
-// streaming scene fleets through Corpus.Stream + Engine.Serve must be
-// byte-identical to the materialized SelectBatch path, at 1 worker and at
-// a pool (E9's wall-clock lines are masked — they measure, not report,
-// determinism).
-func TestExperimentsStreamMatchesBatch(t *testing.T) {
+// TestFleetMatchesSelectBatch pins Env.Fleet against the materialized
+// path: one Engine.Select per spec, each resolving its scene through a cold
+// corpus on the goroutine that serves it, must answer exactly what a
+// SelectBatch over Corpus.Scenes(specs) answers, request for request, at 1
+// worker and at a pool, with the default request builder and a custom one.
+// The spec list repeats scenes, so the cold corpus must also build each
+// distinct scene once.
+func TestFleetMatchesSelectBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trained-model experiment")
 	}
 	env := quickEnv(t)
-	restoreWorkers, restoreBatch := env.Cfg.Workers, env.batchFleet
-	defer func() { env.Cfg.Workers, env.batchFleet = restoreWorkers, restoreBatch }()
+	distinct := scenario.Set(env.SceneConfig(), urban.DefaultConditions(), 4, env.Cfg.Seed+91)
+	specs := append(append([]scenario.Spec{}, distinct...), distinct[2], distinct[0])
+	noHome := func(_ int, s *urban.Scene) safeland.SelectRequest { return safeland.SelectRequest{Scene: s} }
 
-	runs := []struct {
-		name    string
-		workers int
-		batch   bool
-	}{
-		{"batch-1", 1, true},
-		{"stream-1", 1, false},
-		{"batch-4", 4, true},
-		{"stream-4", 4, false},
-	}
-	// E8 prints no measurements: every run — batch or stream, 1 or 4
-	// workers — must be byte-identical.
-	var e8Ref string
-	for _, r := range runs {
-		env.Cfg.Workers, env.batchFleet = r.workers, r.batch
-		var buf bytes.Buffer
-		if err := RunE8(env, &buf); err != nil {
-			t.Fatalf("E8 %s: %v", r.name, err)
+	for _, b := range []struct {
+		name  string
+		build scenario.BuildRequest
+	}{{"scene-request", nil}, {"no-home", noHome}} {
+		build := b.build
+		if build == nil {
+			build = scenario.SceneRequest
 		}
-		if e8Ref == "" {
-			e8Ref = buf.String()
-			continue
+		reqs := make([]safeland.SelectRequest, len(specs))
+		for i, s := range env.Corpus.Scenes(specs) {
+			reqs[i] = build(i, s)
 		}
-		if buf.String() != e8Ref {
-			t.Errorf("E8 %s report diverges:\n--- %s ---\n%s\n--- reference ---\n%s",
-				r.name, r.name, buf.String(), e8Ref)
+		refEng, err := env.EngineWith(safeland.PipelineSelector(), 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		ref := refEng.SelectBatch(context.Background(), reqs)
+		refEng.Close()
 
-	// E9's report shape depends on the worker count (the pool pass and
-	// speedup line only exist with workers > 1), so stream is compared to
-	// batch at each count, with the wall-clock figures masked.
-	for _, workers := range []int{1, 4} {
-		var byMode [2]string
-		for mode, batch := range []bool{true, false} {
-			env.Cfg.Workers, env.batchFleet = workers, batch
-			var buf bytes.Buffer
-			if err := RunE9(env, &buf); err != nil {
-				t.Fatalf("E9 workers=%d batch=%v: %v", workers, batch, err)
+		for _, workers := range []int{1, 4} {
+			eng, err := env.EngineWith(safeland.PipelineSelector(), workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			byMode[mode] = maskTimings(buf.String())
-		}
-		if byMode[0] != byMode[1] {
-			t.Errorf("E9 stream diverges from batch at %d workers:\n--- batch ---\n%s\n--- stream ---\n%s",
-				workers, byMode[0], byMode[1])
+			cold := &Env{Corpus: scenario.NewCorpus()}
+			resps := cold.Fleet(context.Background(), eng, specs, b.build)
+			eng.Close()
+			if len(resps) != len(specs) {
+				t.Fatalf("%s, %d workers: %d responses for %d specs", b.name, workers, len(resps), len(specs))
+			}
+			for i, resp := range resps {
+				if resp.Err != nil || ref[i].Err != nil {
+					t.Fatalf("%s, %d workers, spec %d: fleet err %v, batch err %v", b.name, workers, i, resp.Err, ref[i].Err)
+				}
+				if !reflect.DeepEqual(resp.Result, ref[i].Result) {
+					t.Errorf("%s, %d workers, spec %d: fleet result diverges from SelectBatch:\n  fleet: %s\n  batch: %s",
+						b.name, workers, i, resp.Result.Describe(), ref[i].Result.Describe())
+				}
+			}
+			if st := cold.Corpus.Stats(); st.Generated != int64(len(distinct)) || st.Lookups() != int64(len(specs)) {
+				t.Errorf("%s, %d workers: cold corpus generated %d scenes over %d lookups, want %d over %d",
+					b.name, workers, st.Generated, st.Lookups(), len(distinct), len(specs))
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 // splits:
 //
 //   - crop-only (the paper's architecture): the full pipeline fleet runs
-//     through Engine.Serve and only the candidate crops the Decision Module
+//     through Engine.Select and only the candidate crops the Decision Module
 //     offered are ever monitored;
 //   - full-frame: the same frames verified wall-to-wall as overlapping
 //     tiles, each tile one per-crop verdict of its rectangle.

@@ -18,10 +18,10 @@ import (
 // validation the paper's follow-ups (Tovanche-Picón et al. 2022, Guerin et
 // al. 2022) run where the paper itself certifies on hand-picked scenes —
 // and the first workload that exercises the whole serving stack at grid
-// scale: every scenario's scene streams out of the shared corpus through
-// Corpus.Stream into Engine.Serve for zone selection, then the E5 mission
-// machinery flies the scenario under its own wind regime and failure
-// profile with the streamed selection as its landing plan.
+// scale: every scenario's scene comes out of the shared corpus into one
+// Engine.Select for zone selection, then the E5 mission machinery flies the
+// scenario under its own wind regime and failure profile with that
+// selection as its landing plan.
 //
 // The report tabulates per-axis marginals — zone availability, monitor
 // rejection rate, safe-landing rate, E[fatality] — and closes with the
@@ -48,9 +48,9 @@ func RunE11(e *Env, w io.Writer) error {
 	fmt.Fprintf(w, "Scenario grid: %d layouts x %d densities x %d winds x %d failures x %d hours = %d scenarios (%dpx scenes).\n",
 		len(axes.Layouts), len(axes.Densities), len(axes.Winds), len(axes.Failures), len(axes.Hours),
 		len(scens), e.Cfg.SceneSize)
-	fmt.Fprintln(w, "Each scenario streams its scene through Corpus.Stream into Engine.Serve for zone")
+	fmt.Fprintln(w, "Each scenario serves its scene from the corpus through Engine.Select for zone")
 	fmt.Fprintln(w, "selection, then flies a failure-injection mission under the scenario's wind and")
-	fmt.Fprintln(w, "failure profile with the streamed selection as its landing plan.")
+	fmt.Fprintln(w, "failure profile with that selection as its landing plan.")
 
 	before, corpusBefore := eng.Stats(), e.Corpus.Stats()
 	scenes, resps, err := gridSelect(e, eng, scens)
@@ -120,10 +120,9 @@ func RunE11(e *Env, w io.Writer) error {
 	return nil
 }
 
-// gridSelect streams the scenarios' scenes through the corpus into the
-// engine (Env.Fleet: Corpus.Stream + Engine.Serve, or the materialized
-// SelectBatch path under the parity hook) and returns the scenes alongside
-// the per-scenario selection responses. Scenes are captured from the
+// gridSelect serves the scenarios' scenes from the corpus through the
+// engine (Env.Fleet: one Engine.Select per scenario) and returns the scenes
+// alongside the per-scenario selection responses. Scenes are captured from the
 // request builder, so the fleet's own lookups are the only corpus traffic
 // the experiment generates — what makes the dedup accounting exact.
 func gridSelect(e *Env, eng *safeland.Engine, scens []scenario.Scenario) ([]*urban.Scene, []safeland.SelectResponse, error) {
@@ -145,7 +144,7 @@ func gridSelect(e *Env, eng *safeland.Engine, scens []scenario.Scenario) ([]*urb
 	return scenes, resps, nil
 }
 
-// plannedZone replays a fleet's streamed selection as a uav.LandingPlanner:
+// plannedZone replays a fleet's selection as a uav.LandingPlanner:
 // the mission's EL maneuver flies to the zone the Engine confirmed for the
 // scenario's scene, and a monitor rejection (ok=false) escalates to flight
 // termination — exactly the Figure 1 "no safe EL available" branch.
@@ -154,14 +153,14 @@ type plannedZone struct {
 	ok   bool
 }
 
-func (p plannedZone) PlanLanding(*urban.Scene, float64, float64) (float64, float64, bool) {
+func (p plannedZone) PlanLanding(context.Context, *urban.Scene, float64, float64) (float64, float64, bool) {
 	return p.x, p.y, p.ok
 }
 
 // gridOutcome is one scenario's combined selection + mission outcome — the
 // unit the per-axis marginals aggregate.
 type gridOutcome struct {
-	// Confirmed is true when the streamed selection confirmed a zone.
+	// Confirmed is true when the fleet's selection confirmed a zone.
 	Confirmed bool
 	// Rejected is true when the monitor saw at least one candidate and
 	// confirmed none (a refusal, as opposed to "no candidates proposed").

@@ -60,9 +60,9 @@ func RunE7(e *Env, w io.Writer) error {
 	caseStudy(w, b, zoneRule, ds.OOD[0], "4b-safe  (OOD sunset, road-free)", false)
 
 	// End-to-end zone availability: the full Figure 2 pipeline served over
-	// the Engine worker pool, each split's held-out scenes streamed through
-	// Engine.Serve from the shared corpus (pure cache hits — the dataset
-	// already resolved them). This is the operational consequence of the
+	// the Engine worker pool, one Engine.Select per held-out scene of each
+	// split, from the shared corpus (pure cache hits — the dataset already
+	// resolved them). This is the operational consequence of the
 	// monitor's conservatism — a distribution shift that inflates
 	// uncertainty costs confirmed zones.
 	eng, err := e.Engine()
@@ -71,7 +71,7 @@ func RunE7(e *Env, w io.Writer) error {
 	}
 	defer eng.Close()
 	_, testSpecs, oodSpecs := e.datasetSpecs()
-	fmt.Fprintln(w, "\nZone availability, full pipeline streamed through Engine.Serve:")
+	fmt.Fprintln(w, "\nZone availability, full pipeline served through Engine.Select:")
 	for _, split := range []struct {
 		name  string
 		specs []scenario.Spec
@@ -166,21 +166,21 @@ func RunE9(e *Env, w io.Writer) error {
 		fmt.Fprintf(w, "  %2d samples: %10v\n", n, time.Since(t0))
 	}
 
-	// The timing fleet: the full monitored selection over a stream of
-	// emergency scenes, served once on a single worker and once on the
-	// configured pool. The scenes flow from the shared corpus through
-	// Engine.Serve — the single-worker pass generates them just ahead of
-	// consumption, the pool pass replays them from cache. Every inference
-	// op runs on its worker's goroutine, so the single-worker pass uses one
-	// core and the speedup is pool scaling alone: near-linear on a
-	// multi-core runner until the workers contend for the machine. The
-	// responses are byte-identical (per-call monitor reseeding), so the
-	// speedup is free of result drift.
+	// The timing fleet: the full monitored selection over a set of
+	// emergency scenes, one Engine.Select per scene, served once on a
+	// single worker and once on the configured pool. The scenes are
+	// resolved through the shared corpus before either timed pass, so both
+	// passes read them from cache. Every inference op runs on its worker's
+	// goroutine, so the single-worker pass uses one core and the speedup is
+	// pool scaling alone: near-linear on a multi-core runner until the
+	// workers contend for the machine. The responses are byte-identical
+	// (per-call monitor reseeding), so the speedup is free of result drift.
 	fleetSpecs := scenario.Set(e.SceneConfig(), urban.DefaultConditions(), e.Cfg.CompareScenes, e.Cfg.Seed+91)
+	e.Corpus.Scenes(fleetSpecs)
 	fleetReq := func(_ int, s *urban.Scene) safeland.SelectRequest {
 		return safeland.SelectRequest{Scene: s}
 	}
-	fmt.Fprintf(w, "\nSelection fleet: %d scenes (%dpx) streamed through Engine.Serve:\n",
+	fmt.Fprintf(w, "\nSelection fleet: %d scenes (%dpx), one Engine.Select per scene:\n",
 		len(fleetSpecs), e.Cfg.SceneSize)
 	pools := []int{1}
 	if e.Workers() > 1 {

@@ -31,8 +31,8 @@ func RunE5(e *Env, w io.Writer) error {
 	defer eng.Close()
 	ds := e.Dataset()
 	spec := uav.MediDelivery()
-	// The engine planner is ctx-aware (uav.LandingPlannerCtx): the mission
-	// context reaches the selection, so aborting an experiment run aborts
+	// The mission context reaches the engine's selection
+	// (uav.LandingPlanner takes it), so aborting an experiment run aborts
 	// in-flight plannings mid-trial instead of waiting them out.
 	ctx := context.Background()
 

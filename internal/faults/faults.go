@@ -248,28 +248,16 @@ func FormatSchedule(entries []Entry) string {
 	return s
 }
 
-// Backoff returns the delay before retry `attempt` (0-based) of the work
-// identified by key: bounded exponential growth from base, capped at max,
-// plus a deterministic jitter in [0, 50%) of the exponential term derived
-// from (seed, key, attempt). Deterministic jitter keeps chaos runs
-// reproducible while still decorrelating the retry storms of a fleet —
+// Backoff returns the delay before the one retry of the work identified by
+// key: base plus a deterministic jitter in [0, 50%) of base derived from
+// (seed, key), capped at max. Deterministic jitter keeps chaos runs
+// reproducible while still decorrelating the retries of a fleet —
 // different vehicles hash to different jitter.
-func Backoff(seed int64, key string, attempt int, base, max time.Duration) time.Duration {
+func Backoff(seed int64, key string, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	jitter := time.Duration(unit(seed, ^uint64(0), key, uint64(attempt)) * 0.5 * float64(d))
-	if d+jitter > max {
-		return max
-	}
-	return d + jitter
+	return min(base+time.Duration(unit(seed, ^uint64(0), key, 0)*0.5*float64(base)), max)
 }
 
 // unit hashes (seed, tag, point, frame) into a uniform float64 in [0, 1)

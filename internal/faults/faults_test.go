@@ -175,29 +175,55 @@ func TestErrorClassification(t *testing.T) {
 
 func TestBackoffBoundedAndDeterministic(t *testing.T) {
 	const base, max = time.Millisecond, 16 * time.Millisecond
-	for attempt := 0; attempt < 8; attempt++ {
-		d := Backoff(9, "uav-1", attempt, base, max)
-		if d != Backoff(9, "uav-1", attempt, base, max) {
-			t.Fatalf("attempt %d: backoff not deterministic", attempt)
-		}
-		if d > max {
-			t.Fatalf("attempt %d: backoff %v exceeds cap %v", attempt, d, max)
-		}
-		lower := base << uint(attempt)
-		if lower > max {
-			lower = max
-		}
-		if d < lower && d < max {
-			t.Fatalf("attempt %d: backoff %v below exponential floor %v", attempt, d, lower)
-		}
+	d := Backoff(9, "uav-1", base, max)
+	if d != Backoff(9, "uav-1", base, max) {
+		t.Fatal("backoff not deterministic")
 	}
-	if Backoff(9, "k", 3, 0, max) != 0 {
+	if d > max {
+		t.Fatalf("backoff %v exceeds cap %v", d, max)
+	}
+	if d < base {
+		t.Fatalf("backoff %v below base %v", d, base)
+	}
+	if got := Backoff(9, "uav-1", base, base); got != base {
+		t.Errorf("backoff %v past a cap equal to base", got)
+	}
+	if Backoff(9, "k", 0, max) != 0 {
 		t.Error("zero base must disable backoff")
 	}
-	if Backoff(9, "uav-1", 2, base, max) == Backoff(9, "uav-2", 2, base, max) &&
-		Backoff(9, "uav-1", 3, base, max) == Backoff(9, "uav-2", 3, base, max) &&
-		Backoff(9, "uav-1", 1, base, max) == Backoff(9, "uav-2", 1, base, max) {
+	if Backoff(9, "uav-1", base, max) == Backoff(9, "uav-2", base, max) &&
+		Backoff(9, "uav-1#1", base, max) == Backoff(9, "uav-2#1", base, max) &&
+		Backoff(9, "uav-1#2", base, max) == Backoff(9, "uav-2#2", base, max) {
 		t.Error("jitter does not decorrelate keys")
+	}
+}
+
+// TestBackoffKeepsRetryDelays pins the retry delays the exponential form
+// produced: with at most one retry per call it only ever ran at attempt 0,
+// and these are its values at the EL-service benchmark's chaos settings
+// (1 ms base, 10 ms cap) and at E14's (1 µs, 1 ms).
+func TestBackoffKeepsRetryDelays(t *testing.T) {
+	for _, c := range []struct {
+		seed      int64
+		key       string
+		base, max time.Duration
+		want      time.Duration
+	}{
+		{1, "uav-00#0", time.Millisecond, 10 * time.Millisecond, 1154542},
+		{1, "uav-07#3", time.Millisecond, 10 * time.Millisecond, 1041805},
+		{9, "uav-31#12", time.Millisecond, 10 * time.Millisecond, 1261302},
+		{9, "shard0#5", time.Millisecond, 10 * time.Millisecond, 1172765},
+		{2021, "engine#41", time.Millisecond, 10 * time.Millisecond, 1350151},
+		{2021, "uav-07#3", time.Millisecond, 10 * time.Millisecond, 1401187},
+		{1, "uav-31#12", time.Microsecond, time.Millisecond, 1376},
+		{1, "engine#41", time.Microsecond, time.Millisecond, 1309},
+		{9, "uav-00#0", time.Microsecond, time.Millisecond, 1169},
+		{2021, "uav-00#0", time.Microsecond, time.Millisecond, 1275},
+		{2021, "shard0#5", time.Microsecond, time.Millisecond, 1351},
+	} {
+		if got := Backoff(c.seed, c.key, c.base, c.max); got != c.want {
+			t.Errorf("Backoff(%d, %q, %v, %v) = %d, want %d", c.seed, c.key, c.base, c.max, got, c.want)
+		}
 	}
 }
 

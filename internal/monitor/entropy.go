@@ -197,43 +197,11 @@ func SweepSignal(b *Bayesian, scenes []*urban.Scene, kind UncertaintyKind, thres
 	}
 	out := make([]SignalPoint, 0, len(thresholds))
 	for _, thr := range thresholds {
-		var missed, missedFlagged, safePx, safeFlagged, flagged, total int64
+		var t tally
 		for _, ev := range evals {
-			flags := ev.es.FlagsBy(kind, thr)
-			for i, truth := range ev.scene.Labels.Pix {
-				total++
-				isFlagged := flags.Pix[i] >= 0.5
-				if isFlagged {
-					flagged++
-				}
-				if truth.BusyRoad() {
-					if !ev.pred.Pix[i].BusyRoad() {
-						missed++
-						if isFlagged {
-							missedFlagged++
-						}
-					}
-				} else {
-					safePx++
-					if isFlagged {
-						safeFlagged++
-					}
-				}
-			}
+			t.add(ev.scene.Labels, ev.pred, ev.es.FlagsBy(kind, thr))
 		}
-		q := Quality{Pixels: total}
-		if missed > 0 {
-			q.HazardMissCoverage = float64(missedFlagged) / float64(missed)
-		} else {
-			q.HazardMissCoverage = 1
-		}
-		if safePx > 0 {
-			q.FalseWarningRate = float64(safeFlagged) / float64(safePx)
-		}
-		if total > 0 {
-			q.FlaggedFraction = float64(flagged) / float64(total)
-		}
-		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: q})
+		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: t.quality()})
 	}
 	return out
 }

@@ -38,52 +38,61 @@ func (q Quality) String() string {
 // compares ground truth, the deterministic core prediction, and the monitor
 // flag.
 func Evaluate(b *Bayesian, scenes []*urban.Scene, rule Rule) Quality {
-	var missed, missedFlagged, safePx, safeFlagged, flagged, total int64
-	var busyTruth, busyCaught int64
+	var t tally
 	for _, s := range scenes {
-		pred := b.Model.Predict(s.Image)
-		st := b.MCStats(s.Image)
-		flags := rule.PixelFlags(st)
-		for i, truth := range s.Labels.Pix {
-			total++
-			isBusy := truth.BusyRoad()
-			predBusy := pred.Pix[i].BusyRoad()
-			isFlagged := flags.Pix[i] >= 0.5
+		t.add(s.Labels, b.Model.Predict(s.Image), rule.PixelFlags(b.MCStats(s.Image)))
+	}
+	return t.quality()
+}
+
+// tally accumulates the per-pixel counts behind a Quality over scenes.
+type tally struct {
+	safe, safeFlagged  int64 // pixels that are not busy road, and those flagged
+	busyCaught, missed int64 // busy-road pixels the core model caught, and missed
+	missedFlagged      int64
+	flagged            int64
+}
+
+// add tallies one scene: its ground truth, the core model's prediction and
+// the monitor's flag map, all at the scene's resolution.
+func (t *tally) add(truth, pred *imaging.LabelMap, flags *imaging.Map) {
+	for i, c := range truth.Pix {
+		isFlagged := flags.Pix[i] >= 0.5
+		if isFlagged {
+			t.flagged++
+		}
+		switch {
+		case !c.BusyRoad():
+			t.safe++
 			if isFlagged {
-				flagged++
+				t.safeFlagged++
 			}
-			if isBusy {
-				busyTruth++
-				if predBusy {
-					busyCaught++
-				} else {
-					missed++
-					if isFlagged {
-						missedFlagged++
-					}
-				}
-			} else {
-				safePx++
-				if isFlagged {
-					safeFlagged++
-				}
+		case pred.Pix[i].BusyRoad():
+			t.busyCaught++
+		default:
+			t.missed++
+			if isFlagged {
+				t.missedFlagged++
 			}
 		}
 	}
-	q := Quality{Pixels: total}
-	if missed > 0 {
-		q.HazardMissCoverage = float64(missedFlagged) / float64(missed)
-	} else {
-		q.HazardMissCoverage = 1 // nothing was missed: vacuously covered
+}
+
+// quality turns the counts into rates.
+func (t tally) quality() Quality {
+	busy := t.busyCaught + t.missed
+	q := Quality{Pixels: t.safe + busy, HazardMissCoverage: 1} // nothing missed: vacuously covered
+	if t.missed > 0 {
+		q.HazardMissCoverage = float64(t.missedFlagged) / float64(t.missed)
 	}
-	if safePx > 0 {
-		q.FalseWarningRate = float64(safeFlagged) / float64(safePx)
+	if t.safe > 0 {
+		q.FalseWarningRate = float64(t.safeFlagged) / float64(t.safe)
 	}
-	if total > 0 {
-		q.FlaggedFraction = float64(flagged) / float64(total)
+	if q.Pixels > 0 {
+		q.FlaggedFraction = float64(t.flagged) / float64(q.Pixels)
 	}
-	if busyTruth > 0 {
-		q.CoreBusyRecall = float64(busyCaught) / float64(busyTruth)
+	if busy > 0 {
+		q.CoreBusyRecall = float64(t.busyCaught) / float64(busy)
 	}
 	return q
 }
@@ -109,43 +118,11 @@ func SweepTau(b *Bayesian, scenes []*urban.Scene, taus []float32, sigmas float32
 	out := make([]ROCPoint, 0, len(taus))
 	for _, tau := range taus {
 		rule := Rule{Tau: tau, Sigmas: sigmas}
-		var missed, missedFlagged, safePx, safeFlagged, flagged, total int64
+		var t tally
 		for _, ev := range evals {
-			flags := rule.PixelFlags(ev.st)
-			for i, truth := range ev.scene.Labels.Pix {
-				total++
-				isFlagged := flags.Pix[i] >= 0.5
-				if isFlagged {
-					flagged++
-				}
-				if truth.BusyRoad() {
-					if !ev.pred.Pix[i].BusyRoad() {
-						missed++
-						if isFlagged {
-							missedFlagged++
-						}
-					}
-				} else {
-					safePx++
-					if isFlagged {
-						safeFlagged++
-					}
-				}
-			}
+			t.add(ev.scene.Labels, ev.pred, rule.PixelFlags(ev.st))
 		}
-		q := Quality{Pixels: total}
-		if missed > 0 {
-			q.HazardMissCoverage = float64(missedFlagged) / float64(missed)
-		} else {
-			q.HazardMissCoverage = 1
-		}
-		if safePx > 0 {
-			q.FalseWarningRate = float64(safeFlagged) / float64(safePx)
-		}
-		if total > 0 {
-			q.FlaggedFraction = float64(flagged) / float64(total)
-		}
-		out = append(out, ROCPoint{Tau: tau, Quality: q})
+		out = append(out, ROCPoint{Tau: tau, Quality: t.quality()})
 	}
 	return out
 }

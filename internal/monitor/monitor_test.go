@@ -242,6 +242,20 @@ func TestSweepTauMonotonic(t *testing.T) {
 	}
 }
 
+// TestSweepTauMatchesEvaluate pins that the τ sweep and Evaluate tally the
+// same pixels the same way: each sweep point equals Evaluate at its rule,
+// the core model's busy-road recall included.
+func TestSweepTauMatchesEvaluate(t *testing.T) {
+	m, scenes := trainedTinyModel(t)
+	b := NewBayesian(m, 9)
+	b.Samples = 5
+	for _, pt := range SweepTau(b, scenes[:1], []float32{0.05, 0.3}, 3) {
+		if q := Evaluate(b, scenes[:1], Rule{Tau: pt.Tau, Sigmas: 3}); pt.Quality != q {
+			t.Errorf("τ=%v: sweep %+v, Evaluate %+v", pt.Tau, pt.Quality, q)
+		}
+	}
+}
+
 func TestEvaluateQualityRanges(t *testing.T) {
 	m, scenes := trainedTinyModel(t)
 	b := NewBayesian(m, 2)

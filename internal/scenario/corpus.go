@@ -26,7 +26,7 @@ type Corpus struct {
 	// generate builds the scene of a spec on a miss; nil runs
 	// Spec.Generate. It belongs to the corpus, not the package, so a test
 	// injecting a failing generator into its own corpus cannot reach the
-	// generations another corpus still runs (a cancelled Stream's, say).
+	// generations another corpus still runs.
 	generate func(Spec) *urban.Scene
 
 	mu      sync.Mutex

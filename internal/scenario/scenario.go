@@ -1,5 +1,5 @@
 // Package scenario is the shared, content-addressed scene corpus behind
-// the experiment fleets and the streaming serving path.
+// the experiment fleets.
 //
 // The paper's certification argument only holds if the EL function is
 // validated "under the conditions of the operation" (Table III): many
@@ -13,13 +13,12 @@
 // singleflight semantics so concurrent requests for the same scene pay for
 // one generation.
 //
-// Corpus.Stream is the producer side of the pipelined serving path: it
-// generates a spec list's scenes a bounded distance ahead of consumption
-// and emits safeland.SelectRequests in spec order, ready to feed straight
-// into Engine.Serve — scene generation overlaps perception instead of
-// materializing whole slices for SelectBatch. Because urban.Generate is
-// deterministic in the Spec, the streamed fleet's responses are
-// byte-identical to the batch path's, whatever the worker count.
+// A fleet resolves each spec's scene through the corpus on the goroutine
+// that then serves it with Engine.Select, so scene generation overlaps
+// perception and the singleflight still builds each scene once; BuildRequest
+// shapes the request. Because urban.Generate is deterministic in the Spec,
+// the fleet's responses are byte-identical to a SelectBatch over the
+// materialized scenes, whatever the worker count.
 //
 // The Axes/Scenario layer enumerates the operating-condition grid (urban
 // layout × density × wind × failure profile × time-of-day) with

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -283,53 +282,6 @@ func TestDiskCorpusCorruptEntryRegenerates(t *testing.T) {
 		if healed.Scene(sp); healed.Stats().DiskHits != 1 {
 			t.Fatalf("%s: corrupt entry was not overwritten by the regeneration", name)
 		}
-	}
-}
-
-func TestStreamEmitsInSpecOrder(t *testing.T) {
-	c := NewCorpus()
-	specs := make([]Spec, 9)
-	for i := range specs {
-		specs[i] = tinySpec(10 + int64(i))
-	}
-	var idxs []int
-	for req := range c.Stream(context.Background(), specs, nil) {
-		i := len(idxs)
-		idxs = append(idxs, i)
-		if req.Scene != c.Scene(specs[i]) {
-			t.Fatalf("request %d carries the wrong scene", i)
-		}
-		if req.HomeX != req.Scene.Layout.WorldW/2 || req.HomeY != req.Scene.Layout.WorldH/2 {
-			t.Fatalf("request %d missing the scene-center home bias", i)
-		}
-	}
-	if len(idxs) != len(specs) {
-		t.Fatalf("stream delivered %d of %d requests", len(idxs), len(specs))
-	}
-	if st := c.Stats(); st.Generated != int64(len(specs)) {
-		t.Fatalf("stream generated %d scenes for %d specs", st.Generated, len(specs))
-	}
-}
-
-func TestStreamHonorsCancellation(t *testing.T) {
-	c := NewCorpus()
-	specs := make([]Spec, 20)
-	for i := range specs {
-		specs[i] = tinySpec(40 + int64(i))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	out := c.Stream(ctx, specs, nil)
-	if _, ok := <-out; !ok {
-		t.Fatal("stream closed before delivering anything")
-	}
-	cancel()
-	// The channel must close; range guards against a hang via test timeout.
-	n := 1
-	for range out {
-		n++
-	}
-	if n >= len(specs) {
-		t.Fatalf("cancelled stream still delivered all %d requests", n)
 	}
 }
 

@@ -16,27 +16,12 @@ import (
 // planners or none at all.
 type LandingPlanner interface {
 	// PlanLanding picks a touchdown point (meters) reachable from (x, y).
-	// ok is false when no acceptable zone exists.
-	PlanLanding(scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool)
-}
-
-// LandingPlannerCtx is the context-aware form of LandingPlanner. Planners
-// that implement it (core.Pipeline, safeland.Engine) have the mission's
-// context threaded into the selection, so a cancelled mission aborts the
-// planning mid-trial instead of running it to completion; the aborted
-// planning reports ok=false, which the safety switch treats as EL
-// unavailable (the conservative interpretation: no verified zone, terminate).
-type LandingPlannerCtx interface {
-	LandingPlanner
-	PlanLandingCtx(ctx context.Context, scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool)
-}
-
-// planLanding dispatches to the ctx-aware planner form when available.
-func planLanding(ctx context.Context, p LandingPlanner, scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
-	if pc, ok := p.(LandingPlannerCtx); ok {
-		return pc.PlanLandingCtx(ctx, scene, xM, yM)
-	}
-	return p.PlanLanding(scene, xM, yM)
+	// ok is false when no acceptable zone exists. The mission's context
+	// bounds the planning: a cancelled mission aborts it mid-selection, and
+	// the aborted planning reports ok=false, which the safety switch treats
+	// as EL unavailable (the conservative interpretation: no verified zone,
+	// terminate).
+	PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool)
 }
 
 // TimedFailure schedules a failure injection.
@@ -95,12 +80,11 @@ func (m *Mission) Run() Outcome {
 	return m.RunCtx(context.Background())
 }
 
-// RunCtx is Run with the context threaded into the landing planner: when
-// the planner is ctx-aware (LandingPlannerCtx), cancelling ctx aborts an
-// emergency-landing selection already in progress — the selection reports
-// no zone and the flight terminates, the same conservative branch an
-// unavailable planner takes. The flight dynamics themselves are pure
-// arithmetic and run to completion regardless of ctx.
+// RunCtx is Run with the context threaded into the landing planner:
+// cancelling ctx aborts an emergency-landing selection already in progress
+// — the selection reports no zone and the flight terminates, the same
+// conservative branch an unavailable planner takes. The flight dynamics
+// themselves are pure arithmetic and run to completion regardless of ctx.
 func (m *Mission) RunCtx(ctx context.Context) Outcome {
 	const dt = 0.5
 	if len(m.Waypoints) == 0 {
@@ -183,7 +167,7 @@ func (m *Mission) RunCtx(ctx context.Context) Outcome {
 			}
 		case EmergencyLanding:
 			if !elPlanned {
-				tx, ty, ok := planLanding(ctx, m.Planner, m.Scene, x, y)
+				tx, ty, ok := m.Planner.PlanLanding(ctx, m.Scene, x, y)
 				if !ok {
 					logf("no safe landing zone -> flight termination")
 					out.Maneuver = FlightTermination

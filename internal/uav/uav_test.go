@@ -190,10 +190,10 @@ func TestSwitchRunContextCancel(t *testing.T) {
 }
 
 // plannerFunc adapts a function to the LandingPlanner interface.
-type plannerFunc func(s *urban.Scene, x, y float64) (float64, float64, bool)
+type plannerFunc func(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool)
 
-func (f plannerFunc) PlanLanding(s *urban.Scene, x, y float64) (float64, float64, bool) {
-	return f(s, x, y)
+func (f plannerFunc) PlanLanding(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool) {
+	return f(ctx, s, x, y)
 }
 
 func testScene() *urban.Scene {
@@ -253,7 +253,7 @@ func TestMissionNavigationLossTriggersELOrFT(t *testing.T) {
 	scene := testScene()
 	// Planner that targets the center of the first open block, whatever its
 	// kind; this scene geometry test does not need the real zone selector.
-	planner := plannerFunc(func(s *urban.Scene, x, y float64) (float64, float64, bool) {
+	planner := plannerFunc(func(_ context.Context, s *urban.Scene, x, y float64) (float64, float64, bool) {
 		for _, blocks := range [][]urban.RectM{s.Layout.Parks, s.Layout.Plazas, s.Layout.ParkingLots} {
 			if len(blocks) > 0 {
 				return blocks[0].CenterX(), blocks[0].CenterY(), true
@@ -283,23 +283,11 @@ func TestMissionNavigationLossTriggersELOrFT(t *testing.T) {
 	}
 }
 
-// ctxPlannerFunc adapts a function to LandingPlannerCtx; the plain
-// PlanLanding form runs it under a background context.
-type ctxPlannerFunc func(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool)
-
-func (f ctxPlannerFunc) PlanLanding(s *urban.Scene, x, y float64) (float64, float64, bool) {
-	return f(context.Background(), s, x, y)
-}
-
-func (f ctxPlannerFunc) PlanLandingCtx(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool) {
-	return f(ctx, s, x, y)
-}
-
 func TestMissionRunCtxThreadsContextToPlanner(t *testing.T) {
 	scene := testScene()
 	// A ctx-honoring planner: refuses when the context is done, otherwise
 	// lands in place.
-	planner := ctxPlannerFunc(func(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool) {
+	planner := plannerFunc(func(ctx context.Context, s *urban.Scene, x, y float64) (float64, float64, bool) {
 		if ctx.Err() != nil {
 			return 0, 0, false
 		}
@@ -327,7 +315,7 @@ func TestMissionRunCtxThreadsContextToPlanner(t *testing.T) {
 
 func TestMissionPlannerFailureFallsBackToFT(t *testing.T) {
 	m := baseMission(testScene())
-	m.Planner = plannerFunc(func(*urban.Scene, float64, float64) (float64, float64, bool) {
+	m.Planner = plannerFunc(func(context.Context, *urban.Scene, float64, float64) (float64, float64, bool) {
 		return 0, 0, false
 	})
 	m.Failures = []TimedFailure{{AtS: 3, Kind: NavigationLoss}}

@@ -18,8 +18,8 @@
 //	resp := eng.Select(ctx, safeland.SelectRequest{Image: img, MPP: 0.5})
 //
 // Every entry point takes a context.Context; SelectBatch verifies N frames
-// in parallel across the worker pool, and Serve turns the engine into a
-// streaming service over a request channel. The selection backend is
+// in parallel across the worker pool, one Select per frame, and NewSession
+// opens a per-vehicle descent stream. The selection backend is
 // pluggable through the Selector interface: PipelineSelector is the
 // paper's monitored Figure 2 pipeline, HybridSelector fuses it with a
 // static GIS risk map, and BaselineSelector adapts the related-work survey
