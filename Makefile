@@ -144,6 +144,7 @@ chaos:
 # cheap regression pass; leave the long campaigns to dedicated runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzZoneSelection -fuzztime=5s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDistanceTransformMatchesParent -fuzztime=5s ./internal/imaging
 	$(GO) test -run=^$$ -fuzz=FuzzSpecKey -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzAxesEnumerate -fuzztime=5s ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzConvForwardMatchesReference -fuzztime=5s ./internal/nn

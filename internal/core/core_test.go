@@ -314,6 +314,28 @@ func TestCandidatesBorderMarginAndDiversity(t *testing.T) {
 	}
 }
 
+// TestCandidatesBorderMarginPx pins what BorderMarginPx means: 0 keeps a
+// quarter zone from the border, a negative value keeps no margin and a
+// positive one that many pixels. Home sits at the top-left corner, so the
+// best candidate is the outermost window the margin allows.
+func TestCandidatesBorderMarginPx(t *testing.T) {
+	pred := imaging.NewLabelMap(64, 64)
+	for i := range pred.Pix {
+		pred.Pix[i] = imaging.LowVegetation
+	}
+	for _, tc := range []struct{ margin, want int }{{0, 4}, {-1, 0}, {-7, 0}, {3, 3}} {
+		// A 16 px zone at 0.5 m per pixel: a quarter zone is 4 px.
+		cfg := ZoneConfig{ZoneSizeM: 8, MinSafeFraction: 0.9, Stride: 1, BorderMarginPx: tc.margin, HomeX: 0.01, HomeY: 0.01}
+		cands := Candidates(pred, 0.5, cfg)
+		if len(cands) == 0 {
+			t.Fatalf("BorderMarginPx %d: no candidates", tc.margin)
+		}
+		if c := cands[0]; c.X0 != tc.want || c.Y0 != tc.want {
+			t.Errorf("BorderMarginPx %d: best zone at (%d,%d), want (%d,%d)", tc.margin, c.X0, c.Y0, tc.want, tc.want)
+		}
+	}
+}
+
 func TestEvenHelpers(t *testing.T) {
 	if evenSize(11) != 12 || evenSize(12) != 12 {
 		t.Error("evenSize wrong")

@@ -14,12 +14,16 @@ import (
 // configured thresholds, every candidate Candidates returns must keep the
 // parachute-drift buffer to the nearest predicted busy-road pixel and a
 // landable-surface majority — recomputed here by brute force, independent
-// of the distance transform and integral image the selector uses.
+// of the distance transform and summed-area table the selector uses — and
+// the list must equal the one the zone field gave before it tested the
+// landable fraction first (refCandidates).
 func FuzzZoneSelection(f *testing.F) {
 	f.Add(int64(1), uint8(48), uint8(48), 12.0, 15.0, 0.85, 0.15)
 	f.Add(int64(2021), uint8(64), uint8(32), 8.0, 4.0, 0.5, 0.4)
 	f.Add(int64(7), uint8(24), uint8(80), 20.0, 0.5, 0.95, 0.05)
 	f.Add(int64(-9), uint8(16), uint8(16), 3.0, 25.0, 0.3, 0.8)
+	f.Add(int64(11), uint8(64), uint8(64), 12.0, 15.0, 1.0, 0.1) // no window fully landable
+	f.Add(int64(12), uint8(40), uint8(56), 6.0, 10.0, 0.3, 0.0)  // road density 0
 	f.Fuzz(func(t *testing.T, seed int64, w8, h8 uint8, zoneM, bufferM, minSafe, roadDensity float64) {
 		w := 16 + int(w8)%65
 		h := 16 + int(h8)%65
@@ -38,6 +42,9 @@ func FuzzZoneSelection(f *testing.F) {
 			MaxCandidates:   8,
 		}
 		cands := Candidates(pred, mpp, cfg)
+		if want := refCandidates(pred, mpp, cfg); !reflect.DeepEqual(cands, want) {
+			t.Fatalf("%d candidates, the parent's zone field %d: %+v vs %+v", len(cands), len(want), cands, want)
+		}
 
 		var roads [][2]int
 		for y := 0; y < h; y++ {
@@ -190,6 +197,127 @@ func TestLadderMatchesPerRungLoop(t *testing.T) {
 			t.Errorf("no trial stopped at %q: %v", stop, stops)
 		}
 	}
+}
+
+// TestZoneFieldMatchesParent pins ladder (with no filter and with the
+// hybrid's static-map fusion) and Candidates to the zone field as it was
+// before the scan tested the landable fraction first (refZoneField): over
+// random predictions of 8–200 px with landable blocks and road strips, a
+// map with no landable pixel and one with no busy road, and MinSafeFraction
+// NaN, −1, 0, 1, 1.5 or random, varied stride, border margin and home. A
+// frame where no window passes the landable test must never run the road
+// distance transform.
+func TestZoneFieldMatchesParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	minSafes := []float64{math.NaN(), -1, 0, 1, 1.5}
+	seen := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		w, h := 8+rng.Intn(193), 8+rng.Intn(193)
+		pred := zonePrediction(rng, w, h, trial != 0, trial != 1)
+		mpp := 0.25 + 0.75*rng.Float64()
+		cfg := ZoneConfig{
+			ZoneSizeM:       1 + 19*rng.Float64(),
+			BufferM:         30 * rng.Float64(),
+			MinSafeFraction: rng.Float64(),
+			MaxCandidates:   rng.Intn(10),
+			BorderMarginPx:  rng.Intn(6) - 2,
+		}
+		if i := rng.Intn(len(minSafes) + 2); i < len(minSafes) {
+			cfg.MinSafeFraction = minSafes[i]
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Stride = 1 + rng.Intn(8)
+		}
+		if rng.Intn(2) == 0 {
+			cfg.HomeX, cfg.HomeY = float64(w)*mpp*rng.Float64(), float64(h)*mpp*rng.Float64()
+		}
+		static := imaging.NewMap(w, h)
+		for i := range static.Pix {
+			static.Pix[i] = rng.Float32()
+		}
+		hy := &Hybrid{StaticWeight: 8, MaxStaticRisk: 0.6}
+		fused := buildFiniteIntegral(static)
+		fuse := func(c []Candidate) []Candidate { return hy.fuse(c, fused) }
+		for name, keep := range map[string]func([]Candidate) []Candidate{"pipeline": nil, "hybrid": fuse} {
+			got, gotBuffer := ladder(pred, mpp, cfg, keep)
+			want, wantBuffer := refLadder(pred, mpp, cfg, keep)
+			if !reflect.DeepEqual(got, want) || gotBuffer != wantBuffer {
+				t.Fatalf("trial %d %s ladder (%dx%d, mpp %.3f, %+v): %d candidates at %v m, parent %d at %v m",
+					trial, name, w, h, mpp, cfg, len(got), gotBuffer, len(want), wantBuffer)
+			}
+		}
+		field := newZoneField(pred, mpp)
+		got := field.candidates(cfg)
+		if want := refCandidates(pred, mpp, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d Candidates (%dx%d, mpp %.3f, %+v): %d candidates, parent %d",
+				trial, w, h, mpp, cfg, len(got), len(want))
+		}
+		switch {
+		case len(field.scan) == 0 && field.roadSq != nil:
+			t.Fatalf("trial %d: no window passed the landable test, yet the road transform ran", trial)
+		case len(field.scan) == 0:
+			seen["no survivor"]++
+		case len(got) == 0:
+			seen["survivors, no candidate"]++
+		default:
+			seen["candidates"]++
+		}
+		// Another MinSafeFraction on the same field must rescan, not reuse
+		// the first scan's windows.
+		again := cfg
+		again.MinSafeFraction = minSafes[rng.Intn(len(minSafes))]
+		if got, want := field.candidates(again), refCandidates(pred, mpp, again); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d Candidates rescanned (%dx%d, mpp %.3f, %+v): %d candidates, parent %d",
+				trial, w, h, mpp, again, len(got), len(want))
+		}
+	}
+	t.Logf("%v", seen)
+	for _, k := range []string{"no survivor", "survivors, no candidate", "candidates"} {
+		if seen[k] == 0 {
+			t.Errorf("no trial had %s: %v", k, seen)
+		}
+	}
+}
+
+// zonePrediction is a prediction with coherent structure: a random mix of
+// landable, other and (when roads) busy-road pixels, plus landable blocks
+// (when landable) and road strips (when roads), so that windows pass and
+// fail both tests of the zone field.
+func zonePrediction(rng *rand.Rand, w, h int, landable, roads bool) *imaging.LabelMap {
+	pred := imaging.NewLabelMap(w, h)
+	land := []imaging.Class{imaging.LowVegetation, imaging.Clutter}
+	other := []imaging.Class{imaging.Building, imaging.Tree, imaging.Humans}
+	busy := imaging.BusyRoadClasses()
+	pLand, pRoad := rng.Float64(), 0.02*rng.Float64()
+	if !landable {
+		pLand = 0
+	}
+	if !roads {
+		pRoad = 0
+	}
+	for i := range pred.Pix {
+		switch r := rng.Float64(); {
+		case r < pRoad:
+			pred.Pix[i] = busy[rng.Intn(len(busy))]
+		case r < pRoad+(1-pRoad)*pLand:
+			pred.Pix[i] = land[rng.Intn(len(land))]
+		default:
+			pred.Pix[i] = other[rng.Intn(len(other))]
+		}
+	}
+	if landable {
+		for b := rng.Intn(4); b > 0; b-- {
+			x0, y0 := rng.Intn(w), rng.Intn(h)
+			pred.FillRect(x0, y0, x0+rng.Intn(w), y0+rng.Intn(h), imaging.LowVegetation)
+		}
+	}
+	if roads {
+		for s := rng.Intn(3); s > 0; s-- {
+			y := rng.Intn(h)
+			pred.FillRect(0, y, w, y+1+rng.Intn(3), imaging.Road)
+		}
+	}
+	return pred
 }
 
 func clampInt(v, lo, hi int) int {

@@ -33,7 +33,7 @@ type ZoneConfig struct {
 	MaxCandidates int
 	// BorderMarginPx excludes zones touching the image border, where
 	// convolution padding degrades both prediction and uncertainty
-	// calibration (negative = default of a quarter zone).
+	// calibration (0 = a quarter zone, negative = no margin).
 	BorderMarginPx int
 	// HomeX, HomeY bias the ranking toward zones near this position
 	// (meters); both zero disables the bias.
@@ -123,20 +123,29 @@ func ladder(pred *imaging.LabelMap, mpp float64, cfg ZoneConfig, keep func([]Can
 }
 
 // zoneField is the part of candidate generation that does not depend on
-// the road buffer: each pixel's distance to the nearest predicted
-// busy-road pixel, the integral of landable pixels, and the scan of the
-// zone windows, kept for the window geometry it was made for. Each ladder
-// rung only filters and scores the scanned windows.
+// the road buffer: the summed-area table of landable pixels, each pixel's
+// squared distance to the nearest predicted busy-road pixel, and the scan
+// of the zone windows, kept for the key it was made for. Each ladder rung
+// only filters and scores the scanned windows.
 type zoneField struct {
-	pred   *imaging.LabelMap
-	mpp    float64
-	dist   *imaging.Map
-	safeIt *imaging.Integral
+	pred *imaging.LabelMap
+	mpp  float64
+	// landableSum[y*(W+1)+x] counts the landable pixels in [0,x)×[0,y).
+	landableSum []int32
+	// roadSq is computed when the first window passes the landable test, so
+	// a frame where none does never runs the distance transform.
+	roadSq *imaging.Map
 
-	// scan holds every window of geometry scanned (zone side, stride and
-	// border margin in pixels), in scan order.
-	scanned [3]int
+	scanned scanKey
 	scan    []zoneWindow
+}
+
+// scanKey identifies a scan: the window geometry (zone side, stride and
+// border margin in pixels) and the bits of its minimum landable fraction,
+// so that a NaN, which admits every window, still matches itself.
+type scanKey struct {
+	zonePx, stride, margin int
+	minSafe                uint64
 }
 
 // zoneWindow is one scanned zone: its origin, its minimum distance to a
@@ -151,47 +160,61 @@ func newZoneField(pred *imaging.LabelMap, mpp float64) *zoneField {
 	if mpp <= 0 {
 		panic(fmt.Sprintf("core: invalid meters-per-pixel %v", mpp))
 	}
-	safe := imaging.NewMap(pred.W, pred.H)
-	for i, c := range pred.Pix {
-		if landable(c) {
-			safe.Pix[i] = 1
+	w := pred.W + 1
+	sum := make([]int32, w*(pred.H+1))
+	for y := 0; y < pred.H; y++ {
+		above, row := sum[y*w:(y+1)*w], sum[(y+1)*w:(y+2)*w]
+		var n int32
+		for x, c := range pred.Pix[y*pred.W : (y+1)*pred.W] {
+			if landable(c) {
+				n++
+			}
+			row[x+1] = above[x+1] + n
 		}
 	}
-	return &zoneField{
-		pred:   pred,
-		mpp:    mpp,
-		dist:   pred.DistanceTransform(imaging.Class.BusyRoad),
-		safeIt: imaging.NewIntegral(safe),
-	}
+	return &zoneField{pred: pred, mpp: mpp, landableSum: sum}
 }
 
 // windows returns the zonePx-sided windows from margin to the far margin in
-// steps of stride, each with its minimum road distance and landable
-// fraction, scanning only when the geometry differs from the last scan's.
-func (f *zoneField) windows(zonePx, stride, margin int) []zoneWindow {
+// steps of stride whose landable fraction is not below minSafe, each with
+// its minimum road distance and landable fraction, scanning only when the
+// key differs from the last scan's. The ladder relaxes only the buffer, so
+// one scan serves every rung. A window's road distance is the square root
+// of its minimum squared distance: the minimum of the pixels' rounded
+// roots, since the root and the rounding are both monotone.
+func (f *zoneField) windows(zonePx, stride, margin int, minSafe float64) []zoneWindow {
 	// zonePx is at least 1, so the zero value of scanned matches no scan.
-	geom := [3]int{zonePx, stride, margin}
-	if f.scanned == geom {
+	key := scanKey{zonePx, stride, margin, math.Float64bits(minSafe)}
+	if f.scanned == key {
 		return f.scan
 	}
-	pred, dist := f.pred, f.dist
+	pred, sum, w := f.pred, f.landableSum, f.pred.W+1
+	area := float64(zonePx * zonePx)
 	var scan []zoneWindow
 	for y := margin; y+zonePx <= pred.H-margin; y += stride {
+		top, bottom := sum[y*w:(y+1)*w], sum[(y+zonePx)*w:(y+zonePx+1)*w]
 		for x := margin; x+zonePx <= pred.W-margin; x += stride {
-			minDist := float32(math.Inf(1))
+			n := bottom[x+zonePx] - bottom[x] - top[x+zonePx] + top[x]
+			frac := float64(n) / area
+			if frac < minSafe {
+				continue
+			}
+			if f.roadSq == nil {
+				f.roadSq = pred.SquaredDistanceTransform(imaging.Class.BusyRoad)
+			}
+			minSq := float32(math.Inf(1))
 			for yy := y; yy < y+zonePx; yy++ {
-				row := dist.Pix[yy*dist.W+x : yy*dist.W+x+zonePx]
-				for _, d := range row {
-					if d < minDist {
-						minDist = d
+				for _, d := range f.roadSq.Pix[yy*pred.W+x : yy*pred.W+x+zonePx] {
+					if d < minSq {
+						minSq = d
 					}
 				}
 			}
-			frac := f.safeIt.RectMean(x, y, x+zonePx, y+zonePx)
+			minDist := float32(math.Sqrt(float64(minSq)))
 			scan = append(scan, zoneWindow{x: x, y: y, minDist: minDist, frac: frac})
 		}
 	}
-	f.scanned, f.scan = geom, scan
+	f.scanned, f.scan = key, scan
 	return scan
 }
 
@@ -227,8 +250,8 @@ func (f *zoneField) candidates(cfg ZoneConfig) []Candidate {
 	}
 
 	var cands []Candidate
-	for _, w := range f.windows(zonePx, stride, margin) {
-		if w.minDist < bufferPx || w.frac < cfg.MinSafeFraction {
+	for _, w := range f.windows(zonePx, stride, margin, cfg.MinSafeFraction) {
+		if w.minDist < bufferPx {
 			continue
 		}
 		distM := float64(w.minDist) * mpp

@@ -2,72 +2,124 @@ package imaging
 
 import "math"
 
+// far is a squared distance with no mask pixel in reach: finite, so the
+// row pass's parabola intersections stay finite, and so large that adding
+// any squared pixel distance (or 1) rounds back to it.
+const far = math.MaxFloat32 / 4
+
 // DistanceTransform computes the exact Euclidean distance from every pixel
-// to the nearest pixel where mask holds, using the Felzenszwalb–Huttenlocher
-// lower-envelope algorithm on squared distances (O(W·H)). If no pixel
-// satisfies the mask, every distance is +Inf.
-//
-// Landing-zone selection uses this to score candidate zones by their
-// distance to the nearest busy-road pixel.
+// to the nearest pixel where mask holds: the square root of
+// SquaredDistanceTransform, so +Inf everywhere if no pixel satisfies the
+// mask.
 func (lm *LabelMap) DistanceTransform(mask func(Class) bool) *Map {
-	inside := make([]bool, lm.W*lm.H)
+	return sqrtPix(lm.SquaredDistanceTransform(mask))
+}
+
+// SquaredDistanceTransform computes the exact squared Euclidean distance
+// from every pixel to the nearest pixel where mask holds (O(W·H)), or +Inf
+// everywhere if no pixel satisfies the mask. mask is called once for each
+// class value the map holds.
+//
+// Landing-zone selection takes each candidate zone's minimum squared
+// distance to a busy-road pixel, then one square root.
+func (lm *LabelMap) SquaredDistanceTransform(mask func(Class) bool) *Map {
+	var known, in [256]bool
+	sq := NewMap(lm.W, lm.H)
 	for i, c := range lm.Pix {
-		inside[i] = mask(c)
+		if !known[c] {
+			known[c], in[c] = true, mask(c)
+		}
+		if !in[c] {
+			sq.Pix[i] = far
+		}
 	}
-	return distanceTransform(inside, lm.W, lm.H)
+	squaredDistances(sq)
+	return sq
 }
 
 // DistanceTransform computes the exact Euclidean distance from every pixel
-// to the nearest pixel with value >= 0.5 (treating the map as binary).
+// to the nearest pixel with value >= 0.5 (treating the map as binary), +Inf
+// everywhere if there is none.
 func (m *Map) DistanceTransform() *Map {
-	inside := make([]bool, m.W*m.H)
+	sq := NewMap(m.W, m.H)
 	for i, v := range m.Pix {
-		inside[i] = v >= 0.5
+		if !(v >= 0.5) {
+			sq.Pix[i] = far
+		}
 	}
-	return distanceTransform(inside, m.W, m.H)
+	squaredDistances(sq)
+	return sqrtPix(sq)
 }
 
-func distanceTransform(inside []bool, w, h int) *Map {
-	const inf = math.MaxFloat32 / 4
-	sq := make([]float32, w*h)
-	for i, in := range inside {
-		if in {
-			sq[i] = 0
-		} else {
-			sq[i] = inf
+// squaredDistances turns sq, 0 on the mask and far elsewhere, into each
+// pixel's squared Euclidean distance to the nearest mask pixel, or +Inf
+// everywhere when there is none: the Felzenszwalb–Huttenlocher transform,
+// a pass down the columns and then edt1D's lower envelope along each row.
+//
+// The column pass is two row-major sweeps. Sweeping down, each pixel takes
+// its distance in rows to the nearest mask pixel at or above it in its
+// column (far where there is none, since far + 1 rounds to far); sweeping
+// up, the nearer of that and the nearest at or below, squared. On a column
+// of 0s and fars that is bit for bit what edt1D computes while the squared
+// row indices are exact in float32 (columns under 4096 rows): two
+// zero-rooted parabolas meet at the exact midpoint, one rooted at far
+// meets any zero-rooted one beyond every row, and every square of a row
+// distance is the same float32 product.
+func squaredDistances(sq *Map) {
+	w, h := sq.W, sq.H
+	for y := 1; y < h; y++ {
+		above, row := sq.Pix[(y-1)*w:y*w], sq.Pix[y*w:(y+1)*w]
+		for x, d := range row {
+			row[x] = min(d, above[x]+1)
 		}
 	}
-
-	// Column pass then row pass of the 1-D squared-distance transform.
-	f := make([]float32, maxInt(w, h))
-	d := make([]float32, maxInt(w, h))
-	v := make([]int, maxInt(w, h))
-	z := make([]float32, maxInt(w, h)+1)
-
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			f[y] = sq[y*w+x]
-		}
-		edt1D(f[:h], d[:h], v[:h], z[:h+1])
-		for y := 0; y < h; y++ {
-			sq[y*w+x] = d[y]
+	// below holds, per column, the distance in rows from the row under the
+	// current one to the nearest mask pixel at or below it.
+	below := make([]float32, w)
+	for x := range below {
+		below[x] = far
+	}
+	for y := h - 1; y >= 0; y-- {
+		row := sq.Pix[y*w : (y+1)*w]
+		for x, d := range row {
+			d = min(d, below[x]+1)
+			below[x] = d
+			if d < far {
+				row[x] = d * d
+			}
 		}
 	}
+	// After the sweeps below[x] is column x's distance from row 0 to its
+	// nearest mask pixel: far in every column means an empty mask.
+	empty := true
+	for _, b := range below {
+		if b < far {
+			empty = false
+			break
+		}
+	}
+	if empty {
+		for i := range sq.Pix {
+			sq.Pix[i] = float32(math.Inf(1))
+		}
+		return
+	}
+	d := make([]float32, w)
+	v := make([]int, w)
+	z := make([]float32, w+1)
 	for y := 0; y < h; y++ {
-		copy(f[:w], sq[y*w:(y+1)*w])
-		edt1D(f[:w], d[:w], v[:w], z[:w+1])
-		copy(sq[y*w:(y+1)*w], d[:w])
+		row := sq.Pix[y*w : (y+1)*w]
+		edt1D(row, d, v, z)
+		copy(row, d)
 	}
+}
 
-	out := &Map{W: w, H: h, Pix: sq}
-	for i, s := range sq {
-		if s >= inf {
-			out.Pix[i] = float32(math.Inf(1))
-		} else {
-			out.Pix[i] = float32(math.Sqrt(float64(s)))
-		}
+// sqrtPix replaces each squared distance of m by its square root.
+func sqrtPix(m *Map) *Map {
+	for i, s := range m.Pix {
+		m.Pix[i] = float32(math.Sqrt(float64(s)))
 	}
-	return out
+	return m
 }
 
 // edt1D computes the 1-D squared Euclidean distance transform of sampled
@@ -107,13 +159,6 @@ func edt1D(f, d []float32, v []int, z []float32) {
 		dq := float32(q - v[k])
 		d[q] = dq*dq + f[v[k]]
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Components labels the 4-connected components of pixels where pred holds.
