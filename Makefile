@@ -38,7 +38,7 @@ FMA_FREE = nn.convRun nn.convTapsGo nn.(*Conv2D).run nn.bnReLUGo nn.(*BatchNorm2
 	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.applyKeep nn.applyKeepGo nn.(*Upsample2x).Forward \
 	nn.softmaxChannelsInto nn.softmaxPixels nn.(*fusedConcat).Forward nn.(*fusedConcat).ForwardCtx \
 	monitor.(*Bayesian).mcMoments monitor.accumulateMoments monitor.finalizeMoments \
-	monitor.Rule.PixelFlags monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
+	monitor.Rule.PixelFlags monitor.ruleScan monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
 	monitor.accumulateEntropy monitor.entropyOf
 
 .PHONY: check fmt vet build cross test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
@@ -152,4 +152,5 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzSoftmaxMatchesPerPixelLoop -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzSafetySwitch -fuzztime=5s ./internal/uav
 	$(GO) test -run=^$$ -fuzz=FuzzServingContract -fuzztime=5s .

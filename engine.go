@@ -13,7 +13,6 @@ import (
 	"safeland/internal/core"
 	"safeland/internal/faults"
 	"safeland/internal/imaging"
-	"safeland/internal/sora"
 	"safeland/internal/urban"
 )
 
@@ -420,12 +419,6 @@ func (e *Engine) Stats() EngineStats {
 
 // Save writes the engine's model checkpoint to path.
 func (e *Engine) Save(path string) error { return e.sys.Save(path) }
-
-// Certify runs the SORA v2.0 assessment for this engine's vehicle with the
-// emergency-landing function claimed under the given validation claims.
-func (e *Engine) Certify(claims core.Claims) sora.Assessment {
-	return Certify(e.sys.Spec, claims)
-}
 
 // Select serves one request synchronously: it waits for a free worker
 // (honoring ctx while queued) and runs the backend on it. The backend keeps

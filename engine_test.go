@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -356,10 +357,26 @@ func TestEngineRequestDeadline(t *testing.T) {
 	}
 }
 
+// pollDeadlineCtx counts its Err polls and reports
+// context.DeadlineExceeded from the one after limit on, so a deadline lands
+// at the same point of a deterministic computation on any host.
+type pollDeadlineCtx struct {
+	context.Context
+	polls atomic.Int64
+	limit int64
+}
+
+func (c *pollDeadlineCtx) Err() error {
+	if c.polls.Add(1) > c.limit {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // TestEngineSelectCancelsMidTrial pins the ctx-aware perception stack: a
-// context cancelled while the pipeline is mid-selection (not merely queued)
-// must surface ctx.Err() promptly instead of running the remaining
-// Monte-Carlo trials to completion.
+// context whose deadline passes while the pipeline is mid-selection (not
+// merely queued) must surface ctx.Err() promptly instead of running the
+// remaining Monte-Carlo trials to completion.
 func TestEngineSelectCancelsMidTrial(t *testing.T) {
 	sys := quickSystem(t)
 	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
@@ -371,44 +388,57 @@ func TestEngineSelectCancelsMidTrial(t *testing.T) {
 	// A scene with landing candidates, so the selection runs Monte-Carlo
 	// trials after segmenting.
 	scene := urban.Generate(cfg, urban.DefaultConditions(), 5)
+	req := SelectRequest{Image: scene.Image, MPP: scene.MPP}
 
-	// Uncancelled baseline: how long a full selection takes, and its result.
-	// The first selection warms the replica's arena; the deadline is taken
-	// from the fastest of the next three, which is what a served frame
-	// costs on an unloaded host: one warm run slowed by other processes
-	// would stretch the deadline past a whole selection.
-	full := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
+	// Uncancelled baseline: the result, and how many times a whole
+	// selection polls its context.
+	full := eng.Select(context.Background(), req)
 	if full.Err != nil {
 		t.Fatal(full.Err)
 	}
 	if len(full.Result.Trials) == 0 {
 		t.Fatal("the baseline selection ran no Monte-Carlo trial: the scene no longer exercises a mid-trial cancellation")
 	}
-	var fastest time.Duration
-	for i := 0; i < 3; i++ {
-		warm := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
-		if warm.Err != nil {
-			t.Fatal(warm.Err)
-		}
-		if i == 0 || warm.Elapsed < fastest {
-			fastest = warm.Elapsed
-		}
+	count := &pollDeadlineCtx{Context: context.Background(), limit: math.MaxInt64}
+	if counted := eng.Select(count, req); counted.Err != nil || !reflect.DeepEqual(counted.Result, full.Result) {
+		t.Fatalf("a never-expiring polled context changed the selection (err %v)", counted.Err)
 	}
 
-	// A timeout of a small fraction of the full selection lands early in
-	// it: the worker is free, so the request dequeues immediately and the
-	// deadline expires inside the perception stack, before the last layer
-	// of the last trial checks the context.
-	timeout := fastest / 20
-	if timeout < time.Millisecond {
-		timeout = time.Millisecond
+	// The polls of each trial, counted on a replica's monitor (the fused
+	// network the worker serves). The selection polls nothing after its
+	// last trial, so the trials are the last polls of the count.
+	rep, err := sys.Replica()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+	mon := rep.Pipeline.Monitor
+	trialPolls := make([]int64, len(full.Result.Trials))
+	before := count.polls.Load()
+	for i, tr := range full.Result.Trials {
+		x0, y0, size := tr.Candidate.CropRect(scene.Image.W, scene.Image.H)
+		c := &pollDeadlineCtx{Context: context.Background(), limit: math.MaxInt64}
+		if _, err := mon.VerifyRegionCtx(c, scene.Image.Crop(x0, y0, size, size), rep.Pipeline.Rule); err != nil {
+			t.Fatal(err)
+		}
+		trialPolls[i] = c.polls.Load()
+		before -= trialPolls[i]
+	}
+	if before <= 0 || trialPolls[0] < 2 {
+		t.Fatalf("%d polls before the first trial, %d in it: the count no longer places a deadline inside it", before, trialPolls[0])
+	}
+
+	// The deadline passes halfway through the first trial's polls: after
+	// segmentation, before the first verdict.
+	ctx := &pollDeadlineCtx{Context: context.Background(), limit: before + trialPolls[0]/2}
+	t.Logf("deadline after poll %d of %d: %d before the first trial, %v in the trials", ctx.limit, count.polls.Load(), before, trialPolls)
 	start := time.Now()
-	resp := eng.Select(ctx, SelectRequest{Image: scene.Image, MPP: scene.MPP})
+	resp := eng.Select(ctx, req)
 	if resp.Err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", resp.Err)
+	}
+	if resp.Result.Pred == nil || len(resp.Result.Trials) != 0 {
+		t.Fatalf("cancelled with %d trials done (segmented: %v), want inside the first trial",
+			len(resp.Result.Trials), resp.Result.Pred != nil)
 	}
 	// "Promptly": well under the full selection time. One network layer is
 	// the cancellation granularity; allow half the full run as slack.
@@ -417,7 +447,7 @@ func TestEngineSelectCancelsMidTrial(t *testing.T) {
 	}
 
 	// The engine stays serviceable and deterministic after a cancellation.
-	again := eng.Select(context.Background(), SelectRequest{Image: scene.Image, MPP: scene.MPP})
+	again := eng.Select(context.Background(), req)
 	if again.Err != nil {
 		t.Fatal(again.Err)
 	}

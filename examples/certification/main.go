@@ -47,8 +47,8 @@ func main() {
 
 	fmt.Println("\n3) SORA with EL accepted as an active-M1 mitigation:")
 	// safeland.Certify bundles the M3 medium emergency response plan with
-	// the EL claim — the same assessment Engine.Certify runs for a trained
-	// engine.
+	// the EL claim; it needs no trained model, only the vehicle and the
+	// claims.
 	fmt.Print(safeland.Certify(spec, claims).Report("M3 medium + EL (active-M1)"))
 
 	fmt.Println("\nThe SAIL drop (V -> IV) shrinks the high-robustness OSO burden — the")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"safeland/internal/imaging"
+	"safeland/internal/riskmap"
 )
 
 // FuzzZoneSelection fuzzes the Table III integrity criteria over arbitrary
@@ -158,7 +159,7 @@ func TestLadderMatchesPerRungLoop(t *testing.T) {
 			}
 		}
 		hy := &Hybrid{StaticWeight: 8, MaxStaticRisk: 0.6}
-		fused := buildFiniteIntegral(static)
+		fused := riskmap.NewWindows(static)
 		keeps := map[string]func([]Candidate) []Candidate{
 			"pipeline": nil,
 			"hybrid":   func(c []Candidate) []Candidate { return hy.fuse(c, fused) },
@@ -236,7 +237,7 @@ func TestZoneFieldMatchesParent(t *testing.T) {
 			static.Pix[i] = rng.Float32()
 		}
 		hy := &Hybrid{StaticWeight: 8, MaxStaticRisk: 0.6}
-		fused := buildFiniteIntegral(static)
+		fused := riskmap.NewWindows(static)
 		fuse := func(c []Candidate) []Candidate { return hy.fuse(c, fused) }
 		for name, keep := range map[string]func([]Candidate) []Candidate{"pipeline": nil, "hybrid": fuse} {
 			got, gotBuffer := ladder(pred, mpp, cfg, keep)

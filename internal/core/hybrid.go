@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
 
-	"safeland/internal/imaging"
 	"safeland/internal/riskmap"
 	"safeland/internal/urban"
 )
@@ -60,15 +58,15 @@ func (h *Hybrid) SelectWithConfig(scene *urban.Scene, cfg ZoneConfig) Result {
 // the semantics mirror Pipeline.SelectWithConfigCtx, whose trial loop it
 // runs with the static-map fusion as the candidate filter.
 func (h *Hybrid) SelectWithConfigCtx(ctx context.Context, scene *urban.Scene, cfg ZoneConfig) (Result, error) {
-	static := buildFiniteIntegral(riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg))
+	static := riskmap.NewWindows(riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg))
 	return h.Pipeline.selectCtx(ctx, scene.Image, scene.MPP, cfg, func(c []Candidate) []Candidate { return h.fuse(c, static) })
 }
 
 // fuse drops candidates the static map forbids and re-ranks the survivors.
-func (h *Hybrid) fuse(cands []Candidate, static finiteIntegral) []Candidate {
+func (h *Hybrid) fuse(cands []Candidate, static riskmap.Windows) []Candidate {
 	kept := cands[:0:0]
 	for _, c := range cands {
-		mean, forbidden := static.meanRisk(c.X0, c.Y0, c.SizePx)
+		mean, forbidden := static.Mean(c.X0, c.Y0, c.SizePx)
 		if forbidden || mean > h.MaxStaticRisk {
 			continue
 		}
@@ -96,30 +94,4 @@ func (h *Hybrid) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM flo
 	}
 	txM, tyM := res.Zone.CenterM(scene.MPP)
 	return txM, tyM, true
-}
-
-// finiteIntegral tracks mean finite risk and forbidden (+Inf) coverage.
-type finiteIntegral struct {
-	risk *imaging.Integral
-	forb *imaging.Integral
-}
-
-func buildFiniteIntegral(static *imaging.Map) finiteIntegral {
-	finite := imaging.NewMap(static.W, static.H)
-	forb := imaging.NewMap(static.W, static.H)
-	for i, v := range static.Pix {
-		if math.IsInf(float64(v), 1) {
-			forb.Pix[i] = 1
-		} else {
-			finite.Pix[i] = v
-		}
-	}
-	return finiteIntegral{risk: imaging.NewIntegral(finite), forb: imaging.NewIntegral(forb)}
-}
-
-func (fi finiteIntegral) meanRisk(x0, y0, size int) (mean float64, forbidden bool) {
-	if fi.forb.RectSum(x0, y0, x0+size, y0+size) > 0 {
-		return 0, true
-	}
-	return fi.risk.RectMean(x0, y0, x0+size, y0+size), false
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"safeland/internal/imaging"
+	"safeland/internal/riskmap"
 	"safeland/internal/urban"
 )
 
@@ -108,7 +109,7 @@ func TestHybridFuseRejectsForbidden(t *testing.T) {
 		{X0: 36, Y0: 10, SizePx: 8, Score: 10}, // low mapped risk
 		{X0: 54, Y0: 10, SizePx: 8, Score: 90}, // above MaxStaticRisk
 	}
-	kept := h.fuse(cands, buildFiniteIntegral(static))
+	kept := h.fuse(cands, riskmap.NewWindows(static))
 	if len(kept) != 1 {
 		t.Fatalf("kept %d candidates, want 1", len(kept))
 	}

@@ -61,21 +61,14 @@ func RunE12(e *Env, w io.Writer) error {
 		return fmt.Errorf("E12: %w", err)
 	}
 
-	type tally struct {
-		monitored, total      int64 // pixels under any monitor verdict
-		missed, missedFlagged int64 // core-model busy-road misses, flagged
-		safe, safeFlagged     int64 // truly-safe pixels, flagged
-		flagged               int64
-		confirmed, disputed   int64 // crop-confirmed zones vs the frame map
-	}
-
 	splits := []struct {
 		name  string
 		specs []scenario.Spec
 	}{{"in-distribution", testSpecs}, {"OOD (sunset)", oodSpecs}}
 	for _, split := range splits {
 		resps := e.Fleet(context.Background(), eng, split.specs, scenario.SceneRequest)
-		var crop, full tally
+		var crop, full monitor.Tally
+		var cropMonitored, total, confirmed, disputed int64
 		for si, resp := range resps {
 			if resp.Err != nil {
 				return fmt.Errorf("E12 %s scene %d: %w", split.name, si, resp.Err)
@@ -89,10 +82,8 @@ func RunE12(e *Env, w io.Writer) error {
 			cropFlags := imaging.NewMap(fw, fh)
 			for _, tr := range resp.Result.Trials {
 				x0, y0, size := tr.Candidate.CropRect(fw, fh)
-				for y := y0; y < y0+size; y++ {
-					copy(monitored.Pix[y*fw+x0:y*fw+x0+size], ones(size))
-				}
-				mergeFlagsAt(cropFlags, tr.Verdict.Flags, x0, y0)
+				monitored.FillRect(x0, y0, x0+size, y0+size, 1)
+				monitor.MergeFlags(cropFlags, tr.Verdict.Flags, x0, y0)
 			}
 
 			// Full-frame regime: the frame tiled wall-to-wall.
@@ -101,48 +92,15 @@ func RunE12(e *Env, w io.Writer) error {
 				return fmt.Errorf("E12 %s scene %d full-frame: %w", split.name, si, err)
 			}
 
-			pred := resp.Result.Pred
-			for i, truth := range s.Labels.Pix {
-				crop.total++
-				full.total++
-				full.monitored++
-				if monitored.Pix[i] != 0 {
-					crop.monitored++
-				}
-				cropFlag := cropFlags.Pix[i] != 0
-				fullFlag := fv.Flags.Pix[i] != 0
-				if cropFlag {
-					crop.flagged++
-				}
-				if fullFlag {
-					full.flagged++
-				}
-				if truth.BusyRoad() && !pred.Pix[i].BusyRoad() {
-					crop.missed++
-					full.missed++
-					if cropFlag {
-						crop.missedFlagged++
-					}
-					if fullFlag {
-						full.missedFlagged++
-					}
-				} else if !truth.BusyRoad() {
-					crop.safe++
-					full.safe++
-					if cropFlag {
-						crop.safeFlagged++
-					}
-					if fullFlag {
-						full.safeFlagged++
-					}
-				}
-			}
+			crop.Add(s.Labels, resp.Result.Pred, cropFlags)
+			full.Add(s.Labels, resp.Result.Pred, fv.Flags)
+			cropMonitored += int64(monitored.CountAbove(0.5))
+			total += int64(fw * fh)
 
 			// Does the frame-wide uncertainty map dispute the zone the
 			// crop-only pipeline confirmed?
 			if resp.Result.Confirmed {
-				crop.confirmed++
-				full.confirmed++
+				confirmed++
 				x0, y0, size := resp.Result.Zone.CropRect(fw, fh)
 				zoneFlagged := 0
 				for y := y0; y < y0+size; y++ {
@@ -153,23 +111,26 @@ func RunE12(e *Env, w io.Writer) error {
 					}
 				}
 				if float64(zoneFlagged)/float64(size*size) > zoneRule.MaxFlaggedFraction {
-					full.disputed++
+					disputed++
 				}
 			}
 		}
 		for _, row := range []struct {
-			regime string
-			t      tally
-		}{{"crop-only", crop}, {"full-frame", full}} {
+			regime    string
+			t         monitor.Tally
+			monitored int64
+		}{{"crop-only", crop, cropMonitored}, {"full-frame", full, total}} {
+			q := row.t.Quality()
+			if row.t.Missed == 0 {
+				q.HazardMissCoverage = 0 // the table reads 0, not a vacuous 1
+			}
 			fmt.Fprintf(w, "  %-18s %-10s %9.1f%% %14.3f %14.3f%% %9.3f\n",
 				split.name, row.regime,
-				100*ratio(row.t.monitored, row.t.total),
-				ratio(row.t.missedFlagged, row.t.missed),
-				100*ratio(row.t.safeFlagged, row.t.safe),
-				ratio(row.t.flagged, row.t.total))
+				100*ratio(row.monitored, total),
+				q.HazardMissCoverage, 100*q.FalseWarningRate, q.FlaggedFraction)
 		}
 		fmt.Fprintf(w, "  %-18s confirmed zones: %d, disputed by the full-frame map: %d\n",
-			split.name, crop.confirmed, full.disputed)
+			split.name, confirmed, disputed)
 	}
 
 	// In-experiment parity spot check: one tile re-verified on its own must
@@ -213,35 +174,12 @@ func RunE12(e *Env, w io.Writer) error {
 	return nil
 }
 
-// ratio is a safe a/b for the tally fractions; every numerator here counts
-// a subset of its denominator, so an empty denominator reads as 0.
+// ratio is a safe a/b; an empty denominator reads as 0.
 func ratio(a, b int64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// ones returns a row of 1s for marking monitored spans; sized on demand.
-func ones(n int) []float32 {
-	r := make([]float32, n)
-	for i := range r {
-		r[i] = 1
-	}
-	return r
-}
-
-// mergeFlagsAt ORs a crop flag map into a frame-sized map at (x0, y0).
-func mergeFlagsAt(frame, crop *imaging.Map, x0, y0 int) {
-	for y := 0; y < crop.H; y++ {
-		src := crop.Pix[y*crop.W : (y+1)*crop.W]
-		dst := frame.Pix[(y0+y)*frame.W+x0 : (y0+y)*frame.W+x0+crop.W]
-		for i, p := range src {
-			if p != 0 {
-				dst[i] = 1
-			}
-		}
-	}
 }
 
 // sameVerdict bit-compares two verdicts including their flag maps.

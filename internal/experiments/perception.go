@@ -127,7 +127,12 @@ func caseStudy(w io.Writer, b *monitor.Bayesian, rule monitor.Rule, s *urban.Sce
 // reports <5 s for 1024² vs >60 s for 3840×2160 on a Quadro P5000; the
 // hardware-independent shape is the ratio ≈ pixel ratio ≈ 7.9×.
 func RunE9(e *Env, w io.Writer) error {
-	b := e.Bayesian()
+	// The timed monitor is a replica's: the fused network every Engine
+	// worker serves, warmed by one untimed verdict of each size.
+	b, err := e.BayesianReplica()
+	if err != nil {
+		return fmt.Errorf("E9: %w", err)
+	}
 	// Paper-proportional resolutions scaled to CPU: the full frame keeps
 	// the 16:9 aspect, the sub-image keeps the 1024/3840 linear fraction.
 	fullW, fullH := 384, 216
@@ -142,6 +147,8 @@ func RunE9(e *Env, w io.Writer) error {
 	sub := scene.Image.Crop(0, 0, evenInt(subSide), evenInt(subSide))
 
 	rule := monitor.DefaultRule()
+	b.VerifyRegion(sub, rule)
+	b.VerifyRegion(scene.Image, rule)
 	t0 := time.Now()
 	b.VerifyRegion(sub, rule)
 	subTime := time.Since(t0)
@@ -159,10 +166,10 @@ func RunE9(e *Env, w io.Writer) error {
 
 	fmt.Fprintln(w, "\nScaling in MC samples (sub-image):")
 	for _, n := range []int{2, 5, 10} {
-		bn := e.Bayesian()
-		bn.Samples = n
+		b.Samples = n
+		b.VerifyRegion(sub, rule)
 		t0 = time.Now()
-		bn.VerifyRegion(sub, rule)
+		b.VerifyRegion(sub, rule)
 		fmt.Fprintf(w, "  %2d samples: %10v\n", n, time.Since(t0))
 	}
 
@@ -235,13 +242,13 @@ func RunE10(e *Env, w io.Writer) error {
 	fmt.Fprintln(w, "τ sweep (3σ rule, OOD scenes) — detection of model-missed road vs false warnings:")
 	taus := []float32{0.05, 0.08, 0.125, 0.2, 0.3, 0.5}
 	fmt.Fprintf(w, "  %8s %16s %16s %12s\n", "tau", "miss coverage", "false warnings", "flagged")
-	for _, pt := range monitor.SweepTau(b, evalScenes, taus, 3) {
+	for _, pt := range monitor.SweepSignal(b, evalScenes, monitor.SigmaInterval, taus) {
 		marker := ""
-		if pt.Tau == 0.125 {
+		if pt.Threshold == 0.125 {
 			marker = "  <- paper's τ=1/8"
 		}
 		fmt.Fprintf(w, "  %8.3f %16.3f %16.3f %12.3f%s\n",
-			pt.Tau, pt.Quality.HazardMissCoverage, pt.Quality.FalseWarningRate, pt.Quality.FlaggedFraction, marker)
+			pt.Threshold, pt.Quality.HazardMissCoverage, pt.Quality.FalseWarningRate, pt.Quality.FlaggedFraction, marker)
 	}
 
 	fmt.Fprintln(w, "\nConfidence-interval width (τ=0.125, OOD) — the conservatism ablation:")

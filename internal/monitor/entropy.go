@@ -182,9 +182,9 @@ type SignalPoint struct {
 }
 
 // SweepSignal evaluates one uncertainty signal across thresholds on the
-// scenes, reusing the Monte-Carlo statistics. It mirrors SweepTau for the
-// alternative signals so E10 can compare them at matched false-warning
-// rates.
+// scenes, reusing the Monte-Carlo statistics. With SigmaInterval it is the
+// τ sweep of the 3σ rule; E10 compares the signals at matched
+// false-warning rates.
 func SweepSignal(b *Bayesian, scenes []*urban.Scene, kind UncertaintyKind, thresholds []float32) []SignalPoint {
 	type sceneEval struct {
 		scene *urban.Scene
@@ -197,11 +197,11 @@ func SweepSignal(b *Bayesian, scenes []*urban.Scene, kind UncertaintyKind, thres
 	}
 	out := make([]SignalPoint, 0, len(thresholds))
 	for _, thr := range thresholds {
-		var t tally
+		var t Tally
 		for _, ev := range evals {
-			t.add(ev.scene.Labels, ev.pred, ev.es.FlagsBy(kind, thr))
+			t.Add(ev.scene.Labels, ev.pred, ev.es.FlagsBy(kind, thr))
 		}
-		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: t.quality()})
+		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: t.Quality()})
 	}
 	return out
 }

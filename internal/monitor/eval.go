@@ -38,91 +38,61 @@ func (q Quality) String() string {
 // compares ground truth, the deterministic core prediction, and the monitor
 // flag.
 func Evaluate(b *Bayesian, scenes []*urban.Scene, rule Rule) Quality {
-	var t tally
+	var t Tally
 	for _, s := range scenes {
-		t.add(s.Labels, b.Model.Predict(s.Image), rule.PixelFlags(b.MCStats(s.Image)))
+		t.Add(s.Labels, b.Model.Predict(s.Image), rule.PixelFlags(b.MCStats(s.Image)))
 	}
-	return t.quality()
+	return t.Quality()
 }
 
-// tally accumulates the per-pixel counts behind a Quality over scenes.
-type tally struct {
-	safe, safeFlagged  int64 // pixels that are not busy road, and those flagged
-	busyCaught, missed int64 // busy-road pixels the core model caught, and missed
-	missedFlagged      int64
-	flagged            int64
+// Tally accumulates the per-pixel counts behind a Quality over scenes.
+type Tally struct {
+	Safe, SafeFlagged  int64 // pixels that are not busy road, and those flagged
+	BusyCaught, Missed int64 // busy-road pixels the core model caught, and missed
+	MissedFlagged      int64
+	Flagged            int64
 }
 
-// add tallies one scene: its ground truth, the core model's prediction and
+// Add tallies one scene: its ground truth, the core model's prediction and
 // the monitor's flag map, all at the scene's resolution.
-func (t *tally) add(truth, pred *imaging.LabelMap, flags *imaging.Map) {
+func (t *Tally) Add(truth, pred *imaging.LabelMap, flags *imaging.Map) {
 	for i, c := range truth.Pix {
 		isFlagged := flags.Pix[i] >= 0.5
 		if isFlagged {
-			t.flagged++
+			t.Flagged++
 		}
 		switch {
 		case !c.BusyRoad():
-			t.safe++
+			t.Safe++
 			if isFlagged {
-				t.safeFlagged++
+				t.SafeFlagged++
 			}
 		case pred.Pix[i].BusyRoad():
-			t.busyCaught++
+			t.BusyCaught++
 		default:
-			t.missed++
+			t.Missed++
 			if isFlagged {
-				t.missedFlagged++
+				t.MissedFlagged++
 			}
 		}
 	}
 }
 
-// quality turns the counts into rates.
-func (t tally) quality() Quality {
-	busy := t.busyCaught + t.missed
-	q := Quality{Pixels: t.safe + busy, HazardMissCoverage: 1} // nothing missed: vacuously covered
-	if t.missed > 0 {
-		q.HazardMissCoverage = float64(t.missedFlagged) / float64(t.missed)
+// Quality turns the counts into rates.
+func (t Tally) Quality() Quality {
+	busy := t.BusyCaught + t.Missed
+	q := Quality{Pixels: t.Safe + busy, HazardMissCoverage: 1} // nothing missed: vacuously covered
+	if t.Missed > 0 {
+		q.HazardMissCoverage = float64(t.MissedFlagged) / float64(t.Missed)
 	}
-	if t.safe > 0 {
-		q.FalseWarningRate = float64(t.safeFlagged) / float64(t.safe)
+	if t.Safe > 0 {
+		q.FalseWarningRate = float64(t.SafeFlagged) / float64(t.Safe)
 	}
 	if q.Pixels > 0 {
-		q.FlaggedFraction = float64(t.flagged) / float64(q.Pixels)
+		q.FlaggedFraction = float64(t.Flagged) / float64(q.Pixels)
 	}
 	if busy > 0 {
-		q.CoreBusyRecall = float64(t.busyCaught) / float64(busy)
+		q.CoreBusyRecall = float64(t.BusyCaught) / float64(busy)
 	}
 	return q
-}
-
-// ROCPoint is one operating point of the τ sweep.
-type ROCPoint struct {
-	Tau     float32
-	Quality Quality
-}
-
-// SweepTau evaluates monitor quality across decision thresholds, reusing the
-// expensive MC statistics across thresholds.
-func SweepTau(b *Bayesian, scenes []*urban.Scene, taus []float32, sigmas float32) []ROCPoint {
-	type sceneEval struct {
-		scene *urban.Scene
-		pred  *imaging.LabelMap
-		st    Stats
-	}
-	evals := make([]sceneEval, len(scenes))
-	for i, s := range scenes {
-		evals[i] = sceneEval{scene: s, pred: b.Model.Predict(s.Image), st: b.MCStats(s.Image)}
-	}
-	out := make([]ROCPoint, 0, len(taus))
-	for _, tau := range taus {
-		rule := Rule{Tau: tau, Sigmas: sigmas}
-		var t tally
-		for _, ev := range evals {
-			t.add(ev.scene.Labels, ev.pred, rule.PixelFlags(ev.st))
-		}
-		out = append(out, ROCPoint{Tau: tau, Quality: t.quality()})
-	}
-	return out
 }

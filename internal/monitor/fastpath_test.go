@@ -97,9 +97,11 @@ func naiveReplay(t *testing.T, m *segment.Model, b *Bayesian, img *imaging.Image
 }
 
 // TestVerifyRegionMatchesTwoScanReference pins the fused statistics scan:
-// Verdict must be field-identical to the seed formulation (PixelFlags +
-// CountAbove + a separate MaxScore loop over At4) on the full-resolution
-// statistics, on the trainable model and on a frozen clone.
+// Verdict must be field-identical to the seed formulation (a per-pixel
+// scan over At4 for the flags and MaxScore, then CountAbove) on the
+// full-resolution statistics, on the trainable model and on a frozen
+// clone. The reference scan is written out here, apart from ruleScan,
+// which PixelFlags and the verdict share.
 func TestVerifyRegionMatchesTwoScanReference(t *testing.T) {
 	m := tinyModel()
 	clone, err := m.Clone()
@@ -127,11 +129,9 @@ func verifyRegionMatchesTwoScan(t *testing.T, m *segment.Model) {
 
 		// Seed formulation: per-call reseeding makes the MC stream identical.
 		st := b.MCStats(img)
-		flags := rule.PixelFlags(st)
-		flagged := flags.CountAbove(0.5)
-		frac := float64(flagged) / float64(img.W*img.H)
-		var maxScore float32
 		_, c, h, w := st.Mean.Dims4()
+		flags := imaging.NewMap(w, h)
+		var maxScore float32
 		for _, cls := range imaging.BusyRoadClasses() {
 			ci := int(cls)
 			if ci >= c {
@@ -143,9 +143,14 @@ func verifyRegionMatchesTwoScan(t *testing.T, m *segment.Model) {
 					if s > maxScore {
 						maxScore = s
 					}
+					if s > rule.Tau {
+						flags.Set(x, y, 1)
+					}
 				}
 			}
 		}
+		flagged := flags.CountAbove(0.5)
+		frac := float64(flagged) / float64(img.W*img.H)
 
 		if got.Confirmed != (frac <= rule.MaxFlaggedFraction) {
 			t.Fatalf("rule %+v: Confirmed = %v", rule, got.Confirmed)

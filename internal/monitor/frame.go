@@ -51,7 +51,7 @@ func (b *Bayesian) VerifyFrameCtx(ctx context.Context, frame *imaging.Image, til
 			}
 			fv.Tiles = append(fv.Tiles, TileVerdict{X0: x0, Y0: y0, W: tw, H: th, Verdict: v})
 			fv.MaxScore = max(fv.MaxScore, v.MaxScore)
-			mergeFlags(fv.Flags, v.Flags, x0, y0)
+			MergeFlags(fv.Flags, v.Flags, x0, y0)
 		}
 	}
 	flagged := 0
@@ -82,10 +82,10 @@ func tileOrigins(n, t int) []int {
 	return origins
 }
 
-// mergeFlags ORs a tile flag map into the frame map at (x0, y0), panicking
-// on a tile that does not fit — tiles come from VerifyFrameCtx's own grid,
-// so a mismatch is a bug, not an input condition.
-func mergeFlags(frame, tile *imaging.Map, x0, y0 int) {
+// MergeFlags ORs a tile flag map into the frame map at (x0, y0), panicking
+// on a tile that does not fit: callers place tiles from their own grid or
+// crop rectangles, so a mismatch is a bug, not an input condition.
+func MergeFlags(frame, tile *imaging.Map, x0, y0 int) {
 	if x0+tile.W > frame.W || y0+tile.H > frame.H {
 		panic(fmt.Sprintf("monitor: %dx%d tile at (%d,%d) outside %dx%d frame",
 			tile.W, tile.H, x0, y0, frame.W, frame.H))

@@ -222,12 +222,21 @@ func DefaultRule() Rule {
 
 // PixelFlags applies the rule to MC statistics and returns a binary map:
 // 1 where the pixel is flagged (possibly busy road), 0 where it is safe.
-// The scan walks the statistics' backing arrays directly; the flag decision
-// is the same µ + kσ > τ comparison in the same order as the per-pixel At4
-// formulation it replaces.
+// It runs the verdict's scan (ruleScan).
 func (r Rule) PixelFlags(st Stats) *imaging.Map {
-	_, c, h, w := st.Mean.Dims4()
+	_, _, h, w := st.Mean.Dims4()
 	out := imaging.NewMap(w, h)
+	ruleScan(st, r, out.Pix)
+	return out
+}
+
+// ruleScan is the rule's one pass over the statistics' backing arrays, in
+// class-major pixel order: the same µ + kσ expression flags a pixel in pix
+// (which it finds zeroed) when above τ for any busy-road class, and feeds
+// the running maximum, which starts from +0. It returns the number of
+// pixels it flagged and that maximum.
+func ruleScan(st Stats, rule Rule, pix []float32) (flagged int, maxScore float32) {
+	_, c, h, w := st.Mean.Dims4()
 	mean, std := st.Mean.Data, st.Std.Data
 	for _, cls := range imaging.BusyRoadClasses() {
 		ci := int(cls)
@@ -237,12 +246,17 @@ func (r Rule) PixelFlags(st Stats) *imaging.Map {
 		base := ci * h * w
 		for i, mu := range mean[base : base+h*w] {
 			// The conversion keeps arm64 from fusing kσ into µ + kσ.
-			if mu+float32(r.Sigmas*std[base+i]) > r.Tau {
-				out.Pix[i] = 1
+			s := mu + float32(rule.Sigmas*std[base+i])
+			if s > maxScore {
+				maxScore = s
+			}
+			if s > rule.Tau && pix[i] == 0 {
+				pix[i] = 1
+				flagged++
 			}
 		}
 	}
-	return out
+	return flagged, maxScore
 }
 
 // Verdict is the monitor's decision about one candidate landing zone.
@@ -276,13 +290,11 @@ func (b *Bayesian) VerifyRegion(sub *imaging.Image, rule Rule) Verdict {
 // cancelled mid-trial aborts the remaining Monte-Carlo samples and returns
 // ctx's error with a zero Verdict.
 //
-// This is the serving hot path, so the two full-image scans the seed
-// implementation ran (Rule.PixelFlags plus a separate MaxScore loop) are
-// fused into one pass over the statistics' backing arrays, and the moment
-// buffers come from — and return to — the model replica's arena. The
-// Verdict fields are bit-identical to the two-scan formulation: the same
-// µ + kσ expression decides the flag, feeds the max, and is folded in the
-// same class-major pixel order.
+// This is the serving hot path, so the flags and MaxScore come from one
+// pass over the statistics' backing arrays (ruleScan, which PixelFlags
+// runs too), and the moment buffers come from — and return to — the model
+// replica's arena. The Verdict fields are bit-identical to the seed's
+// two-scan formulation (PixelFlags plus a separate MaxScore loop).
 func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule Rule) (Verdict, error) {
 	sc := b.Model.Scratch()
 	st, upsampled, err := b.mcMoments(ctx, sub, sc)
@@ -292,10 +304,8 @@ func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule
 	return verdictFromMoments(st, upsampled, sub.W, sub.H, rule, sc), nil
 }
 
-// verdictFromMoments applies the rule to finalized moments in one fused
-// scan — the same µ + kσ expression decides the flag, feeds the max, and is
-// folded in the same class-major pixel order as the seed's two-scan
-// formulation. inW and inH are the verified region's input dimensions,
+// verdictFromMoments applies the rule to finalized moments in one
+// ruleScan. inW and inH are the verified region's input dimensions,
 // which set the flagged-fraction denominator; the moment buffers return to
 // the arena before the verdict escapes.
 //
@@ -306,34 +316,14 @@ func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule
 // running maximum under > keeps the first of equal values, which differ
 // in bits only as ±0, below the +0 it starts from.
 func verdictFromMoments(st Stats, upsampled bool, inW, inH int, rule Rule, sc *nn.Scratch) Verdict {
-	_, c, h, w := st.Mean.Dims4()
-	mean, std := st.Mean.Data, st.Std.Data
+	_, _, h, w := st.Mean.Dims4()
 	scale := 1
 	if upsampled {
 		scale = 2
 	}
 	flags := imaging.NewMap(scale*w, scale*h)
 	pix := flags.Pix[:h*w]
-	flagged := 0
-	var maxScore float32
-	for _, cls := range imaging.BusyRoadClasses() {
-		ci := int(cls)
-		if ci >= c {
-			continue
-		}
-		base := ci * h * w
-		for i, mu := range mean[base : base+h*w] {
-			// The conversion keeps arm64 from fusing kσ into µ + kσ.
-			s := mu + float32(rule.Sigmas*std[base+i])
-			if s > maxScore {
-				maxScore = s
-			}
-			if s > rule.Tau && pix[i] == 0 {
-				pix[i] = 1
-				flagged++
-			}
-		}
-	}
+	flagged, maxScore := ruleScan(st, rule, pix)
 	if upsampled {
 		imaging.Expand2x(flags.Pix, pix, w, h)
 		flagged *= 4

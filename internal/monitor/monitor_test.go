@@ -227,7 +227,7 @@ func TestSweepTauMonotonic(t *testing.T) {
 	b := NewBayesian(m, 9)
 	b.Samples = 5
 	taus := []float32{0.05, 0.125, 0.3, 0.6}
-	pts := SweepTau(b, scenes[:1], taus, 3)
+	pts := SweepSignal(b, scenes[:1], SigmaInterval, taus)
 	if len(pts) != len(taus) {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -242,16 +242,17 @@ func TestSweepTauMonotonic(t *testing.T) {
 	}
 }
 
-// TestSweepTauMatchesEvaluate pins that the τ sweep and Evaluate tally the
-// same pixels the same way: each sweep point equals Evaluate at its rule,
-// the core model's busy-road recall included.
+// TestSweepTauMatchesEvaluate pins that the τ sweep (SweepSignal with
+// SigmaInterval) and Evaluate tally the same pixels the same way: each
+// sweep point equals Evaluate at its rule, the core model's busy-road
+// recall included.
 func TestSweepTauMatchesEvaluate(t *testing.T) {
 	m, scenes := trainedTinyModel(t)
 	b := NewBayesian(m, 9)
 	b.Samples = 5
-	for _, pt := range SweepTau(b, scenes[:1], []float32{0.05, 0.3}, 3) {
-		if q := Evaluate(b, scenes[:1], Rule{Tau: pt.Tau, Sigmas: 3}); pt.Quality != q {
-			t.Errorf("τ=%v: sweep %+v, Evaluate %+v", pt.Tau, pt.Quality, q)
+	for _, pt := range SweepSignal(b, scenes[:1], SigmaInterval, []float32{0.05, 0.3}) {
+		if q := Evaluate(b, scenes[:1], Rule{Tau: pt.Threshold, Sigmas: 3}); pt.Quality != q {
+			t.Errorf("τ=%v: sweep %+v, Evaluate %+v", pt.Threshold, pt.Quality, q)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Sequential chains layers, feeding each output into the next.
 type Sequential struct {
@@ -12,17 +15,11 @@ type Sequential struct {
 // NewSequential builds a sequential container.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward runs every layer in order. On inference passes with an arena
-// attached, each intermediate is recycled as soon as the next layer has
-// consumed it, so a steady-state forward allocates nothing.
+// Forward runs every layer in order: ForwardCtx under a context that is
+// never done.
 func (s *Sequential) Forward(x *Tensor, train bool) *Tensor {
-	in := x
-	for _, l := range s.Layers {
-		next := l.Forward(x, train)
-		s.recycle(x, in, next, train)
-		x = next
-	}
-	return x
+	out, _ := s.ForwardCtx(context.Background(), x, train)
+	return out
 }
 
 // recycle returns a consumed intermediate to the arena — never the chain
@@ -75,18 +72,11 @@ func NewParallelConcat(branches ...Layer) *ParallelConcat {
 	return &ParallelConcat{Branches: branches}
 }
 
-// Forward evaluates all branches on x and concatenates channels.
+// Forward evaluates all branches on x and concatenates channels:
+// ForwardCtx under a context that is never done.
 func (p *ParallelConcat) Forward(x *Tensor, train bool) *Tensor {
-	if len(p.Branches) == 0 {
-		panic("nn: ParallelConcat with no branches")
-	}
-	outs := make([]*Tensor, len(p.Branches))
-	// Branches run one after another on the calling goroutine, like every
-	// inference op: serving's only concurrency is the Engine's worker pool.
-	for i, b := range p.Branches {
-		outs[i] = b.Forward(x, train)
-	}
-	return p.concat(outs, x, train)
+	out, _ := p.ForwardCtx(context.Background(), x, train)
+	return out
 }
 
 // concat merges branch outputs along the channel dimension, recording the

@@ -25,9 +25,10 @@ func ForwardCtx(ctx context.Context, l Layer, x *Tensor, train bool) (*Tensor, e
 }
 
 // ForwardCtx implements ContextForwarder: the context is checked before
-// every layer in the chain. Intermediates are recycled exactly like
-// Forward; on cancellation the last intermediate is simply left to the
-// garbage collector.
+// every layer in the chain. On inference passes with an arena attached,
+// each intermediate is recycled as soon as the next layer has consumed it,
+// so a steady-state forward allocates nothing; on cancellation the last
+// intermediate is simply left to the garbage collector.
 func (s *Sequential) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*Tensor, error) {
 	in := x
 	for _, l := range s.Layers {
@@ -42,8 +43,10 @@ func (s *Sequential) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*Te
 }
 
 // ForwardCtx implements ContextForwarder: each branch runs through the
-// ctx-aware path (so a branch that is itself a container cancels mid-branch)
-// and the surviving outputs are concatenated exactly like Forward.
+// ctx-aware path (so a branch that is itself a container cancels
+// mid-branch), and the outputs are concatenated along channels. Branches
+// run one after another on the calling goroutine, like every inference op:
+// serving's only concurrency is the Engine's worker pool.
 func (p *ParallelConcat) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*Tensor, error) {
 	if len(p.Branches) == 0 {
 		panic("nn: ParallelConcat with no branches")

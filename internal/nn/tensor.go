@@ -35,9 +35,6 @@ func NewTensor(shape ...int) *Tensor {
 // Numel returns the number of elements.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Dims4 returns the NCHW dimensions of a 4-D tensor, panicking otherwise:
 // layers in this package operate on image batches exclusively.
 func (t *Tensor) Dims4() (n, c, h, w int) {
@@ -112,14 +109,6 @@ func (t *Tensor) HeInit(fanIn int, rng *rand.Rand) {
 	std := float32(math.Sqrt(2.0 / float64(fanIn)))
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64()) * std
-	}
-}
-
-// XavierInit fills the tensor with Glorot-uniform values.
-func (t *Tensor) XavierInit(fanIn, fanOut int, rng *rand.Rand) {
-	limit := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	for i := range t.Data {
-		t.Data[i] = (rng.Float32()*2 - 1) * limit
 	}
 }
 

@@ -114,15 +114,15 @@ func WithDensity(static *imaging.Map, labels *imaging.LabelMap, hour, weight flo
 	return out
 }
 
-// SelectZone returns the top-left corner of the zonePx×zonePx window with
-// the lowest mean risk, skipping windows containing forbidden (+Inf)
-// pixels. ok is false when every window is forbidden.
-func SelectZone(risk *imaging.Map, zonePx int) (x0, y0 int, ok bool) {
-	if zonePx <= 0 || zonePx > risk.W || zonePx > risk.H {
-		return 0, 0, false
-	}
-	// Replace +Inf with a sentinel so the integral stays finite, tracking
-	// forbidden windows through a parallel indicator integral.
+// Windows answers window queries on a risk map from two summed-area
+// tables: the finite risk, with each forbidden (+Inf) pixel read as 0, and
+// the forbidden pixels.
+type Windows struct {
+	finite, forbidden *imaging.Integral
+}
+
+// NewWindows builds the tables of a risk map.
+func NewWindows(risk *imaging.Map) Windows {
 	finite := imaging.NewMap(risk.W, risk.H)
 	forbidden := imaging.NewMap(risk.W, risk.H)
 	for i, v := range risk.Pix {
@@ -132,18 +132,32 @@ func SelectZone(risk *imaging.Map, zonePx int) (x0, y0 int, ok bool) {
 			finite.Pix[i] = v
 		}
 	}
-	riskIt := imaging.NewIntegral(finite)
-	forbIt := imaging.NewIntegral(forbidden)
+	return Windows{finite: imaging.NewIntegral(finite), forbidden: imaging.NewIntegral(forbidden)}
+}
 
+// Mean returns the mean risk of the size×size window at (x0, y0), or
+// forbidden (and a mean of 0) when the window holds a forbidden pixel.
+func (w Windows) Mean(x0, y0, size int) (mean float64, forbidden bool) {
+	if w.forbidden.RectSum(x0, y0, x0+size, y0+size) > 0 {
+		return 0, true
+	}
+	return w.finite.RectMean(x0, y0, x0+size, y0+size), false
+}
+
+// SelectZone returns the top-left corner of the zonePx×zonePx window with
+// the lowest mean risk, skipping windows containing forbidden (+Inf)
+// pixels. ok is false when every window is forbidden.
+func SelectZone(risk *imaging.Map, zonePx int) (x0, y0 int, ok bool) {
+	if zonePx <= 0 || zonePx > risk.W || zonePx > risk.H {
+		return 0, 0, false
+	}
+	windows := NewWindows(risk)
 	best := math.Inf(1)
 	bestX, bestY := -1, -1
 	for y := 0; y+zonePx <= risk.H; y += 2 {
 		for x := 0; x+zonePx <= risk.W; x += 2 {
-			if forbIt.RectSum(x, y, x+zonePx, y+zonePx) > 0 {
-				continue
-			}
-			mean := riskIt.RectMean(x, y, x+zonePx, y+zonePx)
-			if mean < best {
+			mean, forbidden := windows.Mean(x, y, zonePx)
+			if !forbidden && mean < best {
 				best = mean
 				bestX, bestY = x, y
 			}

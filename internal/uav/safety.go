@@ -28,36 +28,19 @@ type Switch struct {
 	// falls through to Flight Termination.
 	ELAvailable bool
 	// HoverTimeoutS escalates a temporary loss into a permanent one after
-	// this long in Hover (default 30 s).
+	// this long in Hover (default 30 s); the escalation holds until the
+	// observed failure changes.
 	HoverTimeoutS float64
 }
 
 // Run consumes events until the context is cancelled or the event channel
-// closes, sending a Decision whenever the selected maneuver changes. It
-// closes the decisions channel on return.
+// closes, feeding each to one Decide and sending a Decision whenever the
+// maneuver its Step returns changes. It closes the decisions channel on
+// return.
 func (s *Switch) Run(ctx context.Context, events <-chan HealthEvent, decisions chan<- Decision) {
 	defer close(decisions)
-	hoverTimeout := s.HoverTimeoutS
-	if hoverTimeout <= 0 {
-		hoverTimeout = 30
-	}
-	current := NoFailure
+	d := Decide{Switch: *s}
 	maneuver := ContinueMission
-	hoverSince := -1.0
-
-	emit := func(t float64, m Maneuver) bool {
-		if m == maneuver {
-			return true
-		}
-		maneuver = m
-		select {
-		case decisions <- Decision{T: t, Failure: current, Maneuver: m}:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -66,42 +49,36 @@ func (s *Switch) Run(ctx context.Context, events <-chan HealthEvent, decisions c
 			if !ok {
 				return
 			}
-			if ev.Failure != current {
-				current = ev.Failure
-				hoverSince = -1
+			m := d.Step(ev.T, ev.Failure)
+			if m == maneuver {
+				continue
 			}
-			m := SelectManeuver(current, s.ELAvailable)
-			if m == Hover {
-				if hoverSince < 0 {
-					hoverSince = ev.T
-				}
-				if ev.T-hoverSince >= hoverTimeout {
-					// A "temporary" loss that lingers is treated as
-					// permanent: escalate to Return-to-Base.
-					current = CommLossPermanent
-					m = SelectManeuver(current, s.ELAvailable)
-				}
-			}
-			if !emit(ev.T, m) {
+			maneuver = m
+			select {
+			case decisions <- Decision{T: ev.T, Failure: d.current, Maneuver: m}:
+			case <-ctx.Done():
 				return
 			}
 		}
 	}
 }
 
-// Decide is the synchronous form used by the simulator: it tracks one
-// failure state and applies the same escalation policy without goroutines.
+// Decide is the switch's escalation policy, one observation at a time: Run
+// drives one, and the simulator steps one without goroutines.
 type Decide struct {
-	Switch     Switch
-	current    FailureKind
-	hoverSince float64
-	hovering   bool
+	Switch Switch
+	// observed is the failure last fed to Step; current is the failure the
+	// policy acts on: observed, or CommLossPermanent once a hover has
+	// lingered past the timeout, until the observed failure changes.
+	observed, current FailureKind
+	hoverSince        float64
+	hovering          bool
 }
 
 // Step feeds one observation and returns the maneuver to fly.
 func (d *Decide) Step(t float64, failure FailureKind) Maneuver {
-	if failure != d.current {
-		d.current = failure
+	if failure != d.observed {
+		d.observed, d.current = failure, failure
 		d.hovering = false
 	}
 	m := SelectManeuver(d.current, d.Switch.ELAvailable)
@@ -115,11 +92,11 @@ func (d *Decide) Step(t float64, failure FailureKind) Maneuver {
 			d.hoverSince = t
 		}
 		if t-d.hoverSince >= timeout {
+			// A "temporary" loss that lingers is treated as permanent:
+			// escalate to Return-to-Base.
 			d.current = CommLossPermanent
 			m = SelectManeuver(d.current, d.Switch.ELAvailable)
 		}
-	} else {
-		d.hovering = false
 	}
 	return m
 }

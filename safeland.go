@@ -173,12 +173,6 @@ func Certify(spec uav.Spec, claims core.Claims) sora.Assessment {
 	return sora.Assess(op)
 }
 
-// Certify runs the SORA v2.0 assessment for this system's vehicle; see the
-// package-level Certify.
-func (s *System) Certify(claims core.Claims) sora.Assessment {
-	return Certify(s.Spec, claims)
-}
-
 // Operation builds the paper's MEDI DELIVERY SORA operation for a vehicle.
 func Operation(spec uav.Spec) sora.Operation {
 	return CustomOperation(spec.Name, spec.SpanM, spec.MTOWKg, spec.CruiseAltM, sora.BVLOSPopulated)

@@ -98,7 +98,7 @@ func TestCertifyPaperNumbers(t *testing.T) {
 	s := quickSystem(t)
 	// Without validation claims the EL mitigation collapses to None
 	// robustness: the SORA outcome equals the paper's M3-only case.
-	a := s.Certify(core.Claims{})
+	a := Certify(s.Spec, core.Claims{})
 	if a.IntrinsicGRC != 6 {
 		t.Errorf("intrinsic GRC = %d, want 6", a.IntrinsicGRC)
 	}
@@ -108,7 +108,7 @@ func TestCertifyPaperNumbers(t *testing.T) {
 	// Full in-context + OOD + authority-verified claims: robustness Medium,
 	// GRC 6-2=4 → SAIL IV.
 	full := core.Claims{InContextTesting: true, OODValidation: true, AuthorityVerifiedData: true}
-	a = s.Certify(full)
+	a = Certify(s.Spec, full)
 	if a.FinalGRC != 4 || a.SAIL != sora.SAILIV {
 		t.Errorf("certified with EL = GRC %d %v, want GRC 4 SAIL IV", a.FinalGRC, a.SAIL)
 	}
