@@ -12,7 +12,8 @@
 GO ?= go
 
 # The perception hot-path benchmarks: conv forward (lane-vectorised kernel +
-# scratch arena) on a 64×64 trunk, the served crop's 12×12 trunk and the
+# scratch arena) on a 64×64 trunk, the served crop's 12×12 trunk for one
+# sample and for the verdict's batch of 10 Monte-Carlo samples, and the
 # 192 px stem, conv backward, a frozen clone's segmentation of a 192 px
 # frame, Monte-Carlo statistics (prefix reuse) and the full monitor verdict
 # on a 64 px crop and on the served 24 px crop, the last three on a frozen
@@ -20,7 +21,7 @@ GO ?= go
 # and bench-smoke never drift. Inference ops run on their caller's
 # goroutine at any -cpu; -cpu 1 matters only for BenchmarkConvBackward, the
 # one training op in the set, and keeps it comparable with earlier records.
-NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkPredictClone192|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
+NN_BENCH = ^(BenchmarkConvForwardSmall|BenchmarkConvForwardCropTrunk|BenchmarkConvForwardCropTrunkBatch|BenchmarkConvForwardE8Scene|BenchmarkConvBackward|BenchmarkPredictClone192|BenchmarkMCStats|BenchmarkVerifyRegion|BenchmarkVerifyRegionServedCrop)$$
 NN_BENCH_PKGS = ./internal/nn ./internal/segment ./internal/monitor
 
 # The whole-frame monitoring benchmarks: the tiled whole-frame verdict E12's
@@ -35,11 +36,12 @@ MONITOR_BENCH = ^(BenchmarkMCStats|BenchmarkFullFrameVerdict)$$
 # arm64 build could compute other verdict bits than the amd64 one that was
 # validated. The training path (Backward passes, optimisers) is not listed.
 FMA_FREE = nn.convRun nn.convTapsGo nn.(*Conv2D).run nn.bnReLUGo nn.(*BatchNorm2D).infer \
-	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.applyKeep nn.applyKeepGo nn.(*Upsample2x).Forward \
-	nn.softmaxChannelsInto nn.softmaxPixels nn.(*fusedConcat).Forward nn.(*fusedConcat).ForwardCtx \
-	monitor.(*Bayesian).mcMoments monitor.accumulateMoments monitor.finalizeMoments \
+	nn.(*ReLU).Forward nn.(*Dropout).Forward nn.(*Dropout).sampleMinor nn.applyKeep nn.applyKeepGo \
+	nn.(*Upsample2x).Forward nn.Replicate nn.softmaxChannelsInto nn.softmaxPixels \
+	nn.(*fusedConcat).Forward nn.(*fusedConcat).ForwardCtx \
+	monitor.(*Bayesian).mcRun monitor.(*Bayesian).mcMoments monitor.sampleMoments \
 	monitor.Rule.PixelFlags monitor.ruleScan monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
-	monitor.accumulateEntropy monitor.entropyOf
+	monitor.expectedEntropy monitor.entropyOf
 
 .PHONY: check fmt vet build cross test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
 
@@ -151,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrozenNetMatchesNet -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzDropoutRecordMatchesStream -fuzztime=5s ./internal/nn
 	$(GO) test -run=^$$ -fuzz=FuzzSoftmaxMatchesPerPixelLoop -fuzztime=5s ./internal/nn
+	$(GO) test -run=^$$ -fuzz=FuzzMCStatsMatchesNaiveReplay -fuzztime=5s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz=FuzzInjectorDeterminism -fuzztime=5s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzSafetySwitch -fuzztime=5s ./internal/uav
 	$(GO) test -run=^$$ -fuzz=FuzzServingContract -fuzztime=5s .

@@ -221,6 +221,6 @@ func BenchmarkE10TauSweep(b *testing.B) {
 	taus := []float32{0.05, 0.125, 0.3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		monitor.SweepSignal(sys.Pipeline.Monitor, []*urban.Scene{ood}, monitor.SigmaInterval, taus)
+		monitor.SweepSignal(monitor.EvalScenes(sys.Pipeline.Monitor, []*urban.Scene{ood}), monitor.SigmaInterval, taus)
 	}
 }

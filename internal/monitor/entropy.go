@@ -36,35 +36,25 @@ type EntropyStats struct {
 }
 
 // MCEntropyStats runs the same stochastic forward passes as MCStats —
-// including the deterministic-prefix reuse and arena-backed sample loop —
-// and additionally decomposes predictive uncertainty into aleatoric and
-// epistemic parts. Like the moments, the entropies are computed per pixel
-// at the head's resolution and upsampled with them (see mcRun). The
+// the deterministic prefix once, the suffix once over the sample batch
+// (see mcRun) — and additionally decomposes predictive uncertainty into
+// aleatoric and epistemic parts. Like the moments, the entropies are
+// computed per pixel at the head's resolution and upsampled with them. The
 // buffers are freshly allocated: they escape to the caller.
 func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
-	var sum, sumSq *nn.Tensor
-	var expEnt *imaging.Map
-	upsampled, err := b.mcRun(context.Background(), img, func(probs *nn.Tensor) {
-		if sum == nil {
-			sum = probs.ZerosLike()
-			sumSq = probs.ZerosLike()
-			// Sized from the statistics, not the input: the stem rounds an
-			// odd crop up (25 px gives 13×13, upsampled to 26×26).
-			_, _, h, w := probs.Dims4()
-			expEnt = imaging.NewMap(w, h)
-		}
-		accumulateMoments(sum, sumSq, probs)
-		accumulateEntropy(expEnt, probs)
-	})
+	probs, upsampled, err := b.mcRun(context.Background(), img)
 	if err != nil {
 		// Background never cancels; mcRun has no other error path.
 		panic(fmt.Sprintf("monitor: %v", err))
 	}
-	n := float32(b.Samples)
-	st := finalizeMoments(sum, sumSq, n)
-	for i := range expEnt.Pix {
-		expEnt.Pix[i] /= n
-	}
+	// Sized from the statistics, not the input: the stem rounds an odd
+	// crop up (25 px gives 13×13, upsampled to 26×26).
+	_, c, h, w, _ := probs.Dims5()
+	st := Stats{Mean: nn.NewTensor(1, c, h, w), Std: nn.NewTensor(1, c, h, w)}
+	sampleMoments(st, probs)
+	expEnt := imaging.NewMap(w, h)
+	expectedEntropy(expEnt, probs)
+	b.Model.Scratch().Put(probs)
 	pred := entropyOf(st.Mean)
 	mi := imaging.NewMap(pred.W, pred.H)
 	for i := range mi.Pix {
@@ -93,22 +83,27 @@ func upsampleMap(m *imaging.Map) *imaging.Map {
 	return out
 }
 
-// accumulateEntropy adds each pixel's sample entropy into acc.
-func accumulateEntropy(acc *imaging.Map, probs *nn.Tensor) {
-	_, c, h, w := probs.Dims4()
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+// expectedEntropy sets each pixel of acc to the mean over the samples of
+// probs [1,C,H,W,S] of that sample's entropy: the float32 sum of the
+// samples' entropies in sample order from +0, divided by S.
+func expectedEntropy(acc *imaging.Map, probs *nn.Tensor) {
+	_, c, h, w, s := probs.Dims5()
+	hw := h * w
+	for i := range acc.Pix[:hw] {
+		var sum float32
+		for j := 0; j < s; j++ {
 			var e float64
 			for ci := 0; ci < c; ci++ {
-				p := float64(probs.At4(0, ci, y, x))
+				p := float64(probs.Data[(ci*hw+i)*s+j])
 				if p > 1e-12 {
 					// Rounded apart from the subtraction, which arm64
 					// would otherwise fuse with it.
 					e -= float64(p * math.Log(p))
 				}
 			}
-			acc.Pix[y*w+x] += float32(e)
+			sum += float32(e)
 		}
+		acc.Pix[i] = sum / float32(s)
 	}
 }
 
@@ -181,27 +176,42 @@ type SignalPoint struct {
 	Quality   Quality
 }
 
-// SweepSignal evaluates one uncertainty signal across thresholds on the
-// scenes, reusing the Monte-Carlo statistics. With SigmaInterval it is the
-// τ sweep of the 3σ rule; E10 compares the signals at matched
-// false-warning rates.
-func SweepSignal(b *Bayesian, scenes []*urban.Scene, kind UncertaintyKind, thresholds []float32) []SignalPoint {
-	type sceneEval struct {
-		scene *urban.Scene
-		pred  *imaging.LabelMap
-		es    EntropyStats
-	}
-	evals := make([]sceneEval, len(scenes))
+// SceneEval is what every quality table of E10 reads of one scene: its
+// ground truth, the core model's prediction and its Monte-Carlo entropy
+// statistics, which carry the σ-interval rule's moments too.
+type SceneEval struct {
+	Truth, Pred *imaging.LabelMap
+	Stats       EntropyStats
+}
+
+// EvalScenes computes each scene's prediction and entropy statistics once,
+// for any number of signals, thresholds and rules to be read from them.
+func EvalScenes(b *Bayesian, scenes []*urban.Scene) []SceneEval {
+	evals := make([]SceneEval, len(scenes))
 	for i, s := range scenes {
-		evals[i] = sceneEval{scene: s, pred: b.Model.Predict(s.Image), es: b.MCEntropyStats(s.Image)}
+		evals[i] = SceneEval{Truth: s.Labels, Pred: b.Model.Predict(s.Image), Stats: b.MCEntropyStats(s.Image)}
 	}
+	return evals
+}
+
+// QualityOf tallies the monitor quality over the evaluated scenes of the
+// flag map flags derives from each scene's statistics.
+func QualityOf(evals []SceneEval, flags func(EntropyStats) *imaging.Map) Quality {
+	var t Tally
+	for _, ev := range evals {
+		t.Add(ev.Truth, ev.Pred, flags(ev.Stats))
+	}
+	return t.Quality()
+}
+
+// SweepSignal evaluates one uncertainty signal across thresholds on the
+// evaluated scenes. With SigmaInterval it is the τ sweep of the 3σ rule;
+// E10 compares the signals at matched false-warning rates.
+func SweepSignal(evals []SceneEval, kind UncertaintyKind, thresholds []float32) []SignalPoint {
 	out := make([]SignalPoint, 0, len(thresholds))
 	for _, thr := range thresholds {
-		var t Tally
-		for _, ev := range evals {
-			t.Add(ev.scene.Labels, ev.pred, ev.es.FlagsBy(kind, thr))
-		}
-		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: t.Quality()})
+		q := QualityOf(evals, func(es EntropyStats) *imaging.Map { return es.FlagsBy(kind, thr) })
+		out = append(out, SignalPoint{Kind: kind, Threshold: thr, Quality: q})
 	}
 	return out
 }

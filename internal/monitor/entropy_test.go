@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"safeland/internal/imaging"
+	"safeland/internal/nn"
+	"safeland/internal/segment"
 	"safeland/internal/urban"
 )
 
@@ -39,6 +41,75 @@ func TestMCEntropyStatsDecomposition(t *testing.T) {
 	for i := range st.Mean.Data {
 		if math.Abs(float64(st.Mean.Data[i]-es.Mean.Data[i])) > 1e-6 {
 			t.Fatal("entropy stats diverge from MCStats mean under same seed")
+		}
+	}
+}
+
+// TestMCEntropyStatsMatchesNaiveReplay pins the entropy decomposition of
+// the sample batch against the per-sample formulation: on a fresh replica,
+// the whole network and a softmax per sample at full resolution, each
+// pixel's sample entropy added into a float32 sum in sample order, then
+// divided by the sample count. The moments must match naiveReplay and the
+// expected entropy the sum bit for bit, on the trainable model and on a
+// frozen clone, at an even and an odd crop, over two calls (the second
+// replays the dropout records); the predictive entropy and the mutual
+// information follow from them.
+func TestMCEntropyStatsMatchesNaiveReplay(t *testing.T) {
+	m := tinyModel()
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []*segment.Model{m, clone} {
+		for _, side := range []int{24, 25} {
+			b := NewBayesian(model, 21)
+			b.Samples = 7
+			img := noisyImage(side, int64(side))
+			want := naiveReplay(t, m, b, img)
+			ref, err := m.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nn.SetDropoutMode(ref.Net, nn.AlwaysOn)
+			nn.ReseedDropout(ref.Net, b.Seed)
+			var expected []float32
+			for s := 0; s < b.Samples; s++ {
+				probs := nn.SoftmaxChannels(ref.Net.Forward(segment.ToTensor(img), false))
+				_, c, h, w := probs.Dims4()
+				if expected == nil {
+					expected = make([]float32, h*w)
+				}
+				for i := range expected {
+					var e float64
+					for ci := 0; ci < c; ci++ {
+						if p := float64(probs.Data[ci*h*w+i]); p > 1e-12 {
+							e -= float64(p * math.Log(p))
+						}
+					}
+					expected[i] += float32(e)
+				}
+			}
+			for i := range expected {
+				expected[i] /= float32(b.Samples)
+			}
+			predictive := entropyOf(want.Mean)
+			for call := 0; call < 2; call++ {
+				es := b.MCEntropyStats(img)
+				for i := range want.Mean.Data {
+					if es.Mean.Data[i] != want.Mean.Data[i] || es.Std.Data[i] != want.Std.Data[i] {
+						t.Fatalf("frozen %v, %d px, call %d: moment %d = (%v, %v), naive replay (%v, %v)",
+							model.Frozen(), side, call, i, es.Mean.Data[i], es.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
+					}
+				}
+				for i, e := range expected {
+					mi := max(predictive.Pix[i]-e, 0)
+					if es.Expected.Pix[i] != e || es.Predictive.Pix[i] != predictive.Pix[i] || es.MutualInformation.Pix[i] != mi {
+						t.Fatalf("frozen %v, %d px, call %d: pixel %d entropies (%v, %v, %v), naive replay (%v, %v, %v)",
+							model.Frozen(), side, call, i, es.Predictive.Pix[i], es.Expected.Pix[i], es.MutualInformation.Pix[i],
+							predictive.Pix[i], e, mi)
+					}
+				}
+			}
 		}
 	}
 }
@@ -110,7 +181,7 @@ func TestSweepSignalShapes(t *testing.T) {
 	m, scenes := trainedTinyModel(t)
 	b := NewBayesian(m, 16)
 	b.Samples = 5
-	pts := SweepSignal(b, scenes[:1], MutualInformation, []float32{0.01, 0.05, 0.2})
+	pts := SweepSignal(EvalScenes(b, scenes[:1]), MutualInformation, []float32{0.01, 0.05, 0.2})
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -55,6 +56,89 @@ func TestMCStatsMatchesNaiveReplay(t *testing.T) {
 								model.Frozen(), side, samples, call, i, got.Mean.Data[i], got.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMCStatsMatchesNaiveReplay fuzzes the sample batch against the
+// per-sample oracle: a crop of 2-40 px (odd sides round up in the stem),
+// 2-12 samples, any seed, on the trainable model or a frozen clone. Each
+// input makes three calls on one replica — the crop, another size, the
+// crop again — so the third replays the dropout records after another N
+// made every layer rebuild its sample-minor view; each must match
+// naiveReplay bit for bit.
+func FuzzMCStatsMatchesNaiveReplay(f *testing.F) {
+	f.Add(uint8(22), uint8(23), uint8(8), int64(21), true)
+	f.Add(uint8(23), uint8(30), uint8(0), int64(-5), false)
+	f.Add(uint8(0), uint8(38), uint8(10), int64(7), true)
+	f.Add(uint8(38), uint8(1), uint8(3), int64(1), false)
+	m := tinyModel()
+	clone, err := m.Clone()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, side, other, samples uint8, seed int64, frozen bool) {
+		model := m
+		if frozen {
+			model = clone
+		}
+		b := NewBayesian(model, seed)
+		b.Samples = 2 + int(samples%11)
+		for call, px := range []int{2 + int(side%39), 2 + int(other%39), 2 + int(side%39)} {
+			img := noisyImage(px, int64(px))
+			want := naiveReplay(t, m, b, img)
+			got := b.MCStats(img)
+			if !got.Mean.SameShape(want.Mean) {
+				t.Fatalf("%d px: shape %v, naive replay %v", px, got.Mean.Shape, want.Mean.Shape)
+			}
+			for i := range want.Mean.Data {
+				if got.Mean.Data[i] != want.Mean.Data[i] || got.Std.Data[i] != want.Std.Data[i] {
+					t.Fatalf("frozen %v, %d px, %d samples, call %d: element %d = (%v, %v), naive replay (%v, %v)",
+						frozen, px, b.Samples, call, i, got.Mean.Data[i], got.Std.Data[i], want.Mean.Data[i], want.Std.Data[i])
+				}
+			}
+		}
+	})
+}
+
+// TestCancelInBatchLeavesNextVerdictBitIdentical cancels a 24 px, 10-sample
+// verdict at each of its context polls in turn — the stem's, then each
+// layer of the batched suffix and each branch conv of the concat — on the
+// trainable model and on a frozen clone: each cancelled call must return
+// ctx's error, and the verdict after it must be the uncancelled verdict
+// bit for bit, flags and all.
+func TestCancelInBatchLeavesNextVerdictBitIdentical(t *testing.T) {
+	m := tinyModel()
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := noisyImage(24, 5)
+	rule := Rule{Tau: 0.3, Sigmas: 1, MaxFlaggedFraction: 0.5}
+	for _, model := range []*segment.Model{m, clone} {
+		b := NewBayesian(model, 13)
+		want := b.VerifyRegion(img, rule)
+		count := &pollCtx{Context: context.Background(), limit: 1 << 30}
+		if _, err := b.VerifyRegionCtx(count, img, rule); err != nil {
+			t.Fatal(err)
+		}
+		polls := count.polls.Load()
+		if polls < 5 {
+			t.Fatalf("frozen %v: a verdict polls its context %d times, want one per layer and branch conv", model.Frozen(), polls)
+		}
+		for limit := int32(0); limit < polls; limit++ {
+			if _, err := b.VerifyRegionCtx(&pollCtx{Context: context.Background(), limit: limit}, img, rule); err != context.Canceled {
+				t.Fatalf("frozen %v, cancelled at poll %d of %d: err = %v, want context.Canceled", model.Frozen(), limit+1, polls, err)
+			}
+			got := b.VerifyRegion(img, rule)
+			if got.Confirmed != want.Confirmed || got.FlaggedFraction != want.FlaggedFraction || got.MaxScore != want.MaxScore {
+				t.Fatalf("frozen %v, after a cancel at poll %d: verdict %+v, want %+v", model.Frozen(), limit+1, got, want)
+			}
+			for i := range want.Flags.Pix {
+				if got.Flags.Pix[i] != want.Flags.Pix[i] {
+					t.Fatalf("frozen %v, after a cancel at poll %d: flag %d = %v, want %v", model.Frozen(), limit+1, i, got.Flags.Pix[i], want.Flags.Pix[i])
 				}
 			}
 		}

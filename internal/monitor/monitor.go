@@ -56,11 +56,11 @@ func (b *Bayesian) MCStats(img *imaging.Image) Stats {
 }
 
 // MCStatsCtx is MCStats with cooperative cancellation: the context is
-// honored between Monte-Carlo samples and between the network layers inside
-// each sample, so a cancelled trial stops within one layer's work and
-// returns ctx's error. The sample sequence is reseeded per call, so a run
-// that completes is byte-identical whether or not earlier runs were
-// cancelled.
+// honored between the network layers, and between the branch convs of a
+// fused concat, so a cancelled trial stops within one layer's work — one
+// layer over all Samples samples at once (see mcRun) — and returns ctx's
+// error. The sample sequence is reseeded per call, so a run that completes
+// is byte-identical whether or not earlier runs were cancelled.
 func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, error) {
 	sc := b.Model.Scratch()
 	st, upsampled, err := b.mcMoments(ctx, img, sc)
@@ -75,129 +75,121 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 	return out, nil
 }
 
-// mcRun drives the Monte-Carlo sample loop: dropout forced AlwaysOn and
-// reseeded from b.Seed, then the deterministic prefix — every layer before
-// the first Dropout, whose inference output cannot vary across samples — is
-// computed once and only the stochastic suffix is replayed per sample
-// (nn.SplitAtFirstDropout). Dropout layers decide exactly the keep mask of a
-// full replay: the reseed rewinds each layer's decision record, so every
-// verdict after a replica's first replays its decisions instead of drawing
-// them, and the per-sample probabilities are byte-identical to running the
-// whole network each time; the prefix-reuse tests pin this against a naive
-// full replay.
+// mcRun runs the Monte-Carlo samples as one batch: dropout forced AlwaysOn
+// and reseeded from b.Seed, then the deterministic prefix — every layer
+// before the first Dropout, whose inference output cannot vary across
+// samples — is computed once (nn.SplitAtFirstDropout) and replicated into
+// a sample batch of Samples copies (nn.Replicate, laid out sample-minor:
+// see nn.Tensor.Dims5), and the stochastic suffix runs once over the
+// batch. Every layer of the suffix computes each sample's bits as a pass
+// over that sample alone would, and each Dropout takes unit i of sample s
+// from decision s·N + i of its stream, as the s-th of Samples passes would
+// (nn.Dropout): the reseed rewinds each layer's decision record, so every
+// verdict after a replica's first replays its decisions instead of
+// drawing them, and the per-sample probabilities are byte-identical to
+// running the whole network once per sample; the naive-replay tests pin
+// this.
 //
 // The softmax runs on the head's output, before the trailing Upsample2x
-// (nn.SplitTrailingUpsample), and each receives the probabilities at that
-// resolution; mcRun reports whether the network would have upsampled them.
-// Everything the callers compute from them works per pixel column (all
-// channels at one position) — the softmax, the moments, the rule, the
-// entropies — and Upsample2x copies whole columns, so computing at head
-// resolution and upsampling only what escapes gives the bits of the
-// full-resolution computation, with a quarter of the work.
+// (nn.SplitTrailingUpsample), and mcRun returns the batch of probabilities
+// [1,C,H,W,S] at that resolution, drawn from the model's arena for the
+// caller to Put back, and reports whether the network would have
+// upsampled them. Everything the callers compute from them works per
+// pixel column (all channels at one position) — the softmax, the moments,
+// the rule, the entropies — and Upsample2x copies whole columns, so
+// computing at head resolution and upsampling only what escapes gives the
+// bits of the full-resolution computation, with a quarter of the work.
 //
 // A frozen clone runs its fused inference network (segment.Model.Inference),
 // which shares Net's dropout layers and their records.
-//
-// each borrows probs for the duration of the call only: the buffer returns
-// to the model's arena for the next sample.
-func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image, each func(probs *nn.Tensor)) (upsampled bool, err error) {
+func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (probs *nn.Tensor, upsampled bool, err error) {
 	if b.Samples < 2 {
 		panic(fmt.Sprintf("monitor: need at least 2 MC samples, have %d", b.Samples))
 	}
 	net := b.Model.Inference()
 	sc := b.Model.Scratch()
-	in := segment.ToTensorScratch(img, sc)
-	stem, suffix := in, net
-	defer func() { sc.Put(stem) }()
+	stem, suffix := segment.ToTensorScratch(img, sc), net
 	if prefix, suf, ok := nn.SplitAtFirstDropout(net); ok {
-		out, err := nn.ForwardCtx(ctx, prefix, in, false)
+		out, err := nn.ForwardCtx(ctx, prefix, stem, false)
 		if err != nil {
-			return false, err
+			sc.Put(stem)
+			return nil, false, err
+		}
+		if out != stem {
+			sc.Put(stem)
 		}
 		stem, suffix = out, suf
-		if stem != in {
-			sc.Put(in)
-		}
 	}
+	batch := nn.Replicate(stem, b.Samples, sc)
+	sc.Put(stem)
 	head, up, _ := nn.SplitTrailingUpsample(suffix)
 
 	nn.SetDropoutMode(net, nn.AlwaysOn)
 	defer nn.SetDropoutMode(net, nn.Auto)
 	nn.ReseedDropout(net, b.Seed)
-	for s := 0; s < b.Samples; s++ {
-		// Suffix chains never recycle their chain input, so the stem
-		// survives every sample.
-		out, err := nn.ForwardCtx(ctx, head, stem, false)
-		if err != nil {
-			return false, err
-		}
-		probs := nn.SoftmaxChannelsInPlace(out)
-		each(probs)
-		if probs != stem {
-			sc.Put(probs)
-		}
+	// The suffix chain never recycles its input, so the batch is ours to
+	// return.
+	out, err := nn.ForwardCtx(ctx, head, batch, false)
+	if err != nil {
+		sc.Put(batch)
+		return nil, false, err
 	}
-	return up != nil, nil
+	if out != batch {
+		sc.Put(batch)
+	}
+	return nn.SoftmaxChannelsInPlace(out), up != nil, nil
 }
 
-// mcMoments accumulates per-pixel Σp and Σp² over the Monte-Carlo samples
-// and finalizes them into mean and standard deviation, all at the head's
-// resolution; upsampled reports whether the network's output would be
-// those statistics upsampled 2× (see mcRun). The moment buffers are drawn
-// from sc: callers Put Mean and Std back once read, which is what makes a
-// steady-state VerifyRegionCtx allocation-free.
+// mcMoments computes the per-pixel mean and standard deviation of the
+// Monte-Carlo probabilities at the head's resolution; upsampled reports
+// whether the network's output would be those statistics upsampled 2×
+// (see mcRun). The moment buffers are drawn from sc: callers Put Mean and
+// Std back once read, which is what makes a steady-state VerifyRegionCtx
+// allocation-free.
 func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (st Stats, upsampled bool, err error) {
-	var sum, sumSq *nn.Tensor
-	upsampled, err = b.mcRun(ctx, img, func(probs *nn.Tensor) {
-		if sum == nil {
-			sum = sc.Get(probs.Shape...)
-			sum.Zero()
-			sumSq = sc.Get(probs.Shape...)
-			sumSq.Zero()
-		}
-		accumulateMoments(sum, sumSq, probs)
-	})
+	probs, upsampled, err := b.mcRun(ctx, img)
 	if err != nil {
-		sc.Put(sum)
-		sc.Put(sumSq)
 		return Stats{}, false, err
 	}
-	return finalizeMoments(sum, sumSq, float32(b.Samples)), upsampled, nil
+	shape := probs.Shape[:4]
+	st = Stats{Mean: sc.Get(shape...), Std: sc.Get(shape...)}
+	sampleMoments(st, probs)
+	sc.Put(probs)
+	return st, upsampled, nil
 }
 
-// accumulateMoments adds each probability to sum and its square to sumSq.
-// The conversion rounds the square before the add, so no GOARCH fuses the
-// two into one multiply-add (arm64 would).
-func accumulateMoments(sum, sumSq, probs *nn.Tensor) {
-	s, sq := sum.Data[:len(probs.Data)], sumSq.Data[:len(probs.Data)]
-	for i, v := range probs.Data {
-		s[i] += v
-		sq[i] += float32(v * v)
+// sampleMoments reduces the sample axis of probs [1,C,H,W,S] into st's
+// [1,C,H,W] mean and standard deviation: per element, Σp and Σp² over the
+// samples in order from +0, then mean Σp/S and std √max(Σp²/S − mean², 0)
+// — the variance estimate is clamped at 0 because float32 cancellation can
+// push it fractionally negative. Both moment consumers (MCStats and the
+// entropy decomposition) share it, so the parity-pinned math cannot drift
+// between them. The conversions round each square before it is added or
+// subtracted, so no GOARCH fuses the two into one multiply-add (arm64
+// would).
+func sampleMoments(st Stats, probs *nn.Tensor) {
+	s := probs.Shape[4]
+	n := float32(s)
+	mean, std := st.Mean.Data, st.Std.Data[:len(st.Mean.Data)]
+	for i := range mean {
+		var sum, sumSq float32
+		for _, v := range probs.Data[i*s : (i+1)*s] {
+			sum += v
+			sumSq += float32(v * v)
+		}
+		m := sum / n
+		mean[i] = m
+		v := sumSq/n - float32(m*m)
+		if v < 0 {
+			v = 0
+		}
+		std[i] = float32(math.Sqrt(float64(v)))
 	}
 }
 
 // upsample returns a freshly allocated 2× upsampled copy of t: what the
 // network's trailing Upsample2x computes, outside the model's arena.
 func upsample(t *nn.Tensor) *nn.Tensor { return new(nn.Upsample2x).Forward(t, false) }
-
-// finalizeMoments turns accumulated Σp and Σp² into the empirical mean and
-// standard deviation in place: sum becomes Mean, sumSq becomes Std (the
-// variance estimate is clamped at 0 before the square root — float32
-// cancellation can push it fractionally negative). Both moment consumers
-// (MCStats and the entropy decomposition) share this so the parity-pinned
-// math cannot drift between them.
-func finalizeMoments(sum, sumSq *nn.Tensor, samples float32) Stats {
-	for i := range sum.Data {
-		m := sum.Data[i] / samples
-		sum.Data[i] = m
-		v := sumSq.Data[i]/samples - float32(m*m)
-		if v < 0 {
-			v = 0
-		}
-		sumSq.Data[i] = float32(math.Sqrt(float64(v)))
-	}
-	return Stats{Mean: sum, Std: sumSq}
-}
 
 // Rule is the conservative pixel-safety decision rule of the paper
 // (Equation 2): a pixel is safe when µ + Sigmas·σ ≤ Tau for every class of

@@ -227,7 +227,7 @@ func TestSweepTauMonotonic(t *testing.T) {
 	b := NewBayesian(m, 9)
 	b.Samples = 5
 	taus := []float32{0.05, 0.125, 0.3, 0.6}
-	pts := SweepSignal(b, scenes[:1], SigmaInterval, taus)
+	pts := SweepSignal(EvalScenes(b, scenes[:1]), SigmaInterval, taus)
 	if len(pts) != len(taus) {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -250,7 +250,7 @@ func TestSweepTauMatchesEvaluate(t *testing.T) {
 	m, scenes := trainedTinyModel(t)
 	b := NewBayesian(m, 9)
 	b.Samples = 5
-	for _, pt := range SweepSignal(b, scenes[:1], SigmaInterval, []float32{0.05, 0.3}) {
+	for _, pt := range SweepSignal(EvalScenes(b, scenes[:1]), SigmaInterval, []float32{0.05, 0.3}) {
 		if q := Evaluate(b, scenes[:1], Rule{Tau: pt.Threshold, Sigmas: 3}); pt.Quality != q {
 			t.Errorf("τ=%v: sweep %+v, Evaluate %+v", pt.Threshold, pt.Quality, q)
 		}

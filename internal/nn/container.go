@@ -82,25 +82,28 @@ func (p *ParallelConcat) Forward(x *Tensor, train bool) *Tensor {
 // concat merges branch outputs along the channel dimension, recording the
 // per-branch channel counts for Backward. Consumed branch outputs are
 // recycled into the arena on inference passes (never the shared input x).
+// Sample batches (Tensor.Dims5) concatenate like 4-D tensors whose
+// channel plane is H·W·S values.
 func (p *ParallelConcat) concat(outs []*Tensor, x *Tensor, train bool) *Tensor {
-	n, _, h, w := outs[0].Dims4()
+	n, _, h, w, s := outs[0].Dims5()
 	p.branchC = p.branchC[:0]
 	totalC := 0
 	for i, o := range outs {
-		on, oc, ohh, oww := o.Dims4()
-		if on != n || ohh != h || oww != w {
+		on, oc, ohh, oww, os := o.Dims5()
+		if on != n || ohh != h || oww != w || os != s {
 			panic(fmt.Sprintf("nn: branch %d output %v mismatches %v", i, o.Shape, outs[0].Shape))
 		}
 		p.branchC = append(p.branchC, oc)
 		totalC += oc
 	}
-	out := allocOut(p.sc, train, n, totalC, h, w)
+	out := allocLike(p.sc, train, outs[0], totalC, h, w)
+	plane := h * w * s
 	cOff := 0
 	for _, o := range outs {
 		oc := o.Shape[1]
 		for bi := 0; bi < n; bi++ {
-			src := o.Data[bi*oc*h*w : (bi+1)*oc*h*w]
-			dst := out.Data[(bi*totalC+cOff)*h*w : (bi*totalC+cOff+oc)*h*w]
+			src := o.Data[bi*oc*plane : (bi+1)*oc*plane]
+			dst := out.Data[(bi*totalC+cOff)*plane : (bi*totalC+cOff+oc)*plane]
 			copy(dst, src)
 		}
 		cOff += oc
@@ -154,10 +157,10 @@ func (p *ParallelConcat) Walk(v Visitor) {
 // SplitAtFirstDropout splits a Sequential into a deterministic prefix (all
 // layers strictly before the first one containing a Dropout) and the
 // remaining stochastic suffix. This is the Monte-Carlo fast path: the
-// Bayesian monitor computes the prefix once per verdict and replays only
-// the suffix per dropout sample, which for the MSDnet stack removes
-// (Samples-1) stem evaluations without changing a single output bit —
-// running prefix then suffix is the same layer sequence as running l.
+// Bayesian monitor computes the prefix once per verdict and runs only the
+// suffix over its sample batch (Replicate), which for the MSDnet stack
+// removes (Samples-1) stem evaluations without changing a single output
+// bit: running prefix then suffix is the same layer sequence as l.
 //
 // Invariants the caller must hold:
 //   - prefix and suffix alias l's layer instances (weights, caches, dropout
@@ -194,8 +197,8 @@ func SplitAtFirstDropout(l Layer) (prefix, suffix Layer, ok bool) {
 // SplitTrailingUpsample splits a Sequential that ends in an Upsample2x into
 // the layers before it and the upsample itself, so a caller can work on the
 // head's output before upsampling it: the Bayesian monitor applies its
-// per-sample softmax there. body aliases l's layers and keeps its arena,
-// like SplitAtFirstDropout's halves.
+// softmax there. body aliases l's layers and keeps its arena, like
+// SplitAtFirstDropout's halves.
 //
 // ok is false — and body is l itself — when l is not a Sequential, does not
 // end in an Upsample2x, or has no layer before it.

@@ -22,6 +22,11 @@ import (
 // the naive reference loop (convRefForward in the tests), skipping
 // out-of-range taps instead of adding zero padding, so outputs are
 // byte-identical to that loop at every geometry and on every kernel.
+//
+// At inference it also takes a Monte-Carlo sample batch (Tensor.Dims5):
+// the S samples of one pixel share its tap window, and sit side by side,
+// so a run of n columns is n·S contiguous pixels for convRun, and each
+// sample's lanes get the taps, in the order, of a 4-D pass over it alone.
 type Conv2D struct {
 	InC, OutC int
 	K         int // square kernel size
@@ -36,16 +41,12 @@ type Conv2D struct {
 	sc     *Scratch
 	packed []float32 // B and W as packWeights lays them out: per Forward, or once in a fusedConv's copy
 	runs   []colRun  // output column runs per Forward, see columnRuns
+	res    []float32 // one output row of results per Forward, see run
 }
 
 // convLanes is how many output channels convRun accumulates per pixel: one
 // AVX-512 register, or two 8-wide AVX registers.
 const convLanes = 16
-
-// convRunMax is the chunk of output columns Forward computes before
-// storing them: one chunk's results fill a stack buffer of convRunMax ×
-// convLanes floats.
-const convRunMax = 32
 
 // NewConv2D constructs a convolution with He-initialized weights.
 func NewConv2D(name string, inC, outC, k, stride, pad, dilation int, rng *rand.Rand) *Conv2D {
@@ -124,13 +125,12 @@ type colRun struct{ ox, n, kxLo, kxHi int }
 // columnRuns splits the ow output columns of an input w wide into runs of
 // equal kx tap window, reusing c.runs. The window only shrinks as ox grows,
 // so equal windows are contiguous: the interior is one run between the few
-// columns whose taps overhang an edge. Runs also break at every multiple of
-// convRunMax, so each chunk of convRunMax columns is whole runs.
+// columns whose taps overhang an edge.
 func (c *Conv2D) columnRuns(w, ow int) []colRun {
 	runs := c.runs[:0]
 	for ox := 0; ox < ow; ox++ {
 		lo, hi := tapRange(ox*c.Stride-c.Pad, c.Dilation, c.K, w)
-		if last := len(runs) - 1; last >= 0 && ox%convRunMax != 0 {
+		if last := len(runs) - 1; last >= 0 {
 			if r := &runs[last]; r.kxLo == lo && r.kxHi == hi {
 				r.n++
 				continue
@@ -160,9 +160,9 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 }
 
 // output checks x against the convolution's geometry and returns the
-// tensor its output goes to.
+// tensor its output goes to, in x's layout.
 func (c *Conv2D) output(x *Tensor, train bool) *Tensor {
-	n, ic, h, w := x.Dims4()
+	_, ic, h, w, _ := x.Dims5()
 	if ic != c.InC {
 		panic(fmt.Sprintf("nn: conv expects %d input channels, got %d", c.InC, ic))
 	}
@@ -170,7 +170,7 @@ func (c *Conv2D) output(x *Tensor, train bool) *Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: conv output %dx%d non-positive for input %dx%d", oh, ow, h, w))
 	}
-	return allocOut(c.sc, train, n, c.OutC, oh, ow)
+	return allocLike(c.sc, train, x, c.OutC, oh, ow)
 }
 
 // run convolves x into channels [off, off+OutC) of out with packed, B and
@@ -178,17 +178,33 @@ func (c *Conv2D) output(x *Tensor, train bool) *Tensor {
 // network's fused layers run: off is 0 unless the conv is one branch of a
 // fused concat (fusedConcat), and ep is nil for a plain convolution and
 // otherwise holds one epilogueLen block of BatchNorm→ReLU constants per
-// convLanes output channels (see fusedConv), applied to each chunk of
+// convLanes output channels (see fusedConv), applied to each row of
 // results before it is stored.
+//
+// x and out are both 4-D or both sample batches of S samples (Dims5); a
+// 4-D tensor is S = 1. A pixel of convRun is one sample of one column, and
+// the S samples of a column are adjacent, so a column run at stride 1 is
+// one call over n·S pixels one float apart, whose taps step d·S floats
+// along a row, d·W·S down the rows and H·W·S across the channels. At
+// S = 1 a run is one call over its n columns Stride floats apart; a
+// strided conv inside a batch takes one call per column.
 func (c *Conv2D) run(x, out *Tensor, packed, ep []float32, off int) {
-	n, _, h, w := x.Dims4()
-	_, outC, oh, ow := out.Dims4()
+	n, _, h, w, s := x.Dims5()
+	_, outC, oh, ow, _ := out.Dims5()
 	runs := c.columnRuns(w, ow)
 	xd, od := x.Data, out.Data
 	k, d := c.K, c.Dilation
-	hw, ohw := h*w, oh*ow
+	xc, xy := h*w*s, w*s         // x's channel and row strides
+	ohw, rowLen := oh*ow*s, ow*s // out's channel stride and row length
 	blockLen := (1 + c.InC*k*k) * convLanes
 	lastC := c.InC - 1
+	// res holds one output row, pixel-major, for one block of output
+	// channels: stored whole, so no row breaks into short runs or ragged
+	// store tails.
+	if need := rowLen * convLanes; len(c.res) < need {
+		c.res = make([]float32, need)
+	}
+	res := c.res
 
 	// One job per (batch, output row) pair, on the calling goroutine.
 	for job := 0; job < n*oh; job++ {
@@ -196,44 +212,44 @@ func (c *Conv2D) run(x, out *Tensor, packed, ep []float32, off int) {
 		iy0 := oy*c.Stride - c.Pad
 		kyLo, kyHi := tapRange(iy0, d, k, h)
 		ny := kyHi - kyLo + 1
-		xB := bi * c.InC * hw
-		outRow := (bi*outC+off)*ohw + oy*ow
-		// res holds one chunk of up to convRunMax columns, pixel-major, for
-		// one block of output channels.
-		var res [convRunMax * convLanes]float32
+		xB := bi * c.InC * xc
+		outRow := (bi*outC+off)*ohw + oy*rowLen
 		for oc0 := 0; oc0 < c.OutC; oc0 += convLanes {
 			block := packed[oc0/convLanes*blockLen:]
+			for _, r := range runs {
+				nx := r.kxHi - r.kxLo + 1
+				cols, np, px := 1, r.n*s, 1
+				switch {
+				case s == 1:
+					px = c.Stride
+				case c.Stride > 1:
+					cols, np = r.n, s
+				}
+				for ox := r.ox; ox < r.ox+cols; ox++ {
+					// The first tap of the call's first pixel (channel 0,
+					// kyLo, kxLo) and the last tap of its last pixel
+					// (channel InC-1, kyHi, kxHi) bound the slices handed
+					// to convRun, so a wrong tap range panics here instead
+					// of the assembly reading past the tensor.
+					var xs []float32
+					var wFirst, wEnd int
+					if ny > 0 && nx > 0 {
+						ix0 := ox*c.Stride - c.Pad
+						xFirst := xB + (iy0+kyLo*d)*xy + (ix0+r.kxLo*d)*s
+						xLast := xB + lastC*xc + (iy0+kyHi*d)*xy + (ix0+r.kxHi*d)*s + (np-1)*px
+						xs = xd[xFirst : xLast+1]
+						wFirst = (kyLo*k + r.kxLo) * convLanes
+						wEnd = ((lastC*k+kyHi)*k + r.kxHi + 1) * convLanes
+					}
+					convRun(res[ox*s*convLanes:], (*[convLanes]float32)(block), block[convLanes+wFirst:convLanes+wEnd], xs,
+						np, px, c.InC, ny, nx, xc, d*xy, d*s, k*k*convLanes, k*convLanes)
+				}
+			}
 			var epi *[epilogueLen]float32
 			if ep != nil {
 				epi = (*[epilogueLen]float32)(ep[oc0/convLanes*epilogueLen:])
 			}
-			live := min(convLanes, c.OutC-oc0)
-			chunk := 0
-			for _, r := range runs {
-				if r.ox == chunk+convRunMax {
-					finishRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], convRunMax, live, epi)
-					chunk = r.ox
-				}
-				nx := r.kxHi - r.kxLo + 1
-				// The first tap of the run's first pixel (channel 0, kyLo,
-				// kxLo) and the last tap of its last pixel (channel InC-1,
-				// kyHi, kxHi) bound the slices handed to convRun, so a
-				// wrong tap range panics here instead of the assembly
-				// reading past the tensor.
-				var xs []float32
-				var wFirst, wEnd int
-				if ny > 0 && nx > 0 {
-					ix0 := r.ox*c.Stride - c.Pad
-					xFirst := xB + (iy0+kyLo*d)*w + ix0 + r.kxLo*d
-					xLast := xB + lastC*hw + (iy0+kyHi*d)*w + ix0 + r.kxHi*d + (r.n-1)*c.Stride
-					xs = xd[xFirst : xLast+1]
-					wFirst = (kyLo*k + r.kxLo) * convLanes
-					wEnd = ((lastC*k+kyHi)*k + r.kxHi + 1) * convLanes
-				}
-				convRun(res[(r.ox-chunk)*convLanes:], (*[convLanes]float32)(block), block[convLanes+wFirst:convLanes+wEnd], xs,
-					r.n, c.Stride, c.InC, ny, nx, hw, d*w, d, k*k*convLanes, k*convLanes)
-			}
-			finishRun(od[outRow+oc0*ohw+chunk:], ohw, res[:], ow-chunk, live, epi)
+			finishRun(od[outRow+oc0*ohw:], ohw, res, rowLen, min(convLanes, c.OutC-oc0), epi)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestConvTapsMatchesPortable(t *testing.T) {
 }
 
 // TestStoreRunMatchesGo runs storeRun on its AVX body and storeRunGo on
-// the same pixel-major results, for every n in 0-32 (eight-pixel blocks
+// the same pixel-major results, for every n in 0-40 (eight-pixel blocks
 // and a ragged rest) and every live in 1-16, into rows ohw apart with a
 // gap after each and a random offset: lane l's first n values must land
 // in row l for l < live, and every row at or past live, every cell past n
@@ -102,9 +102,10 @@ func TestStoreRunMatchesGo(t *testing.T) {
 	cpu.Use = cpu.Detected
 	rng := rand.New(rand.NewSource(20261019))
 	specials := []uint32{0x7fc00001, 0xffc12345, 0x7fa00000, 0xff800001, 0x80000000}
-	for n := 0; n <= convRunMax; n++ {
+	const maxN = 40
+	for n := 0; n <= maxN; n++ {
 		for live := 1; live <= convLanes; live++ {
-			run := make([]float32, convRunMax*convLanes)
+			run := make([]float32, maxN*convLanes)
 			for i := range run {
 				run[i] = math.Float32frombits(rng.Uint32())
 				if rng.Intn(4) == 0 {
@@ -159,7 +160,7 @@ func TestBNReLUAVXMatchesGo(t *testing.T) {
 				ep[3*convLanes+l] = float32(math.Copysign(0, -1))
 			}
 		}
-		np := rng.Intn(convRunMax + 1)
+		np := rng.Intn(41)
 		in := specialInput(rng, 0.05, (np+2)*convLanes).Data
 		for p := 1; p <= np; p++ {
 			for l := 0; l < convLanes; l++ {

@@ -135,14 +135,18 @@ func TestDropoutRecordMatchesStream(t *testing.T) {
 }
 
 // FuzzDropoutRecordMatchesStream decodes its input into a sequence of
-// reseed (one of three seeds), forward (n units, inference or training)
-// and set-P ops on one AlwaysOn Dropout, and checks every forward against
-// a reference that keeps a fresh rand.Rand per reseed.
+// reseed (one of three seeds), forward and set-P ops on one AlwaysOn
+// Dropout, and checks every forward against a reference that keeps a
+// fresh rand.Rand per reseed. A forward is over n units, or over a sample
+// batch of 2-12 samples of n units each (Tensor.Dims5), inference or
+// training.
 func FuzzDropoutRecordMatchesStream(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 40, 0, 0, 1, 60})
 	f.Add([]byte{0, 1, 1, 90, 4, 20, 0, 1, 1, 120})
 	f.Add([]byte{1, 10, 0, 2, 1, 30, 2, 1, 1, 30, 0, 2, 1, 200})
 	f.Add([]byte{0, 0, 1, 10, 2, 0, 1, 10, 2, 2, 0, 0, 1, 50})
+	f.Add([]byte{0, 0, 103, 29, 0, 0, 103, 29, 103, 30, 0, 0, 103, 29, 7, 29})
+	f.Add([]byte{0, 1, 7, 40, 1, 8, 0, 1, 55, 40, 2, 1, 19, 40, 0, 1, 55, 40})
 	seeds := [3]int64{42, 7, -3}
 	ps := [4]float64{0.5, 0.25, 0, 0.9}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -157,7 +161,11 @@ func FuzzDropoutRecordMatchesStream(f *testing.F) {
 				d.Reseed(seed)
 				ref = newStreamRef(seed)
 			case 1:
-				forwardMatchesStream(t, d, ref, 1+arg, op/3%2 == 1, int64(i))
+				if train := op/3%2 == 1; op/6%2 == 0 {
+					forwardMatchesStream(t, d, ref, 1+arg, train, int64(i))
+				} else {
+					forwardBatchMatchesStream(t, d, ref, 1+arg, 2+int(op/12)%11, train, int64(i))
+				}
 			case 2:
 				d.P = ps[arg%len(ps)]
 			}

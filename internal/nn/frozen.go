@@ -18,7 +18,7 @@ const epilogueLen = 4 * convLanes
 // containers, and each Conv2D becomes an inference-only fused layer:
 //   - its weights are packed once, here, instead of on every forward;
 //   - when the Conv2D is followed by a BatchNorm2D and a ReLU, the fused
-//     layer also applies both to each chunk of conv results before storing
+//     layer also applies both to each row of conv results before storing
 //     it — BatchNorm's exact g*(v-mean)*inv + b with inv = 1/√(var+ε)
 //     computed here as BatchNorm computes it, then v > 0 ? v : 0 — so the
 //     network keeps no ReLU mask, batch-norm cache or conv input cache;
@@ -188,7 +188,7 @@ func (f *fusedConcat) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*T
 	if train {
 		panic("nn: training pass through a frozen inference network")
 	}
-	n, ic, h, w := x.Dims4()
+	_, ic, h, w, _ := x.Dims5()
 	oh, ow := f.convs[0].conv.OutSize(h, w)
 	for i, c := range f.convs {
 		if ic != c.conv.InC {
@@ -201,7 +201,7 @@ func (f *fusedConcat) ForwardCtx(ctx context.Context, x *Tensor, train bool) (*T
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: conv output %dx%d non-positive for input %dx%d", oh, ow, h, w))
 	}
-	out := allocOut(f.sc, false, n, f.outC, oh, ow)
+	out := allocLike(f.sc, false, x, f.outC, oh, ow)
 	for i, c := range f.convs {
 		if err := ctx.Err(); err != nil {
 			f.sc.Put(out)

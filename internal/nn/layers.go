@@ -95,6 +95,14 @@ const (
 // its stream on every Reseed. The record is as long as the longest
 // Monte-Carlo run since it restarted: one run's decisions, ~90 KB per
 // replica over both MSDnet dropouts at the served 24 px crop.
+//
+// A sample batch of S samples of N units (Tensor.Dims5) takes the next
+// N·S decisions, as S forwards of N units would: unit i of sample s takes
+// decision s·N + i. The layer applies them through a sample-minor view of
+// the decisions, unit i of sample s at i·S + s. It builds the view once and
+// reuses it while the record replays the same decisions at the same
+// cursor, so a replayed verdict transposes nothing; a restarted or dropped
+// record, or another N or S, rebuilds it.
 type Dropout struct {
 	P    float64
 	Mode DropoutMode
@@ -109,6 +117,13 @@ type Dropout struct {
 	recording bool
 	recSeed   int64
 	recP      float64
+	// view holds the sample-minor view of the record's decisions from
+	// viewAt, for viewS samples of viewN units; viewOK is false when it
+	// holds none of the current record. views counts the views built.
+	view                 []byte
+	viewAt, viewN, viewS int
+	viewOK               bool
+	views                int
 	// mask aliases the decisions of the last forward, for Backward.
 	mask []byte
 	sc   *Scratch
@@ -146,6 +161,7 @@ func (d *Dropout) Reseed(seed int64) {
 	}
 	d.keep, d.pos = d.keep[:0], 0
 	d.recording, d.recSeed, d.recP = true, seed, d.P
+	d.viewOK = false
 }
 
 func (d *Dropout) active(train bool) bool {
@@ -163,18 +179,46 @@ func (d *Dropout) active(train bool) bool {
 // inference passes). An inactive layer — Auto outside training, Off, or
 // P = 0 — returns x itself: every caller that recycles intermediates
 // already refuses to recycle a tensor that is its own input or output.
+// A sample batch (Tensor.Dims5) takes its decisions sample by sample, in
+// the order S forwards of one sample each would, through the layer's
+// sample-minor view (see Dropout).
 func (d *Dropout) Forward(x *Tensor, train bool) *Tensor {
 	if !d.active(train) || d.P == 0 {
 		d.mask = nil
 		return x
 	}
+	_, _, _, _, s := x.Dims5()
 	out := allocOut(d.sc, train, x.Shape...)
 	d.mu.Lock()
+	at := d.pos
 	keep := d.decisions(len(x.Data), train)
+	if s > 1 {
+		keep = d.sampleMinor(keep, at, len(x.Data)/s, s)
+	}
 	d.mu.Unlock()
 	d.mask = keep
 	applyKeep(out.Data[:len(keep)], x.Data[:len(keep)], keep, float32(1/(1-d.P)))
 	return out
+}
+
+// sampleMinor returns keep, the decisions of s samples of n units each
+// taken from the record at cursor at (or freshly drawn), in sample-minor
+// order: unit i of sample j at i*s + j. While the record holds the view
+// built for the same cursor, n and s, it returns that view as it is. d.mu
+// must be held.
+func (d *Dropout) sampleMinor(keep []byte, at, n, s int) []byte {
+	if d.recording && d.viewOK && d.viewAt == at && d.viewN == n && d.viewS == s {
+		return d.view
+	}
+	d.view = slices.Grow(d.view[:0], n*s)[:n*s]
+	for j := 0; j < s; j++ {
+		for i, k := range keep[j*n : (j+1)*n] {
+			d.view[i*s+j] = k
+		}
+	}
+	d.views++
+	d.viewOK, d.viewAt, d.viewN, d.viewS = d.recording, at, n, s
+	return d.view
 }
 
 // applyKeep sets dst[i] to the bits of src[i]*scale ANDed with -keep[i]:
@@ -227,7 +271,7 @@ func (d *Dropout) dropRecord() {
 	if !d.recording {
 		return
 	}
-	d.recording = false
+	d.recording, d.viewOK = false, false
 	if d.pos == len(d.keep) {
 		return
 	}
@@ -306,71 +350,75 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 }
 
 // Forward normalizes with batch statistics (train) or running statistics.
+// Inference also takes a sample batch (Tensor.Dims5); training takes 4-D
+// only.
 func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
-	n, c, h, w := x.Dims4()
-	if c != bn.C {
+	if _, c, _, _, _ := x.Dims5(); c != bn.C {
 		panic(fmt.Sprintf("nn: batchnorm expects %d channels, got %d", bn.C, c))
 	}
 	out := allocOut(bn.sc, train, x.Shape...)
+	if !train {
+		bn.infer(x, out)
+		return out
+	}
+	n, c, h, w := x.Dims4()
 	cnt := float32(n * h * w)
 	if bn.mean == nil {
 		bn.mean = make([]float32, c)
 		bn.vr = make([]float32, c)
 	}
-	if train {
-		bn.x = x
-		if cap(bn.xhat) < len(x.Data) {
-			bn.xhat = make([]float32, len(x.Data))
-		}
-		bn.xhat = bn.xhat[:len(x.Data)]
-		parallelFor(c, func(ci int) {
-			var sum float64
-			for bi := 0; bi < n; bi++ {
-				base := (bi*c + ci) * h * w
-				for i := 0; i < h*w; i++ {
-					sum += float64(x.Data[base+i])
-				}
-			}
-			mean := float32(sum / float64(cnt))
-			var vsum float64
-			for bi := 0; bi < n; bi++ {
-				base := (bi*c + ci) * h * w
-				for i := 0; i < h*w; i++ {
-					d := x.Data[base+i] - mean
-					vsum += float64(d * d)
-				}
-			}
-			variance := float32(vsum / float64(cnt))
-			bn.mean[ci], bn.vr[ci] = mean, variance
-			bn.RunningMean[ci] = (1-bn.Momentum)*bn.RunningMean[ci] + bn.Momentum*mean
-			bn.RunningVar[ci] = (1-bn.Momentum)*bn.RunningVar[ci] + bn.Momentum*variance
-			inv := float32(1 / math.Sqrt(float64(variance+bn.Eps)))
-			g, b := bn.Gamma.Value.Data[ci], bn.Beta.Value.Data[ci]
-			for bi := 0; bi < n; bi++ {
-				base := (bi*c + ci) * h * w
-				for i := 0; i < h*w; i++ {
-					xh := (x.Data[base+i] - mean) * inv
-					bn.xhat[base+i] = xh
-					out.Data[base+i] = g*xh + b
-				}
-			}
-		})
-		return out
+	bn.x = x
+	if cap(bn.xhat) < len(x.Data) {
+		bn.xhat = make([]float32, len(x.Data))
 	}
-	bn.infer(x, out)
+	bn.xhat = bn.xhat[:len(x.Data)]
+	parallelFor(c, func(ci int) {
+		var sum float64
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ci) * h * w
+			for i := 0; i < h*w; i++ {
+				sum += float64(x.Data[base+i])
+			}
+		}
+		mean := float32(sum / float64(cnt))
+		var vsum float64
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ci) * h * w
+			for i := 0; i < h*w; i++ {
+				d := x.Data[base+i] - mean
+				vsum += float64(d * d)
+			}
+		}
+		variance := float32(vsum / float64(cnt))
+		bn.mean[ci], bn.vr[ci] = mean, variance
+		bn.RunningMean[ci] = (1-bn.Momentum)*bn.RunningMean[ci] + bn.Momentum*mean
+		bn.RunningVar[ci] = (1-bn.Momentum)*bn.RunningVar[ci] + bn.Momentum*variance
+		inv := float32(1 / math.Sqrt(float64(variance+bn.Eps)))
+		g, b := bn.Gamma.Value.Data[ci], bn.Beta.Value.Data[ci]
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ci) * h * w
+			for i := 0; i < h*w; i++ {
+				xh := (x.Data[base+i] - mean) * inv
+				bn.xhat[base+i] = xh
+				out.Data[base+i] = g*xh + b
+			}
+		}
+	})
 	return out
 }
 
-// infer normalises x into out with the running statistics.
+// infer normalises x into out with the running statistics; a sample
+// batch's channel plane is its H·W·S values.
 func (bn *BatchNorm2D) infer(x, out *Tensor) {
-	n, c, h, w := x.Dims4()
+	n, c, h, w, s := x.Dims5()
+	plane := h * w * s
 	for ci := 0; ci < c; ci++ {
 		inv := float32(1 / math.Sqrt(float64(bn.RunningVar[ci]+bn.Eps)))
 		mean := bn.RunningMean[ci]
 		g, b := bn.Gamma.Value.Data[ci], bn.Beta.Value.Data[ci]
 		for bi := 0; bi < n; bi++ {
-			base := (bi*c + ci) * h * w
-			for i := 0; i < h*w; i++ {
+			base := (bi*c + ci) * plane
+			for i := 0; i < plane; i++ {
 				// The conversion rounds the product before b is added, so
 				// no GOARCH fuses them into one multiply-add (arm64 would):
 				// the frozen network's epilogue computes the same bits.

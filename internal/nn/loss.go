@@ -35,8 +35,9 @@ const softmaxGroup = 8
 const softmaxBlock = 64
 
 // softmaxChannelsInto computes the channel softmax of logits into out,
-// which may alias logits. Every pixel gets the operations of the per-pixel
-// textbook loop, in its order: the maximum m of its logits by v > m from
+// which may alias logits; in a sample batch (Tensor.Dims5) each sample of
+// a pixel is a pixel of its own. Every pixel gets the operations of the
+// per-pixel textbook loop, in its order: the maximum m of its logits by v > m from
 // −Inf, then each channel's e = float32(math.Exp(float64(v - m))) stored
 // and summed in channel order, then one 1/sum that scales every e. The
 // work goes one channel row at a time across a run of pixels, over
@@ -46,8 +47,8 @@ const softmaxBlock = 64
 // every pixel elsewhere. Within a pixel every logit is read before its
 // slot in out is written, and pixels are independent.
 func softmaxChannelsInto(out, logits *Tensor) {
-	n, c, h, w := logits.Dims4()
-	hw := h * w
+	n, c, h, w, s := logits.Dims5()
+	hw := h * w * s
 	vector := cpu.Use.AVX2 && cpu.Use.FMA
 	for bi := 0; bi < n; bi++ {
 		o, x := out.Data[bi*c*hw:(bi+1)*c*hw], logits.Data[bi*c*hw:(bi+1)*c*hw]

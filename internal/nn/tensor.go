@@ -44,6 +44,49 @@ func (t *Tensor) Dims4() (n, c, h, w int) {
 	return t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
 }
 
+// Dims5 returns the dimensions of a Monte-Carlo sample batch [N,C,H,W,S]:
+// S samples of an NCHW image batch, laid out sample-minor, so element
+// (n, c, y, x, s) sits at (((n*C + c)*H + y)*W + x)*S + s. A 4-D tensor is
+// the S = 1 case. Other ranks panic. Only the inference layers that
+// compute each sample's bits as a 4-D pass would (Conv2D, BatchNorm2D,
+// Dropout, the concats and the channel softmax) read this layout; every
+// other layer calls Dims4, which refuses it, so a layer that has not been
+// taught the layout cannot mix samples.
+func (t *Tensor) Dims5() (n, c, h, w, s int) {
+	switch len(t.Shape) {
+	case 4:
+		return t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3], 1
+	case 5:
+		return t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3], t.Shape[4]
+	}
+	panic(fmt.Sprintf("nn: expected 4-D or 5-D tensor, got shape %v", t.Shape))
+}
+
+// Replicate returns the sample batch [N,C,H,W,S] (see Dims5) of S copies of
+// the 4-D x: every sample of element (n, c, y, x) holds x's value there.
+// The batch is drawn from sc; x is left as it is.
+func Replicate(x *Tensor, samples int, sc *Scratch) *Tensor {
+	n, c, h, w := x.Dims4()
+	out := sc.Get(n, c, h, w, samples)
+	for i, v := range x.Data {
+		dst := out.Data[i*samples : (i+1)*samples]
+		for j := range dst {
+			dst[j] = v
+		}
+	}
+	return out
+}
+
+// allocLike returns a layer output of c channels of h×w in x's layout:
+// NCHW for a 4-D x, and [N,C,H,W,S] with x's samples for a sample batch.
+func allocLike(sc *Scratch, train bool, x *Tensor, c, h, w int) *Tensor {
+	n, _, _, _, s := x.Dims5()
+	if len(x.Shape) == 5 {
+		return allocOut(sc, train, n, c, h, w, s)
+	}
+	return allocOut(sc, train, n, c, h, w)
+}
+
 // At4 returns the element at NCHW position (n, c, y, x).
 func (t *Tensor) At4(n, c, y, x int) float32 {
 	return t.Data[((n*t.Shape[1]+c)*t.Shape[2]+y)*t.Shape[3]+x]
