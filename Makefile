@@ -1,6 +1,6 @@
 # Developer workflow for the safeland reproduction.
 #
-#   make check       # tier-1 gate + arm64 cross-build and FMA check + race detector (shuffled) + bench smoke + bench module
+#   make check       # tier-1 gate + arm64 cross-build and FMA check + unreached code + race detector (shuffled) + bench smoke + bench module
 #   make bench       # paper-artifact benchmarks; hot-path and monitoring numbers land in BENCH_nn/monitor.json
 #   make bench-smoke # one iteration of each perception benchmark (keeps the harness honest)
 #   make grid        # E11 grid coverage standalone (quick scale)
@@ -8,6 +8,7 @@
 #   make e13         # E13 descent-session fleet study standalone (quick scale)
 #   make chaos       # E14 chaos drill standalone (quick scale)
 #   make fuzz-smoke  # a few seconds of each fuzz target
+#   make unreached   # functions no program links, outside the allowlist
 
 GO ?= go
 
@@ -43,9 +44,9 @@ FMA_FREE = nn.convRun nn.convTapsGo nn.(*Conv2D).run nn.bnReLUGo nn.(*BatchNorm2
 	monitor.Rule.PixelFlags monitor.ruleScan monitor.verdictFromMoments monitor.(*Bayesian).MCEntropyStats \
 	monitor.expectedEntropy monitor.entropyOf
 
-.PHONY: check fmt vet build cross test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
+.PHONY: check fmt vet build cross unreached test race race-experiments bench bench-smoke bench-module grid e12 e13 chaos fuzz-smoke
 
-check: fmt vet build cross race bench-smoke bench-module
+check: fmt vet build cross unreached race bench-smoke bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -77,6 +78,14 @@ cross:
 		checked && /(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add in " fn ":" $$0; bad = 1 } \
 		END { for (f in list) if (!(f in seen)) { print "no arm64 code found for " f; bad = 1 } \
 			if (!bad) print "no fused multiply-add in the arm64 inference path"; exit bad }'
+
+# Every program (cmd/*, examples/*, the bench module) built with inlining
+# off, and each function of the module that none of them links listed; it
+# fails on one outside the allowlist in internal/tools/unreached, which
+# gives the reason each listed function stays (a test oracle or fixture,
+# exported API, a String method).
+unreached:
+	$(GO) run ./internal/tools/unreached
 
 test:
 	$(GO) test ./...

@@ -175,12 +175,18 @@ func BenchmarkE8SelectorStaticMap(b *testing.B) {
 	}
 }
 
-// BenchmarkE8SelectorEL measures the full monitored EL plan.
+// BenchmarkE8SelectorEL measures the full monitored EL plan, served by a
+// one-worker Engine as the mission simulator asks for it.
 func BenchmarkE8SelectorEL(b *testing.B) {
 	sys, scene, _ := benchSystem(b)
+	eng, err := NewEngine(WithSystem(sys), WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Pipeline.PlanLanding(context.Background(), scene, scene.Layout.WorldW/2, scene.Layout.WorldH/2)
+		eng.PlanLanding(context.Background(), scene, scene.Layout.WorldW/2, scene.Layout.WorldH/2)
 	}
 }
 

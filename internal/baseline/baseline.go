@@ -28,11 +28,6 @@ type Zone struct {
 	Score float64
 }
 
-// CenterM returns the zone center in world meters.
-func (z Zone) CenterM(mpp float64) (x, y float64) {
-	return (float64(z.X0) + float64(z.Size)/2) * mpp, (float64(z.Y0) + float64(z.Size)/2) * mpp
-}
-
 // Selector picks a landing zone from a scene.
 type Selector interface {
 	Name() string

@@ -70,14 +70,6 @@ func TestFlatnessCanPickRoads(t *testing.T) {
 	t.Logf("flatness picked road-containing zones in %d/10 scenes", roadPicks)
 }
 
-func TestZoneCenterM(t *testing.T) {
-	z := Zone{X0: 10, Y0: 20, Size: 20}
-	x, y := z.CenterM(0.5)
-	if x != 10 || y != 15 {
-		t.Errorf("center = (%v, %v), want (10, 15)", x, y)
-	}
-}
-
 func TestSelectorsRejectOversizedZones(t *testing.T) {
 	s := testScene(7)
 	if _, ok := NewCanny().Select(s, 1000); ok {

@@ -120,18 +120,12 @@ func TestDecisionModuleStates(t *testing.T) {
 	if st := dm.Offer(confirm); st != Landing {
 		t.Fatalf("confirmation should land: %v", st)
 	}
-	if dm.Confirmed() == nil || !dm.Confirmed().Confirmed {
-		t.Fatal("confirmed verdict not recorded")
-	}
 	// Offers after landing are ignored.
 	if st := dm.Offer(reject); st != Landing {
 		t.Fatal("DM left Landing state")
 	}
 
-	dm.Reset()
-	if dm.State() != Proposing || dm.Trials() != 0 {
-		t.Fatal("reset incomplete")
-	}
+	dm = NewDecisionModule(2)
 	dm.Offer(reject)
 	if st := dm.Offer(reject); st != Aborted {
 		t.Fatalf("budget exhaustion should abort: %v", st)
@@ -214,24 +208,40 @@ func TestPipelineResultTrace(t *testing.T) {
 	}
 }
 
+// TestPipelinePlanLanding pins landing planning through the pipeline as a
+// planner runs it: the vehicle's position rides as the home bias on a
+// per-call zone configuration, a confirmed zone's center lies inside the
+// world and off busy road in ground truth, and the pipeline's own zone
+// settings keep no home bias.
 func TestPipelinePlanLanding(t *testing.T) {
 	p, scenes := trainedPipeline(t)
-	s := scenes[0]
-	tx, ty, ok := p.PlanLanding(context.Background(), s, s.Layout.WorldW/2, s.Layout.WorldH/2)
-	if !ok {
-		t.Skip("no confirmed zone in this scene")
+	planned := false
+	for _, s := range scenes {
+		zones := p.Zones
+		zones.HomeX, zones.HomeY = s.Layout.WorldW/2, s.Layout.WorldH/2
+		res, err := p.SelectWithConfigCtx(context.Background(), s.Image, s.MPP, zones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Confirmed {
+			continue
+		}
+		planned = true
+		tx, ty := res.Zone.CenterM(s.MPP)
+		if tx < 0 || ty < 0 || tx > s.Layout.WorldW || ty > s.Layout.WorldH {
+			t.Fatalf("landing target (%.1f, %.1f) outside world", tx, ty)
+		}
+		// Ground truth at the target must not be busy road.
+		if s.Labels.At(int(tx/s.MPP), int(ty/s.MPP)).BusyRoad() {
+			t.Error("planned landing point is on a busy road in ground truth")
+		}
+		break
 	}
-	if tx < 0 || ty < 0 || tx > s.Layout.WorldW || ty > s.Layout.WorldH {
-		t.Fatalf("landing target (%.1f, %.1f) outside world", tx, ty)
+	if !planned {
+		t.Fatal("the pipeline confirmed no zone on any scene, so planning is untested")
 	}
-	// Ground truth at the target must not be busy road.
-	px, py := int(tx/s.MPP), int(ty/s.MPP)
-	if s.Labels.At(px, py).BusyRoad() {
-		t.Error("planned landing point is on a busy road in ground truth")
-	}
-	// Zone config restored after planning.
 	if p.Zones.HomeX != 0 || p.Zones.HomeY != 0 {
-		t.Error("PlanLanding leaked home bias into pipeline config")
+		t.Error("planning leaked home bias into pipeline config")
 	}
 }
 
@@ -240,8 +250,8 @@ func TestPipelinePlanLanding(t *testing.T) {
 // confirmed zone must not cover busy road in ground truth — and the far
 // more likely outcome is that nothing is confirmed at all.
 // TestSelectorsRejectOddFrame: the downsampling model cannot segment an
-// odd frame, so the core selectors return CheckSize's error and planning
-// reports no zone (all of them panicked on a 63×64 frame).
+// odd frame, so the core selectors return CheckSize's error (both panicked
+// on a 63×64 frame).
 func TestSelectorsRejectOddFrame(t *testing.T) {
 	m := segment.New(segment.DefaultConfig())
 	p := NewPipeline(m, 1)
@@ -260,12 +270,6 @@ func TestSelectorsRejectOddFrame(t *testing.T) {
 	}
 	if _, err := h.SelectWithConfigCtx(ctx, scene, p.Zones); err == nil || err.Error() != want.Error() {
 		t.Errorf("Hybrid.SelectWithConfigCtx error %v, want %v", err, want)
-	}
-	if _, _, ok := p.PlanLanding(ctx, scene, 10, 10); ok {
-		t.Error("Pipeline.PlanLanding reports a zone on an odd frame")
-	}
-	if _, _, ok := h.PlanLanding(ctx, scene, 10, 10); ok {
-		t.Error("Hybrid.PlanLanding reports a zone on an odd frame")
 	}
 }
 

@@ -55,9 +55,8 @@ type DecisionModule struct {
 	// each trial costs flight time and battery in a degraded mode.
 	MaxTrials int
 
-	state     DMState
-	trials    int
-	confirmed *monitor.Verdict
+	state  DMState
+	trials int
 }
 
 // NewDecisionModule builds a DM with the given trial budget (minimum 1).
@@ -84,7 +83,6 @@ func (dm *DecisionModule) Offer(v monitor.Verdict) DMState {
 	dm.trials++
 	if v.Confirmed {
 		dm.state = Landing
-		dm.confirmed = &v
 		return dm.state
 	}
 	if dm.trials >= dm.MaxTrials {
@@ -100,14 +98,4 @@ func (dm *DecisionModule) Exhausted() DMState {
 		dm.state = Aborted
 	}
 	return dm.state
-}
-
-// Confirmed returns the verdict that triggered landing, or nil.
-func (dm *DecisionModule) Confirmed() *monitor.Verdict { return dm.confirmed }
-
-// Reset returns the DM to its initial state for a new emergency.
-func (dm *DecisionModule) Reset() {
-	dm.state = Proposing
-	dm.trials = 0
-	dm.confirmed = nil
 }

@@ -39,24 +39,12 @@ func NewHybrid(p *Pipeline) *Hybrid {
 	}
 }
 
-// SelectAndVerify runs the fused selection on a scene with the pipeline's
-// configured zone settings. It is shorthand for SelectWithConfig.
-func (h *Hybrid) SelectAndVerify(scene *urban.Scene) Result {
-	return h.SelectWithConfig(scene, h.Pipeline.Zones)
-}
-
-// SelectWithConfig runs the fused selection on a scene: vision candidates
-// are filtered and re-ranked by the static risk map before the Bayesian
-// monitor verifies them. The zone configuration is a per-call value;
-// neither the hybrid nor its pipeline is mutated.
-func (h *Hybrid) SelectWithConfig(scene *urban.Scene, cfg ZoneConfig) Result {
-	res, _ := h.SelectWithConfigCtx(context.Background(), scene, cfg)
-	return res
-}
-
-// SelectWithConfigCtx is SelectWithConfig with cooperative cancellation;
-// the semantics mirror Pipeline.SelectWithConfigCtx, whose trial loop it
-// runs with the static-map fusion as the candidate filter.
+// SelectWithConfigCtx runs the fused selection on a scene: vision
+// candidates are filtered and re-ranked by the static risk map before the
+// Bayesian monitor verifies them. The zone configuration is a per-call
+// value; neither the hybrid nor its pipeline is mutated. The semantics,
+// cancellation included, mirror Pipeline.SelectWithConfigCtx, whose trial
+// loop it runs with the static-map fusion as the candidate filter.
 func (h *Hybrid) SelectWithConfigCtx(ctx context.Context, scene *urban.Scene, cfg ZoneConfig) (Result, error) {
 	static := riskmap.NewWindows(riskmap.BuildStatic(scene.Layout, scene.Labels.W, scene.Labels.H, scene.MPP, h.StaticCfg))
 	return h.Pipeline.selectCtx(ctx, scene.Image, scene.MPP, cfg, func(c []Candidate) []Candidate { return h.fuse(c, static) })
@@ -81,17 +69,4 @@ func (h *Hybrid) fuse(cands []Candidate, static riskmap.Windows) []Candidate {
 		}
 	}
 	return kept
-}
-
-// PlanLanding implements uav.LandingPlanner with the fused selection. Like
-// Pipeline.PlanLanding, a cancelled planning reports no zone.
-func (h *Hybrid) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (float64, float64, bool) {
-	zones := h.Pipeline.Zones
-	zones.HomeX, zones.HomeY = xM, yM
-	res, err := h.SelectWithConfigCtx(ctx, scene, zones)
-	if err != nil || !res.Confirmed {
-		return 0, 0, false
-	}
-	txM, tyM := res.Zone.CenterM(scene.MPP)
-	return txM, tyM, true
 }

@@ -13,7 +13,7 @@ func TestHybridConfirmedZoneSatisfiesBothSources(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	h := NewHybrid(p)
 	for _, s := range scenes[:2] {
-		res := h.SelectAndVerify(s)
+		res, _ := h.SelectWithConfigCtx(context.Background(), s, p.Zones)
 		if !res.Confirmed {
 			continue
 		}
@@ -50,7 +50,7 @@ func TestHybridAtLeastAsStrictAsVision(t *testing.T) {
 	h := NewHybrid(p)
 	for _, s := range scenes[:2] {
 		vision := p.SelectAndVerify(s.Image, s.MPP)
-		hybrid := h.SelectAndVerify(s)
+		hybrid, _ := h.SelectWithConfigCtx(context.Background(), s, p.Zones)
 		if hybrid.CandidateCount > vision.CandidateCount {
 			t.Errorf("hybrid produced more candidates (%d) than vision alone (%d)",
 				hybrid.CandidateCount, vision.CandidateCount)
@@ -61,15 +61,18 @@ func TestHybridAtLeastAsStrictAsVision(t *testing.T) {
 func TestHybridPlanLandingRestoresConfig(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	h := NewHybrid(p)
-	_, _, _ = h.PlanLanding(context.Background(), scenes[0], 10, 10)
+	zones := p.Zones
+	zones.HomeX, zones.HomeY = 10, 10
+	_, _ = h.SelectWithConfigCtx(context.Background(), scenes[0], zones)
 	if p.Zones.HomeX != 0 || p.Zones.HomeY != 0 {
-		t.Error("hybrid PlanLanding leaked home bias")
+		t.Error("hybrid planning leaked home bias")
 	}
 }
 
-// TestHybridPlanLandingHonorsCancellation pins that the hybrid planner
-// runs under the mission's context: on a scene where it confirms a zone, a
-// cancelled context makes the same planning report no zone.
+// TestHybridPlanLandingHonorsCancellation pins that hybrid planning runs
+// under the caller's context: on a scene where it confirms a zone, a
+// cancelled context makes the same planning confirm none and report the
+// context's error.
 func TestHybridPlanLandingHonorsCancellation(t *testing.T) {
 	p, scenes := trainedPipeline(t)
 	h := NewHybrid(p)
@@ -77,13 +80,14 @@ func TestHybridPlanLandingHonorsCancellation(t *testing.T) {
 	cancel()
 	planned := false
 	for _, s := range scenes {
-		x, y := s.Layout.WorldW/2, s.Layout.WorldH/2
-		if _, _, ok := h.PlanLanding(context.Background(), s, x, y); !ok {
+		zones := p.Zones
+		zones.HomeX, zones.HomeY = s.Layout.WorldW/2, s.Layout.WorldH/2
+		if res, _ := h.SelectWithConfigCtx(context.Background(), s, zones); !res.Confirmed {
 			continue
 		}
 		planned = true
-		if _, _, ok := h.PlanLanding(cancelled, s, x, y); ok {
-			t.Error("hybrid PlanLanding reports a zone under a cancelled context")
+		if res, err := h.SelectWithConfigCtx(cancelled, s, zones); err == nil || res.Confirmed {
+			t.Errorf("hybrid planning under a cancelled context: confirmed %v, error %v", res.Confirmed, err)
 		}
 	}
 	if !planned {

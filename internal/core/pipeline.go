@@ -7,7 +7,6 @@ import (
 	"safeland/internal/imaging"
 	"safeland/internal/monitor"
 	"safeland/internal/segment"
-	"safeland/internal/urban"
 )
 
 // Pipeline is the full Figure 2 landing-zone selection architecture: the
@@ -69,13 +68,14 @@ type Result struct {
 }
 
 // SelectAndVerify runs the complete pipeline on one on-board image with the
-// pipeline's configured zone settings. It is shorthand for SelectWithConfig
-// with p.Zones; see there for the selection semantics.
+// pipeline's configured zone settings: SelectWithConfigCtx with p.Zones,
+// under a context that never cancels.
 func (p *Pipeline) SelectAndVerify(img *imaging.Image, mpp float64) Result {
-	return p.SelectWithConfig(img, mpp, p.Zones)
+	res, _ := p.SelectWithConfigCtx(context.Background(), img, mpp, p.Zones)
+	return res
 }
 
-// SelectWithConfig runs the complete pipeline on one on-board image:
+// SelectWithConfigCtx runs the complete pipeline on one on-board image:
 // segment, propose candidates, verify each with the Bayesian monitor, and
 // let the Decision Module confirm, retry or abort. The zone configuration
 // is a per-call value: the pipeline itself is never mutated, so one
@@ -89,19 +89,15 @@ func (p *Pipeline) SelectAndVerify(img *imaging.Image, mpp float64) Result {
 // relaxes; only the margin shrinks. This mirrors the Table III structure:
 // the low-integrity criterion (no high-risk areas in the zone) is absolute,
 // the medium-integrity drift margin degrades before the flight aborts.
-func (p *Pipeline) SelectWithConfig(img *imaging.Image, mpp float64, cfg ZoneConfig) Result {
-	res, _ := p.SelectWithConfigCtx(context.Background(), img, mpp, cfg)
-	return res
-}
-
-// SelectWithConfigCtx is SelectWithConfig with cooperative cancellation
-// threaded through the whole perception stack: the segmentation forward
-// pass, every Monte-Carlo monitor trial, and the gaps between trials all
-// honor ctx. A cancelled selection returns ctx's error together with the
-// partial Result accumulated so far (completed trials are kept, Confirmed
-// stays false). A selection that completes is byte-identical to a
-// SelectWithConfig run: cancellation never perturbs the Monte-Carlo
-// sequences of surviving calls, because the monitor reseeds per trial.
+//
+// Cancellation is threaded through the whole perception stack: the
+// segmentation forward pass, every Monte-Carlo monitor trial, and the gaps
+// between trials all honor ctx. A cancelled selection returns ctx's error
+// together with the partial Result accumulated so far (completed trials
+// are kept, Confirmed stays false). A selection that completes is
+// byte-identical to an uncancelled run: cancellation never perturbs the
+// Monte-Carlo sequences of surviving calls, because the monitor reseeds
+// per trial.
 //
 // The monitor verifies each candidate as its own crop, exactly as the
 // paper's Figure 2 draws it.
@@ -159,22 +155,6 @@ func evenAlign(x0, w, size int) int {
 		return w - evenSize(size)
 	}
 	return x0
-}
-
-// PlanLanding implements uav.LandingPlanner: from the scene under the
-// vehicle, pick and verify a landing zone near the current position and
-// return its center in meters. A cancelled or preempted planning aborts
-// within one network layer's work and reports no zone, which the mission
-// simulator treats as EL unavailable.
-func (p *Pipeline) PlanLanding(ctx context.Context, scene *urban.Scene, xM, yM float64) (txM, tyM float64, ok bool) {
-	zones := p.Zones
-	zones.HomeX, zones.HomeY = xM, yM
-	res, err := p.SelectWithConfigCtx(ctx, scene.Image, scene.MPP, zones)
-	if err != nil || !res.Confirmed {
-		return 0, 0, false
-	}
-	txM, tyM = res.Zone.CenterM(scene.MPP)
-	return txM, tyM, true
 }
 
 // Replica returns an independent pipeline around the given model replica,

@@ -30,9 +30,12 @@ type Claims struct {
 //     and demand a landable-surface majority.
 //   - EL-I-L2: effectiveness under the operating conditions is measured by
 //     the in-context evaluation when InContextTesting is claimed.
-//   - EL-I-M1: the buffer accounts for parachute drift under wind
-//     (uav.DriftBuffer), and the architecture falls back to flight
-//     termination on planner failure (single-malfunction tolerance).
+//   - EL-I-M1: DefaultZoneConfig's 15 m road buffer is sized by the drift
+//     bound uav.DriftBuffer: it covers the mean parachute drift from the
+//     35 m deployment altitude in the moderate 2 m/s wind (12.7 m, no gust
+//     margin; a scenario test checks it). The architecture falls back to
+//     flight termination on planner failure (single-malfunction
+//     tolerance).
 //   - EL-A-L1: the applicant declaration is this assessment itself.
 //   - EL-A-M3: the Bayesian runtime monitor checks every ML output before
 //     landing execution.

@@ -42,10 +42,10 @@ type ZoneConfig struct {
 
 // DefaultZoneConfig sizes the zone for the MEDI DELIVERY vehicle: a 12 m
 // zone (1 m span + GPS-free visual-servoing dispersion) and a 15 m road
-// buffer covering the nominal parachute drift from the 35 m deployment
-// altitude in moderate wind (EL keeps trajectory control, so it descends
-// before opening the canopy; only Flight Termination deploys from cruise
-// altitude).
+// buffer covering the mean parachute drift (uav.DriftBuffer, 12.7 m) from
+// the 35 m deployment altitude in moderate 2 m/s wind (EL keeps trajectory
+// control, so it descends before opening the canopy; only Flight
+// Termination deploys from cruise altitude).
 func DefaultZoneConfig() ZoneConfig {
 	return ZoneConfig{
 		ZoneSizeM:       12,

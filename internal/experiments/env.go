@@ -143,10 +143,9 @@ func (e *Env) SceneConfig() urban.Config {
 }
 
 // Dataset returns the shared train/test/OOD split, resolving it through
-// the scene corpus on first use. The specs mirror urban.BuildDataset's
-// seeding exactly (baseSeed, +1000, +2000), so the split is byte-identical
-// to a direct build — but a second Env with the same configuration serves
-// every scene from cache instead of regenerating the dataset.
+// the scene corpus on first use. The splits draw disjoint seeds (Seed,
+// +1000, +2000), and a second Env with the same configuration serves every
+// scene from cache instead of regenerating the dataset.
 func (e *Env) Dataset() *urban.Dataset {
 	e.dsOnce.Do(func() {
 		fmt.Fprintf(e.Log, "[env] resolving dataset: %d train, %d test, %d OOD scenes (%dpx) via scene corpus\n",

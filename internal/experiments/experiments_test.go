@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,6 +68,7 @@ func TestE1Severity(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	checkReportDigest(t, "E1", out)
 	for _, want := range []string{"Catastrophic", "Multiple fatal injuries", "8230"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E1 output missing %q", want)
@@ -78,6 +82,7 @@ func TestE2TableII(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	checkReportDigest(t, "E2", out)
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("E2 derived severities diverge from Table II:\n%s", out)
 	}
@@ -94,6 +99,7 @@ func TestE3SORANumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	checkReportDigest(t, "E3", out)
 	for _, want := range []string{"48.5", "8.23", "final GRC 6", "SAIL V", "final GRC 7", "SAIL VI", "final GRC 4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E3 output missing %q:\n%s", want, out)
@@ -107,6 +113,7 @@ func TestE4Criteria(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	checkReportDigest(t, "E4", out)
 	for _, want := range []string{"Table III", "Table IV", "EL-A-M3", "robustness"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E4 output missing %q", want)
@@ -120,6 +127,7 @@ func TestE6DatasetStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	checkReportDigest(t, "E6", out)
 	for _, want := range []string{"road", "building", "sunset", "="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E6 output missing %q", want)
@@ -143,6 +151,7 @@ func TestE5E7E8E9E10(t *testing.T) {
 		if buf.Len() == 0 {
 			t.Errorf("%s produced no output", id)
 		}
+		checkReportDigest(t, id, buf.String())
 		t.Logf("%s output:\n%s", id, buf.String())
 	}
 }
@@ -161,6 +170,7 @@ func TestE12FullFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := first.String()
+	checkReportDigest(t, "E12", out)
 	for _, want := range []string{"crop-only", "full-frame", "Parity spot check", "acceptance budget", "disputed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E12 output missing %q:\n%s", want, out)
@@ -192,6 +202,7 @@ func TestE13Sessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := first.String()
+	checkReportDigest(t, "E13", out)
 	for _, want := range []string{"session", "Parity spot check", "agreement", "Engine stats"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E13 output missing %q:\n%s", want, out)
@@ -247,6 +258,7 @@ func TestE14ChaosDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := first.String()
+	checkReportDigest(t, "E14", out)
 	for _, want := range []string{
 		"Published fault schedule", "shard-blackout@shard0", "Chaos arm",
 		"Fleet counters", "Zero hard-failed frames", "degraded",
@@ -368,6 +380,46 @@ func TestFleetMatchesSelectBatch(t *testing.T) {
 var timingRe = regexp.MustCompile(`\s*(\d+(\.\d+)?(ms|µs|ns|h|m|s))+|\d+(\.\d+)?x|GOMAXPROCS \d+`)
 
 func maskTimings(s string) string { return timingRe.ReplaceAllString(s, "•") }
+
+// hostRe matches the figures of a report that the host, not the code,
+// decides: E9's pool size, which defaults to the CPU count.
+var hostRe = regexp.MustCompile(`\d+ worker\(s\)|at \d+ workers`)
+
+// reportDigests pins the SHA-256 of each experiment's quick-scale report,
+// timings and host figures masked. These reports are the paper's tables
+// and figures, so a change that should leave them alone proves it here; a
+// change that alters one on purpose updates its digest and says why. E11's
+// is the 2-per-axis sub-grid that TestE11ParallelMatchesSequential runs.
+var reportDigests = map[string]string{
+	"E1":  "636c951cc9695a4991dd50dd9cd4806e6a7cb8faa1ee22cb0453744a67a3da6d",
+	"E2":  "b34ce93e7f923a3aa0e1c2ed170dacf903baa72693e7efee0ab645199812d0cf",
+	"E3":  "942d4e9772ba5c40702fb418519c749c13d5e08d3bb90fc19ad4c735f6abcfdf",
+	"E4":  "be0a4b4dc8ec25a7d7c89543c494812008043eb9ba7a58f37fdbe586faf3c127",
+	"E5":  "71457990e5b17d2359bbccfcaef1982e9cd387662449e9f61ecc9682df2669e5",
+	"E6":  "416c9fcfc95f304e2b8e8adc26011888655d298da4884199f8f7f66bb1661952",
+	"E7":  "ee210db36e8f82e4467ccf26322b14b2e458bb10ee63abb94c6661c8e9276fcf",
+	"E8":  "d12ab07028784233bbf4a53f89e3abd80d0a53239e493a9c7497e420c5c1111e",
+	"E9":  "c0f9dd63418fc1c0f61c5f494bd5c6d5a0c4a9fdc1ea5ace433e9c69f34b34e4",
+	"E10": "1319efd05b8fe49b420ca2f6e03c38c8ea1bd84f8d2614896cdb650e8d71b980",
+	"E11": "db6e34b8abff19be3e05cc6b8fec026a04f3a1d1952fbc8f4942e29510ce160a",
+	"E12": "490d1a0905a4dd954f4ba0a7599ade5ec590e7b0280f99c44f3bf3842d8dd9cc",
+	"E13": "9c4dbd144d59e03322872b109b4c73b80a32baf9507ad27645908e2261e1b5cd",
+	"E14": "4331201dfba8345232059765686b6e8350c2c0d7d1033398efcbb6dc3b6f9c1c",
+}
+
+// checkReportDigest compares a report with its pinned digest. It runs on
+// amd64 only: on arm64 the training path fuses multiply-adds, so the quick
+// model's bits, and with them every report, may differ.
+func checkReportDigest(t *testing.T, id, report string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	sum := sha256.Sum256([]byte(hostRe.ReplaceAllString(maskTimings(report), "•")))
+	if got := hex.EncodeToString(sum[:]); got != reportDigests[id] {
+		t.Errorf("%s report digest %s, pinned %q: the report changed:\n%s", id, got, reportDigests[id], report)
+	}
+}
 
 // TestRepeatedEnvHitsSceneCache pins the shared-generation guarantee: two
 // Envs with the same configuration resolve their datasets from one corpus,

@@ -69,6 +69,7 @@ func TestE11ParallelMatchesSequential(t *testing.T) {
 	if err := RunE11(env, &seq); err != nil {
 		t.Fatal(err)
 	}
+	checkReportDigest(t, "E11", seq.String())
 	env.Cfg.Workers = 4
 	if err := RunE11(env, &par); err != nil {
 		t.Fatal(err)

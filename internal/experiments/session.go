@@ -138,7 +138,7 @@ func printDescentTable(w io.Writer, outcomes []frameOutcome) {
 				agree++
 			}
 		}
-		speedup := float64(fullNs) / float64(max64(sessNs, 1))
+		speedup := float64(fullNs) / float64(max(sessNs, 1))
 		fmt.Fprintf(w, "  %-18s %7d %6.0f%% %12v %12v %7.1fx %6d/%d\n",
 			split, frames,
 			100*float64(reused)/float64(frames),
@@ -237,11 +237,4 @@ func sameZoneOutcome(a, b core.Result, w, h int) bool {
 	ax, ay, as := a.Zone.CropRect(w, h)
 	bx, by, bs := b.Zone.CropRect(w, h)
 	return ax == bx && ay == by && as == bs
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

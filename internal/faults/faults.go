@@ -17,7 +17,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -284,19 +283,4 @@ func unit(seed int64, tag uint64, point string, frame uint64) float64 {
 	}
 	mix(frame)
 	return float64(h>>11) / float64(1<<53)
-}
-
-// SortEntries orders a plan frame-major, then point, then kind — the
-// canonical order for diffing two published schedules.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Frame != b.Frame {
-			return a.Frame < b.Frame
-		}
-		if a.Point != b.Point {
-			return a.Point < b.Point
-		}
-		return a.Kind < b.Kind
-	})
 }

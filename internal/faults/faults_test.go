@@ -1,10 +1,11 @@
 package faults
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -137,10 +138,10 @@ func TestScheduleEnumeratesExactlyWhatFires(t *testing.T) {
 			}
 		}
 	}
-	// The plan is already in canonical order.
-	sorted := append([]Entry(nil), plan...)
-	SortEntries(sorted)
-	if !reflect.DeepEqual(plan, sorted) {
+	// The plan is in canonical order: frame-major, then point, then kind.
+	if !slices.IsSortedFunc(plan, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Frame, b.Frame), strings.Compare(a.Point, b.Point), cmp.Compare(a.Kind, b.Kind))
+	}) {
 		t.Error("Schedule output not in canonical order")
 	}
 	if !strings.Contains(FormatSchedule(plan), "replica-stall@shard1") {

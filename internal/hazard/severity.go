@@ -56,32 +56,9 @@ func (s Severity) Description() string {
 	}
 }
 
-// Valid reports whether s is one of the five Table I levels.
-func (s Severity) Valid() bool { return s >= Negligible && s <= Catastrophic }
-
 // SeverityTable returns Table I in order.
 func SeverityTable() []Severity {
 	return []Severity{Negligible, Minor, Serious, Major, Catastrophic}
-}
-
-// Outcome is one hazardous outcome of the ground-risk analysis (Table II).
-type Outcome struct {
-	ID          string
-	Description string
-	Severity    Severity
-}
-
-// MainGroundRisks returns the paper's Table II: the principal hazardous
-// outcomes of losing navigation capability over a city, with their assessed
-// severities.
-func MainGroundRisks() []Outcome {
-	return []Outcome{
-		{ID: "R1", Description: "UAV causes accident involving ground vehicles", Severity: Catastrophic},
-		{ID: "R2", Description: "UAV injures people on ground", Severity: Major},
-		{ID: "R3", Description: "Post-crash fire that threatens wildlife and environment", Severity: Serious},
-		{ID: "R4", Description: "UAV collides with infrastructure (building, bridge, power lines / sub-station)", Severity: Serious},
-		{ID: "R5", Description: "UAV crashes into parked ground vehicle", Severity: Minor},
-	}
 }
 
 // Category is one of the hazard categories from the Belcastro et al. (2017)
@@ -133,23 +110,4 @@ func (c Category) String() string {
 		return categoryNames[c]
 	}
 	return fmt.Sprintf("category(%d)", int(c))
-}
-
-// GroundRiskOutcomes maps a hazard category to the Table II outcomes it can
-// credibly produce when it forces the UAV to the ground over a city.
-func GroundRiskOutcomes(c Category) []string {
-	switch c {
-	case LossOfControl, PropulsionFailure, StructuralFailure:
-		return []string{"R1", "R2", "R3", "R4", "R5"} // uncontrolled descent: everything
-	case LossOfNavigation, LostCommunication, FlyAway:
-		return []string{"R1", "R2", "R4", "R5"} // forced/blind landing
-	case ControlledFlightIntoTerrain, MidAirCollision, WildlifeStrike:
-		return []string{"R1", "R2", "R4"}
-	case AdverseWeather, HumanOperatorError, GroundStationFailure, CyberAttack:
-		return []string{"R1", "R2", "R4", "R5"}
-	case PayloadHazard:
-		return []string{"R2", "R3"}
-	default:
-		return nil
-	}
 }

@@ -160,95 +160,3 @@ func edt1D(f, d []float32, v []int, z []float32) {
 		d[q] = dq*dq + f[v[k]]
 	}
 }
-
-// Components labels the 4-connected components of pixels where pred holds.
-// It returns a label per pixel (-1 for pixels not matching pred, otherwise a
-// component id in [0, n)) and the component count n.
-func (lm *LabelMap) Components(pred func(Class) bool) (labels []int32, n int) {
-	return components(lm.W, lm.H, func(i int) bool { return pred(lm.Pix[i]) })
-}
-
-// Components labels the 4-connected components of pixels with value >= 0.5.
-func (m *Map) Components() (labels []int32, n int) {
-	return components(m.W, m.H, func(i int) bool { return m.Pix[i] >= 0.5 })
-}
-
-func components(w, h int, in func(int) bool) ([]int32, int) {
-	labels := make([]int32, w*h)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var queue []int
-	next := int32(0)
-	for start := 0; start < w*h; start++ {
-		if !in(start) || labels[start] >= 0 {
-			continue
-		}
-		labels[start] = next
-		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			i := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			x, y := i%w, i/w
-			for _, nb := range [4][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
-				nx, ny := nb[0], nb[1]
-				if nx < 0 || ny < 0 || nx >= w || ny >= h {
-					continue
-				}
-				j := ny*w + nx
-				if in(j) && labels[j] < 0 {
-					labels[j] = next
-					queue = append(queue, j)
-				}
-			}
-		}
-		next++
-	}
-	return labels, int(next)
-}
-
-// Region summarizes one connected component.
-type Region struct {
-	ID                     int
-	Area                   int
-	MinX, MinY, MaxX, MaxY int     // inclusive bounding box
-	CX, CY                 float64 // centroid
-}
-
-// Regions computes per-component statistics from a label array produced by
-// Components.
-func Regions(labels []int32, w, h, n int) []Region {
-	regs := make([]Region, n)
-	for i := range regs {
-		regs[i] = Region{ID: i, MinX: w, MinY: h, MaxX: -1, MaxY: -1}
-	}
-	for i, l := range labels {
-		if l < 0 {
-			continue
-		}
-		r := &regs[l]
-		x, y := i%w, i/w
-		r.Area++
-		r.CX += float64(x)
-		r.CY += float64(y)
-		if x < r.MinX {
-			r.MinX = x
-		}
-		if y < r.MinY {
-			r.MinY = y
-		}
-		if x > r.MaxX {
-			r.MaxX = x
-		}
-		if y > r.MaxY {
-			r.MaxY = y
-		}
-	}
-	for i := range regs {
-		if regs[i].Area > 0 {
-			regs[i].CX /= float64(regs[i].Area)
-			regs[i].CY /= float64(regs[i].Area)
-		}
-	}
-	return regs
-}

@@ -230,52 +230,6 @@ func TestDistanceTransformLipschitz(t *testing.T) {
 	}
 }
 
-func TestComponentsSeparatesRegions(t *testing.T) {
-	lm := NewLabelMap(10, 10)
-	lm.FillRect(0, 0, 3, 3, Building)
-	lm.FillRect(6, 6, 9, 9, Building)
-	labels, n := lm.Components(func(c Class) bool { return c == Building })
-	if n != 2 {
-		t.Fatalf("components = %d, want 2", n)
-	}
-	if labels[0] == labels[6*10+6] {
-		t.Error("disjoint regions share a label")
-	}
-	if labels[5*10+5] != -1 {
-		t.Error("background pixel labeled")
-	}
-}
-
-func TestComponentsDiagonalNotConnected(t *testing.T) {
-	m := NewMap(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 1)
-	_, n := m.Components()
-	if n != 2 {
-		t.Fatalf("diagonal pixels should form 2 four-connected components, got %d", n)
-	}
-}
-
-func TestRegions(t *testing.T) {
-	lm := NewLabelMap(10, 10)
-	lm.FillRect(2, 3, 5, 7, Tree) // 3 wide, 4 tall = 12 px
-	labels, n := lm.Components(func(c Class) bool { return c == Tree })
-	regs := Regions(labels, 10, 10, n)
-	if len(regs) != 1 {
-		t.Fatalf("regions = %d, want 1", len(regs))
-	}
-	r := regs[0]
-	if r.Area != 12 {
-		t.Errorf("area = %d, want 12", r.Area)
-	}
-	if r.MinX != 2 || r.MaxX != 4 || r.MinY != 3 || r.MaxY != 6 {
-		t.Errorf("bbox = (%d,%d)-(%d,%d)", r.MinX, r.MinY, r.MaxX, r.MaxY)
-	}
-	if math.Abs(r.CX-3) > 1e-9 || math.Abs(r.CY-4.5) > 1e-9 {
-		t.Errorf("centroid = (%v,%v), want (3,4.5)", r.CX, r.CY)
-	}
-}
-
 func BenchmarkDistanceTransform256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	lm := NewLabelMap(256, 256)

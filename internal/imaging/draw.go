@@ -83,21 +83,6 @@ func (m *Map) FillDisk(cx, cy, r int, v float32) {
 }
 
 // ThickLine paints a line from (x0, y0) to (x1, y1) with the given half
-// width, using a disk stamp along a Bresenham walk. A halfWidth of 0 paints
-// a one-pixel line.
-func (lm *LabelMap) ThickLine(x0, y0, x1, y1, halfWidth int, c Class) {
-	bresenham(x0, y0, x1, y1, func(x, y int) {
-		if halfWidth <= 0 {
-			if lm.In(x, y) {
-				lm.Set(x, y, c)
-			}
-			return
-		}
-		lm.FillDisk(x, y, halfWidth, c)
-	})
-}
-
-// ThickLine paints a line from (x0, y0) to (x1, y1) with the given half
 // width into the scalar field.
 func (m *Map) ThickLine(x0, y0, x1, y1, halfWidth int, v float32) {
 	bresenham(x0, y0, x1, y1, func(x, y int) {
@@ -147,80 +132,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// FillPolygon paints a simple polygon given by its vertices using an
-// even-odd scanline fill. Degenerate polygons (fewer than 3 vertices) are
-// ignored.
-func (lm *LabelMap) FillPolygon(xs, ys []int, c Class) {
-	fillPolygon(xs, ys, lm.W, lm.H, func(x0, x1, y int) {
-		row := lm.Pix[y*lm.W : (y+1)*lm.W]
-		for x := x0; x < x1; x++ {
-			row[x] = c
-		}
-	})
-}
-
-// FillPolygon paints a simple polygon into the scalar field.
-func (m *Map) FillPolygon(xs, ys []int, v float32) {
-	fillPolygon(xs, ys, m.W, m.H, func(x0, x1, y int) {
-		row := m.Pix[y*m.W : (y+1)*m.W]
-		for x := x0; x < x1; x++ {
-			row[x] = v
-		}
-	})
-}
-
-func fillPolygon(xs, ys []int, w, h int, span func(x0, x1, y int)) {
-	n := len(xs)
-	if n < 3 || len(ys) != n {
-		return
-	}
-	minY, maxY := ys[0], ys[0]
-	for _, y := range ys {
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
-	}
-	if minY < 0 {
-		minY = 0
-	}
-	if maxY >= h {
-		maxY = h - 1
-	}
-	var nodes []float64
-	for y := minY; y <= maxY; y++ {
-		nodes = nodes[:0]
-		fy := float64(y) + 0.5
-		j := n - 1
-		for i := 0; i < n; i++ {
-			yi, yj := float64(ys[i]), float64(ys[j])
-			if (yi <= fy && yj > fy) || (yj <= fy && yi > fy) {
-				t := (fy - yi) / (yj - yi)
-				nodes = append(nodes, float64(xs[i])+t*float64(xs[j]-xs[i]))
-			}
-			j = i
-		}
-		// Insertion sort: node lists are tiny.
-		for i := 1; i < len(nodes); i++ {
-			for k := i; k > 0 && nodes[k] < nodes[k-1]; k-- {
-				nodes[k], nodes[k-1] = nodes[k-1], nodes[k]
-			}
-		}
-		for i := 0; i+1 < len(nodes); i += 2 {
-			x0, x1 := int(nodes[i]+0.5), int(nodes[i+1]+0.5)
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 > w {
-				x1 = w
-			}
-			if x0 < x1 {
-				span(x0, x1, y)
-			}
-		}
-	}
 }

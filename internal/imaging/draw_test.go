@@ -33,23 +33,23 @@ func TestFillDisk(t *testing.T) {
 }
 
 func TestThickLine(t *testing.T) {
-	lm := NewLabelMap(20, 20)
-	lm.ThickLine(0, 10, 19, 10, 2, Road)
+	m := NewMap(20, 20)
+	m.ThickLine(0, 10, 19, 10, 2, 1)
 	for x := 0; x < 20; x++ {
-		if lm.At(x, 10) != Road {
+		if m.At(x, 10) != 1 {
 			t.Fatalf("centerline pixel (%d,10) not painted", x)
 		}
-		if lm.At(x, 12) != Road || lm.At(x, 8) != Road {
+		if m.At(x, 12) != 1 || m.At(x, 8) != 1 {
 			t.Fatalf("line thickness missing at x=%d", x)
 		}
 	}
-	if lm.At(5, 14) == Road {
+	if m.At(5, 14) == 1 {
 		t.Error("line thicker than requested")
 	}
 	// Zero half-width paints a single-pixel diagonal.
-	lm2 := NewLabelMap(10, 10)
-	lm2.ThickLine(0, 0, 9, 9, 0, MovingCar)
-	if lm2.At(0, 0) != MovingCar || lm2.At(9, 9) != MovingCar || lm2.At(5, 5) != MovingCar {
+	m2 := NewMap(10, 10)
+	m2.ThickLine(0, 0, 9, 9, 0, 2)
+	if m2.At(0, 0) != 2 || m2.At(9, 9) != 2 || m2.At(5, 5) != 2 {
 		t.Error("diagonal thin line incomplete")
 	}
 }
@@ -63,49 +63,6 @@ func TestMapThickLine(t *testing.T) {
 	m.ThickLine(0, 5, 9, 5, 1, 7)
 	if m.At(4, 4) != 7 || m.At(4, 6) != 7 {
 		t.Error("map thick line width missing")
-	}
-}
-
-func TestFillPolygonTriangle(t *testing.T) {
-	lm := NewLabelMap(20, 20)
-	lm.FillPolygon([]int{2, 18, 2}, []int{2, 2, 18}, Building)
-	if lm.At(4, 4) != Building {
-		t.Error("triangle interior not filled")
-	}
-	if lm.At(18, 18) == Building {
-		t.Error("triangle filled outside hypotenuse")
-	}
-	// A degenerate polygon is a no-op.
-	before := lm.Counts()
-	lm.FillPolygon([]int{1, 2}, []int{1, 2}, Road)
-	if lm.Counts() != before {
-		t.Error("degenerate polygon painted pixels")
-	}
-}
-
-func TestFillPolygonMatchesRect(t *testing.T) {
-	a := NewLabelMap(16, 16)
-	b := NewLabelMap(16, 16)
-	a.FillRect(3, 4, 12, 11, Road)
-	b.FillPolygon([]int{3, 12, 12, 3}, []int{4, 4, 11, 11}, Road)
-	ca, cb := a.Counts(), b.Counts()
-	// Scanline center-sampling may differ from half-open rects by at most a
-	// one-pixel rim.
-	diff := ca[Road] - cb[Road]
-	if diff < 0 {
-		diff = -diff
-	}
-	perimeter := 2 * ((12 - 3) + (11 - 4))
-	if diff > perimeter {
-		t.Errorf("polygon rect fill differs from FillRect by %d pixels (perimeter %d)", diff, perimeter)
-	}
-}
-
-func TestMapFillPolygon(t *testing.T) {
-	m := NewMap(10, 10)
-	m.FillPolygon([]int{0, 9, 9, 0}, []int{0, 0, 9, 9}, 1)
-	if m.At(5, 5) != 1 {
-		t.Error("polygon fill missed center")
 	}
 }
 

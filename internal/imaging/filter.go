@@ -31,36 +31,6 @@ func (m *Map) GaussianBlur(sigma float64) *Map {
 	return m.convolveSeparable(k)
 }
 
-// GaussianBlur returns the image blurred channel-wise with a separable
-// Gaussian of the given standard deviation.
-func (im *Image) GaussianBlur(sigma float64) *Image {
-	k := GaussianKernel(sigma)
-	r := len(k) / 2
-	tmp := NewImage(im.W, im.H)
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			var acc RGB
-			for i := -r; i <= r; i++ {
-				sx := clampInt(x+i, 0, im.W-1)
-				acc = acc.Add(im.At(sx, y).Scale(k[i+r]))
-			}
-			tmp.Set(x, y, acc)
-		}
-	}
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			var acc RGB
-			for i := -r; i <= r; i++ {
-				sy := clampInt(y+i, 0, im.H-1)
-				acc = acc.Add(tmp.At(x, sy).Scale(k[i+r]))
-			}
-			out.Set(x, y, acc)
-		}
-	}
-	return out
-}
-
 func (m *Map) convolveSeparable(k []float32) *Map {
 	r := len(k) / 2
 	tmp := NewMap(m.W, m.H)

@@ -58,21 +58,6 @@ func TestGaussianBlurSmoothsImpulse(t *testing.T) {
 	}
 }
 
-func TestImageGaussianBlur(t *testing.T) {
-	im := NewImage(9, 9)
-	im.Set(4, 4, RGB{1, 0.5, 0})
-	out := im.GaussianBlur(1)
-	if out.At(4, 4).R >= 1 || out.At(4, 4).R <= out.At(0, 0).R {
-		t.Error("image blur center wrong")
-	}
-	// Channel independence: blue stays zero.
-	for _, p := range out.Pix {
-		if p.B != 0 {
-			t.Fatal("blur leaked into blue channel")
-		}
-	}
-}
-
 func TestSobelDetectsVerticalEdge(t *testing.T) {
 	m := NewMap(16, 16)
 	m.FillRect(8, 0, 16, 16, 1) // step edge at x=8

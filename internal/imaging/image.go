@@ -66,9 +66,6 @@ type RGB struct {
 // Scale returns the color multiplied component-wise by s.
 func (c RGB) Scale(s float32) RGB { return RGB{c.R * s, c.G * s, c.B * s} }
 
-// Add returns the component-wise sum of two colors.
-func (c RGB) Add(o RGB) RGB { return RGB{c.R + o.R, c.G + o.G, c.B + o.B} }
-
 // Lerp linearly interpolates between c (t=0) and o (t=1).
 func (c RGB) Lerp(o RGB, t float32) RGB {
 	return RGB{
@@ -94,29 +91,6 @@ func (c RGB) Clamp() RGB {
 
 // Luma returns the Rec.601 luminance of the color.
 func (c RGB) Luma() float32 { return 0.299*c.R + 0.587*c.G + 0.114*c.B }
-
-// Palette returns a reference display color for each class, loosely following
-// the UAVid annotation palette.
-func Palette(c Class) RGB {
-	switch c {
-	case Building:
-		return RGB{0.50, 0.00, 0.00}
-	case Road:
-		return RGB{0.50, 0.25, 0.50}
-	case StaticCar:
-		return RGB{0.75, 0.00, 0.75}
-	case Tree:
-		return RGB{0.00, 0.50, 0.00}
-	case LowVegetation:
-		return RGB{0.50, 0.50, 0.00}
-	case Humans:
-		return RGB{1.00, 0.25, 0.00}
-	case MovingCar:
-		return RGB{0.25, 0.25, 0.75}
-	default:
-		return RGB{0, 0, 0}
-	}
-}
 
 // Image is a dense float32 RGB image with interleaved storage.
 type Image struct {
@@ -165,61 +139,6 @@ func (im *Image) Luminance() *Map {
 		m.Pix[i] = p.Luma()
 	}
 	return m
-}
-
-// ResizeNearest returns the image resampled to w×h with nearest-neighbor
-// interpolation.
-func (im *Image) ResizeNearest(w, h int) *Image {
-	out := NewImage(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * im.H / h
-		for x := 0; x < w; x++ {
-			sx := x * im.W / w
-			out.Set(x, y, im.At(sx, sy))
-		}
-	}
-	return out
-}
-
-// ResizeBilinear returns the image resampled to w×h with bilinear
-// interpolation.
-func (im *Image) ResizeBilinear(w, h int) *Image {
-	out := NewImage(w, h)
-	if w <= 0 || h <= 0 {
-		return out
-	}
-	sx := float32(im.W) / float32(w)
-	sy := float32(im.H) / float32(h)
-	for y := 0; y < h; y++ {
-		fy := (float32(y)+0.5)*sy - 0.5
-		y0 := int(fy)
-		if fy < 0 {
-			y0 = 0
-			fy = 0
-		}
-		y1 := y0 + 1
-		if y1 >= im.H {
-			y1 = im.H - 1
-		}
-		wy := fy - float32(y0)
-		for x := 0; x < w; x++ {
-			fx := (float32(x)+0.5)*sx - 0.5
-			x0 := int(fx)
-			if fx < 0 {
-				x0 = 0
-				fx = 0
-			}
-			x1 := x0 + 1
-			if x1 >= im.W {
-				x1 = im.W - 1
-			}
-			wx := fx - float32(x0)
-			top := im.At(x0, y0).Lerp(im.At(x1, y0), wx)
-			bot := im.At(x0, y1).Lerp(im.At(x1, y1), wx)
-			out.Set(x, y, top.Lerp(bot, wy))
-		}
-	}
-	return out
 }
 
 // LabelMap is a dense per-pixel class assignment.
@@ -286,40 +205,6 @@ func (lm *LabelMap) Fractions() [NumClasses]float64 {
 	return f
 }
 
-// Mask returns a binary map that is 1 where pred holds and 0 elsewhere.
-func (lm *LabelMap) Mask(pred func(Class) bool) *Map {
-	m := NewMap(lm.W, lm.H)
-	for i, c := range lm.Pix {
-		if pred(c) {
-			m.Pix[i] = 1
-		}
-	}
-	return m
-}
-
-// Render paints the label map with the UAVid palette, for visual debugging.
-func (lm *LabelMap) Render() *Image {
-	im := NewImage(lm.W, lm.H)
-	for i, c := range lm.Pix {
-		im.Pix[i] = Palette(c)
-	}
-	return im
-}
-
-// ResizeNearest returns the label map resampled to w×h (majority is not
-// needed for our use: nearest preserves thin structures well enough and is
-// exactly what segmentation ground truth resizing conventionally uses).
-func (lm *LabelMap) ResizeNearest(w, h int) *LabelMap {
-	out := NewLabelMap(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * lm.H / h
-		for x := 0; x < w; x++ {
-			out.Set(x, y, lm.At(x*lm.W/w, sy))
-		}
-	}
-	return out
-}
-
 // Expand2x writes the w×h row-major values of src into dst as a 2w×2h
 // map, each value over a 2×2 block: the nearest-neighbour doubling the
 // segmentation network's trailing upsample computes. dst may begin at src
@@ -373,24 +258,6 @@ func (m *Map) Crop(x0, y0, w, h int) *Map {
 		copy(out.Pix[y*w:(y+1)*w], m.Pix[(y0+y)*m.W+x0:(y0+y)*m.W+x0+w])
 	}
 	return out
-}
-
-// MinMax returns the minimum and maximum values of the field. It returns
-// (0, 0) for an empty map.
-func (m *Map) MinMax() (min, max float32) {
-	if len(m.Pix) == 0 {
-		return 0, 0
-	}
-	min, max = m.Pix[0], m.Pix[0]
-	for _, v := range m.Pix[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 // Mean returns the arithmetic mean of the field, 0 for an empty map.

@@ -42,7 +42,7 @@ type EntropyStats struct {
 // computed per pixel at the head's resolution and upsampled with them. The
 // buffers are freshly allocated: they escape to the caller.
 func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
-	probs, upsampled, err := b.mcRun(context.Background(), img)
+	probs, err := b.mcRun(context.Background(), img)
 	if err != nil {
 		// Background never cancels; mcRun has no other error path.
 		panic(fmt.Sprintf("monitor: %v", err))
@@ -64,15 +64,11 @@ func (b *Bayesian) MCEntropyStats(img *imaging.Image) EntropyStats {
 		}
 		mi.Pix[i] = d
 	}
-	if upsampled {
-		st = Stats{Mean: upsample(st.Mean), Std: upsample(st.Std)}
-		pred, expEnt, mi = upsampleMap(pred), upsampleMap(expEnt), upsampleMap(mi)
-	}
 	return EntropyStats{
-		Stats:             st,
-		Predictive:        pred,
-		Expected:          expEnt,
-		MutualInformation: mi,
+		Stats:             Stats{Mean: upsample(st.Mean), Std: upsample(st.Std)},
+		Predictive:        upsampleMap(pred),
+		Expected:          upsampleMap(expEnt),
+		MutualInformation: upsampleMap(mi),
 	}
 }
 

@@ -63,10 +63,8 @@ func (b *Bayesian) MCStats(img *imaging.Image) Stats {
 // is byte-identical whether or not earlier runs were cancelled.
 func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, error) {
 	sc := b.Model.Scratch()
-	st, upsampled, err := b.mcMoments(ctx, img, sc)
-	if err != nil || !upsampled {
-		// Moment buffers that escape to the caller are simply never Put
-		// back into the arena.
+	st, err := b.mcMoments(ctx, img, sc)
+	if err != nil {
 		return st, err
 	}
 	out := Stats{Mean: upsample(st.Mean), Std: upsample(st.Std)}
@@ -93,8 +91,7 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 // The softmax runs on the head's output, before the trailing Upsample2x
 // (nn.SplitTrailingUpsample), and mcRun returns the batch of probabilities
 // [1,C,H,W,S] at that resolution, drawn from the model's arena for the
-// caller to Put back, and reports whether the network would have
-// upsampled them. Everything the callers compute from them works per
+// caller to Put back. Everything the callers compute from them works per
 // pixel column (all channels at one position) — the softmax, the moments,
 // the rule, the entropies — and Upsample2x copies whole columns, so
 // computing at head resolution and upsampling only what escapes gives the
@@ -102,7 +99,7 @@ func (b *Bayesian) MCStatsCtx(ctx context.Context, img *imaging.Image) (Stats, e
 //
 // A frozen clone runs its fused inference network (segment.Model.Inference),
 // which shares Net's dropout layers and their records.
-func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (probs *nn.Tensor, upsampled bool, err error) {
+func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (*nn.Tensor, error) {
 	if b.Samples < 2 {
 		panic(fmt.Sprintf("monitor: need at least 2 MC samples, have %d", b.Samples))
 	}
@@ -113,7 +110,7 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (probs *nn.Ten
 		out, err := nn.ForwardCtx(ctx, prefix, stem, false)
 		if err != nil {
 			sc.Put(stem)
-			return nil, false, err
+			return nil, err
 		}
 		if out != stem {
 			sc.Put(stem)
@@ -122,7 +119,10 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (probs *nn.Ten
 	}
 	batch := nn.Replicate(stem, b.Samples, sc)
 	sc.Put(stem)
-	head, up, _ := nn.SplitTrailingUpsample(suffix)
+	head, _, ok := nn.SplitTrailingUpsample(suffix)
+	if !ok {
+		panic("monitor: network does not end in an Upsample2x")
+	}
 
 	nn.SetDropoutMode(net, nn.AlwaysOn)
 	defer nn.SetDropoutMode(net, nn.Auto)
@@ -132,30 +132,28 @@ func (b *Bayesian) mcRun(ctx context.Context, img *imaging.Image) (probs *nn.Ten
 	out, err := nn.ForwardCtx(ctx, head, batch, false)
 	if err != nil {
 		sc.Put(batch)
-		return nil, false, err
+		return nil, err
 	}
 	if out != batch {
 		sc.Put(batch)
 	}
-	return nn.SoftmaxChannelsInPlace(out), up != nil, nil
+	return nn.SoftmaxChannelsInPlace(out), nil
 }
 
 // mcMoments computes the per-pixel mean and standard deviation of the
-// Monte-Carlo probabilities at the head's resolution; upsampled reports
-// whether the network's output would be those statistics upsampled 2×
-// (see mcRun). The moment buffers are drawn from sc: callers Put Mean and
-// Std back once read, which is what makes a steady-state VerifyRegionCtx
-// allocation-free.
-func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (st Stats, upsampled bool, err error) {
-	probs, upsampled, err := b.mcRun(ctx, img)
+// Monte-Carlo probabilities at the head's resolution (see mcRun). The
+// moment buffers are drawn from sc: callers Put Mean and Std back once
+// read, which is what makes a steady-state VerifyRegionCtx allocation-free.
+func (b *Bayesian) mcMoments(ctx context.Context, img *imaging.Image, sc *nn.Scratch) (Stats, error) {
+	probs, err := b.mcRun(ctx, img)
 	if err != nil {
-		return Stats{}, false, err
+		return Stats{}, err
 	}
 	shape := probs.Shape[:4]
-	st = Stats{Mean: sc.Get(shape...), Std: sc.Get(shape...)}
+	st := Stats{Mean: sc.Get(shape...), Std: sc.Get(shape...)}
 	sampleMoments(st, probs)
 	sc.Put(probs)
-	return st, upsampled, nil
+	return st, nil
 }
 
 // sampleMoments reduces the sample axis of probs [1,C,H,W,S] into st's
@@ -289,11 +287,11 @@ func (b *Bayesian) VerifyRegion(sub *imaging.Image, rule Rule) Verdict {
 // two-scan formulation (PixelFlags plus a separate MaxScore loop).
 func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule Rule) (Verdict, error) {
 	sc := b.Model.Scratch()
-	st, upsampled, err := b.mcMoments(ctx, sub, sc)
+	st, err := b.mcMoments(ctx, sub, sc)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return verdictFromMoments(st, upsampled, sub.W, sub.H, rule, sc), nil
+	return verdictFromMoments(st, sub.W, sub.H, rule, sc), nil
 }
 
 // verdictFromMoments applies the rule to finalized moments in one
@@ -301,25 +299,19 @@ func (b *Bayesian) VerifyRegionCtx(ctx context.Context, sub *imaging.Image, rule
 // which set the flagged-fraction denominator; the moment buffers return to
 // the arena before the verdict escapes.
 //
-// When upsampled, the moments are at the head's resolution (see mcRun): the
-// scan flags head pixels, and the flag map is then upsampled, so each
-// flagged head pixel is four flagged output pixels. The maximum is the
+// The moments are at the head's resolution (see mcRun): the scan flags
+// head pixels, and the flag map is then upsampled, so each flagged head
+// pixel is four flagged output pixels. The maximum is the
 // same: the full-resolution scan would see each score four times, and a
 // running maximum under > keeps the first of equal values, which differ
 // in bits only as ±0, below the +0 it starts from.
-func verdictFromMoments(st Stats, upsampled bool, inW, inH int, rule Rule, sc *nn.Scratch) Verdict {
+func verdictFromMoments(st Stats, inW, inH int, rule Rule, sc *nn.Scratch) Verdict {
 	_, _, h, w := st.Mean.Dims4()
-	scale := 1
-	if upsampled {
-		scale = 2
-	}
-	flags := imaging.NewMap(scale*w, scale*h)
+	flags := imaging.NewMap(2*w, 2*h)
 	pix := flags.Pix[:h*w]
 	flagged, maxScore := ruleScan(st, rule, pix)
-	if upsampled {
-		imaging.Expand2x(flags.Pix, pix, w, h)
-		flagged *= 4
-	}
+	imaging.Expand2x(flags.Pix, pix, w, h)
+	flagged *= 4
 	sc.Put(st.Mean)
 	sc.Put(st.Std)
 	frac := float64(flagged) / float64(inW*inH)

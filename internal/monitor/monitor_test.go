@@ -19,7 +19,6 @@ func tinyModel() *segment.Model {
 		BranchChannels: 4,
 		Dilations:      []int{1, 2},
 		DropoutP:       0.5,
-		Downsample:     true,
 		Seed:           3,
 	})
 }

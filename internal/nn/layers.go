@@ -65,11 +65,10 @@ type DropoutMode int
 // Dropout modes. Auto is the conventional behavior (active only while
 // training); AlwaysOn keeps dropout active at inference, which is what turns
 // the trained network into its Bayesian Monte-Carlo variant (Gal &
-// Ghahramani 2016, used by the paper's monitor); Off disables it entirely.
+// Ghahramani 2016, used by the paper's monitor).
 const (
 	Auto DropoutMode = iota
 	AlwaysOn
-	Off
 )
 
 // Dropout randomly zeroes activations with probability P and rescales the
@@ -164,20 +163,11 @@ func (d *Dropout) Reseed(seed int64) {
 	d.viewOK = false
 }
 
-func (d *Dropout) active(train bool) bool {
-	switch d.Mode {
-	case AlwaysOn:
-		return true
-	case Off:
-		return false
-	default:
-		return train
-	}
-}
+func (d *Dropout) active(train bool) bool { return train || d.Mode == AlwaysOn }
 
 // Forward applies the dropout mask into a new tensor (arena-backed on
-// inference passes). An inactive layer — Auto outside training, Off, or
-// P = 0 — returns x itself: every caller that recycles intermediates
+// inference passes). An inactive layer — Auto outside training, or P = 0
+// — returns x itself: every caller that recycles intermediates
 // already refuses to recycle a tensor that is its own input or output.
 // A sample batch (Tensor.Dims5) takes its decisions sample by sample, in
 // the order S forwards of one sample each would, through the layer's

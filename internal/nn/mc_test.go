@@ -125,21 +125,19 @@ func FuzzSoftmaxMatchesPerPixelLoop(f *testing.F) {
 }
 
 // TestInactiveDropoutReturnsInput pins that a dropout that drops nothing —
-// Auto outside training, Off even in training, P = 0 even AlwaysOn —
+// Auto outside training, P = 0 in any mode and in training too —
 // returns its input itself instead of a copy.
 func TestInactiveDropoutReturnsInput(t *testing.T) {
 	x := randomInput([]int{1, 2, 4, 4}, 3)
-	off := NewDropout(0.5, 1)
-	off.Mode = Off
 	zero := NewDropout(0, 1)
 	zero.Mode = AlwaysOn
 	for name, tc := range map[string]struct {
 		d     *Dropout
 		train bool
 	}{
-		"auto inference": {NewDropout(0.5, 1), false},
-		"off training":   {off, true},
-		"P=0 always on":  {zero, false},
+		"auto inference":  {NewDropout(0.5, 1), false},
+		"P=0 always on":   {zero, false},
+		"P=0 in training": {NewDropout(0, 1), true},
 	} {
 		AttachScratch(tc.d, NewScratch())
 		if out := tc.d.Forward(x, tc.train); out != x {

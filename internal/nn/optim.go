@@ -2,49 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from accumulated gradients and clears them.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with classical momentum and optional
-// decoupled weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param][]float32
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float32)}
-}
-
-// Step applies one update and zeroes the gradients.
-func (o *SGD) Step(params []*Param) {
-	lr := float32(o.LR)
-	mom := float32(o.Momentum)
-	wd := float32(o.WeightDecay)
-	for _, p := range params {
-		v, ok := o.velocity[p]
-		if !ok {
-			v = make([]float32, len(p.Value.Data))
-			o.velocity[p] = v
-		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i]
-			if wd != 0 {
-				g += wd * p.Value.Data[i]
-			}
-			v[i] = mom*v[i] + g
-			p.Value.Data[i] -= lr * v[i]
-			p.Grad.Data[i] = 0
-		}
-	}
-}
-
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

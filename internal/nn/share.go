@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ShareParams aliases dst's parameter tensors — and the running statistics
 // of its batch-norm layers — onto src's, so the two networks read the same
@@ -23,7 +26,7 @@ func ShareParams(dst, src Layer) error {
 		return fmt.Errorf("nn: sharing params between networks with %d vs %d parameters", len(dp), len(sp))
 	}
 	for i := range dp {
-		if !equalShape(dp[i].Value.Shape, sp[i].Value.Shape) {
+		if !slices.Equal(dp[i].Value.Shape, sp[i].Value.Shape) {
 			return fmt.Errorf("nn: parameter %q shape %v vs %q shape %v",
 				dp[i].Name, dp[i].Value.Shape, sp[i].Name, sp[i].Value.Shape)
 		}
@@ -51,18 +54,6 @@ func ShareParams(dst, src Layer) error {
 		dbn[i].RunningVar = sbn[i].RunningVar
 	}
 	return nil
-}
-
-func equalShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SharesParams reports whether a and b read the same parameter memory —

@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural network substrate: float32
 // tensors, 2-D convolutions with dilation, batch normalization, dropout with
 // a Monte-Carlo inference mode, sequential and parallel-concat containers,
-// softmax cross-entropy, SGD/Adam optimizers and parameter serialization.
+// softmax cross-entropy, the Adam optimizer and parameter serialization.
 //
 // It substitutes for the GPU deep-learning stack the paper's MSDnet runs on.
 // The API is deliberately minimal: everything the segmentation model and the
@@ -113,13 +113,6 @@ func (t *Tensor) ZerosLike() *Tensor {
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
-	}
-}
-
-// Zero resets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
 	}
 }
 

@@ -97,23 +97,6 @@ func BuildStatic(lay *urban.Layout, w, h int, mpp float64, cfg StaticConfig) *im
 	return risk
 }
 
-// WithDensity refines a static risk map with time-of-day population
-// exposure (the Di Donato & Atkins dynamic-data idea): risk increases with
-// the expected number of people present.
-func WithDensity(static *imaging.Map, labels *imaging.LabelMap, hour, weight float64) *imaging.Map {
-	density := urban.PopulationDensity(labels, hour)
-	out := static.Clone()
-	// Normalize density so the weight is comparable to feature risks.
-	_, maxD := density.MinMax()
-	if maxD <= 0 {
-		return out
-	}
-	for i := range out.Pix {
-		out.Pix[i] += float32(weight) * density.Pix[i] / maxD
-	}
-	return out
-}
-
 // Windows answers window queries on a risk map from two summed-area
 // tables: the finite risk, with each forbidden (+Inf) pixel read as 0, and
 // the forbidden pixels.

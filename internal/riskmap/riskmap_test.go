@@ -100,39 +100,3 @@ func TestSelectZonePrefersLowRisk(t *testing.T) {
 		t.Errorf("zone at (%d,%d), want inside the low-risk pocket", x0, y0)
 	}
 }
-
-func TestWithDensityRaisesBusyAreas(t *testing.T) {
-	s := testScene(15)
-	static := BuildStatic(s.Layout, s.Labels.W, s.Labels.H, s.MPP, DefaultStaticConfig())
-	noon := WithDensity(static, s.Labels, 12, 1.0)
-	// Density refinement only adds risk.
-	for i := range static.Pix {
-		if math.IsInf(float64(static.Pix[i]), 1) {
-			continue
-		}
-		if noon.Pix[i] < static.Pix[i] {
-			t.Fatal("density refinement decreased risk somewhere")
-		}
-	}
-	// A pixel on grass (low density) should gain less than a plaza pixel
-	// (higher density), comparing equal-static-risk pixels.
-	var grassGain, plazaGain float64
-	var nGrass, nPlaza int
-	for i, c := range s.Labels.Pix {
-		if math.IsInf(float64(static.Pix[i]), 1) {
-			continue
-		}
-		gain := float64(noon.Pix[i] - static.Pix[i])
-		switch c {
-		case imaging.Tree:
-			grassGain += gain
-			nGrass++
-		case imaging.Humans:
-			plazaGain += gain
-			nPlaza++
-		}
-	}
-	if nGrass > 0 && nPlaza > 0 && plazaGain/float64(nPlaza) <= grassGain/float64(nGrass) {
-		t.Error("human-occupied pixels should gain more risk than trees")
-	}
-}

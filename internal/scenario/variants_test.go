@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"safeland/internal/core"
 	"safeland/internal/uav"
 	"safeland/internal/urban"
 )
@@ -198,4 +200,22 @@ func FuzzAxesEnumerate(f *testing.F) {
 				len(scens), len(keys), a.DistinctScenes())
 		}
 	})
+}
+
+// TestDefaultBufferCoversModerateDrift checks the drift claim behind
+// EL-I-M1 (core.SelfAssessment): the default road buffer covers the mean
+// parachute drift (uav.DriftBuffer, no gust margin) from the vehicle's
+// deployment altitude in the grid's moderate wind.
+func TestDefaultBufferCoversModerateDrift(t *testing.T) {
+	i := slices.IndexFunc(DefaultAxes().Winds, func(w WindVariant) bool { return w.Name == "moderate" })
+	if i < 0 {
+		t.Fatal("DefaultAxes has no moderate wind")
+	}
+	wind := DefaultAxes().Winds[i]
+	spec := uav.MediDelivery()
+	drift := uav.DriftBuffer(spec.ParachuteDeployAltM, spec.ParachuteSinkMS, wind.MeanMS, 0, 0)
+	if buf := core.DefaultZoneConfig().BufferM; buf < drift {
+		t.Errorf("road buffer %.1f m < %.1f m mean drift from %.0f m in %.1f m/s wind",
+			buf, drift, spec.ParachuteDeployAltM, wind.MeanMS)
+	}
 }

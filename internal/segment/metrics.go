@@ -75,36 +75,6 @@ func (c *Confusion) MeanIoU() float64 {
 	return sum / float64(n)
 }
 
-// Recall returns TP/(TP+FN) for one class, 0 when the class is absent.
-func (c *Confusion) Recall(cl imaging.Class) float64 {
-	var tp, fn int64
-	tp = c.N[cl][cl]
-	for k := 0; k < imaging.NumClasses; k++ {
-		if imaging.Class(k) != cl {
-			fn += c.N[cl][k]
-		}
-	}
-	if tp+fn == 0 {
-		return 0
-	}
-	return float64(tp) / float64(tp+fn)
-}
-
-// Precision returns TP/(TP+FP) for one class, 0 when never predicted.
-func (c *Confusion) Precision(cl imaging.Class) float64 {
-	var tp, fp int64
-	tp = c.N[cl][cl]
-	for k := 0; k < imaging.NumClasses; k++ {
-		if imaging.Class(k) != cl {
-			fp += c.N[k][cl]
-		}
-	}
-	if tp+fp == 0 {
-		return 0
-	}
-	return float64(tp) / float64(tp+fp)
-}
-
 // BusyRoadRecall treats the busy-road composite (road + cars) as one binary
 // class and returns its recall — the safety-critical number: a missed
 // busy-road pixel is a pixel the core function would declare landable.

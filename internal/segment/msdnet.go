@@ -5,7 +5,6 @@
 package segment
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -18,7 +17,9 @@ import (
 // Config describes an MSDnet instance. The defaults are a CPU-scale
 // reduction of the paper's network: a strided stem followed by parallel
 // dilated branches whose outputs are concatenated, a Monte-Carlo-capable
-// dropout stage, and a 1×1 classification head.
+// dropout stage, a 1×1 classification head and a 2× upsample of its
+// logits. The trunk runs at half resolution, trading boundary sharpness
+// for ~4× speed.
 type Config struct {
 	NumClasses int
 	// StemChannels is the width of the stem convolution.
@@ -31,9 +32,6 @@ type Config struct {
 	// DropoutP is the dropout probability. The paper uses 0.5 on all
 	// relevant MSDnet layers for the Bayesian variant.
 	DropoutP float64
-	// Downsample runs the trunk at half resolution (stride-2 stem, 2×
-	// upsampled logits), trading boundary sharpness for ~4× speed.
-	Downsample bool
 	// Seed drives weight initialization and dropout sampling.
 	Seed int64
 }
@@ -46,7 +44,6 @@ func DefaultConfig() Config {
 		BranchChannels: 14,
 		Dilations:      []int{1, 2, 4},
 		DropoutP:       0.5,
-		Downsample:     true,
 		Seed:           1,
 	}
 }
@@ -83,12 +80,8 @@ func New(cfg Config) *Model {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	stemStride := 1
-	if cfg.Downsample {
-		stemStride = 2
-	}
 	layers := []nn.Layer{
-		nn.NewConv2D("stem", 3, cfg.StemChannels, 3, stemStride, 1, 1, rng),
+		nn.NewConv2D("stem", 3, cfg.StemChannels, 3, 2, 1, 1, rng),
 		nn.NewBatchNorm2D("stem.bn", cfg.StemChannels),
 		&nn.ReLU{},
 		nn.NewDropout(cfg.DropoutP, cfg.Seed+101),
@@ -107,10 +100,8 @@ func New(cfg Config) *Model {
 		nn.NewParallelConcat(branches...),
 		nn.NewDropout(cfg.DropoutP, cfg.Seed+202),
 		nn.NewConv2D("head", cfg.BranchChannels*len(cfg.Dilations), cfg.NumClasses, 1, 1, 0, 1, rng),
+		&nn.Upsample2x{},
 	)
-	if cfg.Downsample {
-		layers = append(layers, &nn.Upsample2x{})
-	}
 	m := &Model{Net: nn.NewSequential(layers...), Cfg: cfg, scratch: nn.NewScratch()}
 	nn.AttachScratch(m.Net, m.scratch)
 	return m
@@ -150,13 +141,13 @@ func ToTensorScratch(img *imaging.Image, sc *nn.Scratch) *nn.Tensor {
 	return t
 }
 
-// CheckSize returns an error for an image the model cannot segment: a
-// downsampling model needs even spatial dims, since the stride-2 stem plus
-// 2× upsample would silently change the output size. Servers call it to
-// reject such a frame up front; LogitsCtx and PredictCtx return its error,
-// Logits and Predict panic on it.
+// CheckSize returns an error for an image the model cannot segment: the
+// model needs even spatial dims, since the stride-2 stem plus 2× upsample
+// would silently change the output size. Servers call it to reject such a
+// frame up front; LogitsCtx and PredictCtx return its error, Logits and
+// Predict panic on it.
 func (m *Model) CheckSize(img *imaging.Image) error {
-	if m.Cfg.Downsample && (img.W%2 != 0 || img.H%2 != 0) {
+	if img.W%2 != 0 || img.H%2 != 0 {
 		return fmt.Errorf("segment: downsampling model requires even dimensions, got %dx%d", img.W, img.H)
 	}
 	return nil
@@ -230,34 +221,37 @@ func (m *Model) forwardCtx(ctx context.Context, net nn.Layer, img *imaging.Image
 }
 
 // PredictCtx returns the per-pixel argmax segmentation, honoring ctx
-// between network layers like LogitsCtx. On a downsampling model it takes
-// the argmax of the head's output, before the trailing Upsample2x, and
-// replicates each label over the 2×2 block the upsample would have copied
-// its logits to. That is exact: the argmax reads one pixel's logits across
-// the channels, and the upsample copies those columns whole, so every
-// upsampled pixel has its source pixel's argmax — at a quarter of the
-// work, and with no full-resolution logits.
+// between network layers like LogitsCtx. It takes the argmax of the head's
+// output, before the trailing Upsample2x, and replicates each label over
+// the 2×2 block the upsample would have copied its logits to. That is
+// exact: the argmax reads one pixel's logits across the channels, and the
+// upsample copies those columns whole, so every upsampled pixel has its
+// source pixel's argmax — at a quarter of the work, and with no
+// full-resolution logits.
 func (m *Model) PredictCtx(ctx context.Context, img *imaging.Image) (*imaging.LabelMap, error) {
 	if err := m.CheckSize(img); err != nil {
 		return nil, err
 	}
-	body, up, _ := nn.SplitTrailingUpsample(m.Inference())
+	body, _, ok := nn.SplitTrailingUpsample(m.Inference())
+	if !ok {
+		panic("segment: network does not end in an Upsample2x")
+	}
 	scores, err := m.forwardCtx(ctx, body, img)
 	if err != nil {
 		return nil, err
 	}
-	lm := labelMap(scores, up != nil, img.W, img.H)
+	lm := labelMap(scores, img.W, img.H)
 	m.scratch.Put(scores) // labelMap consumed it
 	return lm, nil
 }
 
 // labelMap builds the w×h label map of scores' argmax, replicating each
-// label over a 2×2 block when upsampled. It goes one channel row at a
+// label over a 2×2 block. It goes one channel row at a
 // time, straight into the label map, and keeps each pixel's best score so
 // far in the first channel's row, which it overwrites. As in
 // nn.ArgmaxChannels, a class wins only with a score greater than the best
 // so far, so ties keep the lower class and a NaN never wins.
-func labelMap(scores *nn.Tensor, upsampled bool, w, h int) *imaging.LabelMap {
+func labelMap(scores *nn.Tensor, w, h int) *imaging.LabelMap {
 	_, c, sh, sw := scores.Dims4()
 	n := sh * sw
 	out := imaging.NewLabelMap(w, h)
@@ -270,9 +264,7 @@ func labelMap(scores *nn.Tensor, upsampled bool, w, h int) *imaging.LabelMap {
 			}
 		}
 	}
-	if upsampled {
-		imaging.Expand2x(out.Pix, labels, sw, sh)
-	}
+	imaging.Expand2x(out.Pix, labels, sw, sh)
 	return out
 }
 
@@ -295,8 +287,7 @@ func labelMap(scores *nn.Tensor, upsampled bool, w, h int) *imaging.LabelMap {
 // Frozen-weights invariant: a clone is inference-only. Train panics on it,
 // and the source model must not be retrained while clones are live — an
 // optimizer step on the shared tensors would race every replica, and the
-// clone, having read its pack once, would never see the new weights. Use
-// CloneDetached when an independently-trainable copy is needed.
+// clone, having read its pack once, would never see the new weights.
 func (m *Model) Clone() (*Model, error) {
 	c := New(m.Cfg)
 	if err := nn.ShareParams(c.Net, m.Net); err != nil {
@@ -310,21 +301,6 @@ func (m *Model) Clone() (*Model, error) {
 	}
 	c.frozen = true
 	c.infer = nn.NewFrozenNet(c.Net)
-	return c, nil
-}
-
-// CloneDetached returns a deep copy with its own parameter memory: the
-// parameters and batch-norm statistics are serialized out of the original
-// and poured into a fresh network. Unlike Clone, the result is trainable.
-func (m *Model) CloneDetached() (*Model, error) {
-	var buf bytes.Buffer
-	if err := nn.SaveParams(&buf, m.Net); err != nil {
-		return nil, fmt.Errorf("cloning model: %w", err)
-	}
-	c := New(m.Cfg)
-	if err := nn.LoadParams(&buf, c.Net); err != nil {
-		return nil, fmt.Errorf("cloning model: %w", err)
-	}
 	return c, nil
 }
 

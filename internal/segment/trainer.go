@@ -64,7 +64,7 @@ type TrainStats struct {
 // inputs and seeds produce identical parameters.
 func Train(m *Model, scenes []*urban.Scene, cfg TrainConfig) TrainStats {
 	if m.Frozen() {
-		panic("segment: training a frozen shared-weights clone would corrupt every replica sharing its parameters; train the source model (or a CloneDetached copy) instead")
+		panic("segment: training a frozen shared-weights clone would corrupt every replica sharing its parameters; train the source model instead")
 	}
 	if len(scenes) == 0 {
 		panic("segment: no training scenes")

@@ -1,7 +1,5 @@
 package sora
 
-import "fmt"
-
 // This file encodes the paper's contribution to the SORA: the integrity
 // criteria (Table III) and assurance criteria (Table IV) under which an
 // Emergency Landing function can claim active-M1 mitigation credit, plus an
@@ -71,25 +69,6 @@ func ELAssuranceCriteria() []Criterion {
 	}
 }
 
-// M1Criteria returns the existing SORA Annex B criteria for classical M1,
-// kept for the side-by-side comparison the paper's tables draw.
-func M1Criteria() []Criterion {
-	return []Criterion{
-		{ID: "M1-I-L1", Kind: Integrity, Level: Low,
-			Text: "A ground risk buffer with at least a 1-to-1 rule"},
-		{ID: "M1-I-L2", Kind: Integrity, Level: Low,
-			Text: "The applicant evaluates the area of operations by on-site inspections to justify lowering the density of people at risk"},
-		{ID: "M1-I-M1", Kind: Integrity, Level: Medium,
-			Text: "Ground risk buffer accounts for improbable single malfunctions, meteorological conditions, UAV latencies, behavior and performance; authoritative density data is used"},
-		{ID: "M1-A-L1", Kind: Assurance, Level: Low,
-			Text: "The applicant declares that the required level of integrity is achieved"},
-		{ID: "M1-A-M1", Kind: Assurance, Level: Medium,
-			Text: "Supporting evidence (testing, analysis, simulation, inspection, design review, experience); average density map from static sourcing verified by authority"},
-		{ID: "M1-A-H1", Kind: Assurance, Level: High,
-			Text: "Claimed level of integrity validated by a competent third party; near-real-time density map from dynamic sourcing"},
-	}
-}
-
 // Evidence records which EL criteria an implementation satisfies, keyed by
 // criterion ID. Missing entries count as unsatisfied.
 type Evidence map[string]bool
@@ -126,14 +105,4 @@ func achievedLevel(criteria []Criterion, ev Evidence) Robustness {
 func ELMitigation(ev Evidence) Mitigation {
 	integ, assur := EvaluateEL(ev)
 	return Mitigation{Type: ActiveM1, Integrity: integ, Assurance: assur}
-}
-
-// CriterionByID returns the criterion with the given ID from both tables.
-func CriterionByID(id string) (Criterion, error) {
-	for _, c := range append(ELIntegrityCriteria(), ELAssuranceCriteria()...) {
-		if c.ID == id {
-			return c, nil
-		}
-	}
-	return Criterion{}, fmt.Errorf("sora: unknown EL criterion %q", id)
 }

@@ -45,13 +45,6 @@ var osoTable = []OSO{
 	{24, "UAS is designed and qualified for adverse environmental conditions", [6]Robustness{None, None, Medium, High, High, High}},
 }
 
-// OSOList returns the 24 SORA operational safety objectives.
-func OSOList() []OSO {
-	out := make([]OSO, len(osoTable))
-	copy(out, osoTable)
-	return out
-}
-
 // OSOsForSAIL returns every OSO with the robustness required at the SAIL.
 func OSOsForSAIL(s SAIL) []OSORequirement {
 	if s < SAILI || s > SAILVI {

@@ -185,7 +185,7 @@ func TestCombineRobustness(t *testing.T) {
 }
 
 func TestOSOTable(t *testing.T) {
-	list := OSOList()
+	list := osoTable
 	if len(list) != 24 {
 		t.Fatalf("OSO count = %d, want 24", len(list))
 	}
@@ -251,19 +251,6 @@ func TestELCriteriaEvaluation(t *testing.T) {
 	m := ELMitigation(full)
 	if m.Type != ActiveM1 || m.Robustness() != Medium {
 		t.Errorf("EL mitigation = %v robustness %v, want ActiveM1 Medium", m.Type, m.Robustness())
-	}
-}
-
-func TestCriterionByID(t *testing.T) {
-	c, err := CriterionByID("EL-A-M3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(c.Text, "monitoring") {
-		t.Errorf("EL-A-M3 text %q should mention monitoring", c.Text)
-	}
-	if _, err := CriterionByID("nope"); err == nil {
-		t.Error("expected error for unknown ID")
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"safeland/internal/urban"
 )
 
-// LandingPlanner selects an emergency touchdown point. The core package's
-// landing-zone selection pipeline implements it; the uav package only
-// depends on this interface so the simulator can also run with baseline
-// planners or none at all.
+// LandingPlanner selects an emergency touchdown point. The safeland Engine
+// implements it over any of its selectors (the EL pipeline, the hybrid or
+// a baseline); the uav package only depends on this interface so the
+// simulator can also run with no planner at all.
 type LandingPlanner interface {
 	// PlanLanding picks a touchdown point (meters) reachable from (x, y).
 	// ok is false when no acceptable zone exists. The mission's context

@@ -1,28 +1,8 @@
 package uav
 
-import (
-	"context"
-)
-
-// HealthEvent is one observation on the vehicle health bus. A Failure of
-// NoFailure reports recovery. Tick events (same failure as before) advance
-// the switch's notion of time so it can escalate lingering conditions.
-type HealthEvent struct {
-	T       float64 // simulation time (s)
-	Failure FailureKind
-}
-
-// Decision is an output of the safety switch: the maneuver to engage.
-type Decision struct {
-	T        float64
-	Failure  FailureKind
-	Maneuver Maneuver
-}
-
-// Switch is the paper's Figure 1 safety switch: a continuous monitoring
-// loop that analyses acquisition data and triggers the suitable emergency
-// procedure when a critical anomaly is detected. It runs as a goroutine
-// consuming health events and emitting maneuver decisions.
+// Switch is the paper's Figure 1 safety switch: the monitoring policy that
+// triggers the suitable emergency procedure when a critical anomaly is
+// detected. Decide runs it one observation at a time.
 type Switch struct {
 	// ELAvailable gates the Emergency Landing branch; without it the switch
 	// falls through to Flight Termination.
@@ -33,38 +13,8 @@ type Switch struct {
 	HoverTimeoutS float64
 }
 
-// Run consumes events until the context is cancelled or the event channel
-// closes, feeding each to one Decide and sending a Decision whenever the
-// maneuver its Step returns changes. It closes the decisions channel on
-// return.
-func (s *Switch) Run(ctx context.Context, events <-chan HealthEvent, decisions chan<- Decision) {
-	defer close(decisions)
-	d := Decide{Switch: *s}
-	maneuver := ContinueMission
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				return
-			}
-			m := d.Step(ev.T, ev.Failure)
-			if m == maneuver {
-				continue
-			}
-			maneuver = m
-			select {
-			case decisions <- Decision{T: ev.T, Failure: d.current, Maneuver: m}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-}
-
-// Decide is the switch's escalation policy, one observation at a time: Run
-// drives one, and the simulator steps one without goroutines.
+// Decide is the switch's escalation policy, one observation at a time; the
+// mission simulator steps one per tick.
 type Decide struct {
 	Switch Switch
 	// observed is the failure last fed to Step; current is the failure the

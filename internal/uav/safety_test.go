@@ -1,7 +1,6 @@
 package uav
 
 import (
-	"context"
 	"testing"
 	"testing/quick"
 )
@@ -95,117 +94,44 @@ func TestSelectManeuverTotalAndOrdered(t *testing.T) {
 	}
 }
 
-func TestSwitchRunRecoveryEmitsContinue(t *testing.T) {
-	ctx := context.Background()
-	events := make(chan HealthEvent, 4)
-	decisions := make(chan Decision, 4)
-	sw := &Switch{ELAvailable: true, HoverTimeoutS: 100}
-	events <- HealthEvent{T: 0, Failure: CommLossTemporary}
-	events <- HealthEvent{T: 5, Failure: NoFailure}
-	close(events)
-	sw.Run(ctx, events, decisions)
-	var got []Maneuver
-	for d := range decisions {
-		got = append(got, d.Maneuver)
-	}
-	if len(got) != 2 || got[0] != Hover || got[1] != ContinueMission {
-		t.Fatalf("decisions = %v, want [Hover ContinueMission]", got)
+func TestDecideNoELFallsToFT(t *testing.T) {
+	d := &Decide{Switch: Switch{ELAvailable: false}}
+	if m := d.Step(0, NavigationLoss); m != FlightTermination {
+		t.Fatalf("navigation loss without EL = %v, want FT", m)
 	}
 }
 
-func TestSwitchRunNoELFallsToFT(t *testing.T) {
-	events := make(chan HealthEvent, 2)
-	decisions := make(chan Decision, 2)
-	events <- HealthEvent{T: 0, Failure: NavigationLoss}
-	close(events)
-	(&Switch{ELAvailable: false}).Run(context.Background(), events, decisions)
-	d, ok := <-decisions
-	if !ok || d.Maneuver != FlightTermination {
-		t.Fatalf("decision = %+v ok=%v, want FT", d, ok)
-	}
-}
-
-// TestSwitchRunEscalationLatches is TestDecideEscalationLatches through the
-// goroutine form: the ticks after the escalation emit nothing.
-func TestSwitchRunEscalationLatches(t *testing.T) {
-	events := make(chan HealthEvent, 5)
-	decisions := make(chan Decision, 5)
-	for _, ts := range []float64{0, 5, 11, 12, 13} {
-		events <- HealthEvent{T: ts, Failure: CommLossTemporary}
-	}
-	close(events)
-	(&Switch{ELAvailable: true, HoverTimeoutS: 10}).Run(context.Background(), events, decisions)
-	want := []Decision{
-		{T: 0, Failure: CommLossTemporary, Maneuver: Hover},
-		{T: 11, Failure: CommLossPermanent, Maneuver: ReturnToBase},
-	}
-	var got []Decision
-	for d := range decisions {
-		got = append(got, d)
-	}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("decisions = %+v, want %+v", got, want)
-	}
-}
-
-// FuzzSafetySwitch checks, for any event sequence, timeout and EL
-// availability, that Run emits exactly the changes of one Decide's Step
-// (time, acted-on failure and maneuver), and that a temporary loss once
-// escalated to Return-to-Base never drops back to Hover while it persists.
-// Each pair of input bytes is one event: a failure kind and a time step of
-// up to 25.5 s.
+// FuzzSafetySwitch checks, for any observation sequence, timeout and EL
+// availability, that Decide answers each observation with a defined
+// maneuver, and that a temporary loss once escalated to Return-to-Base
+// never drops back to Hover while it persists. Each pair of input bytes is
+// one observation: a failure kind and a time step of up to 25.5 s.
 func FuzzSafetySwitch(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 50, 1, 60, 1, 10, 1, 10}, uint8(10), true)
 	f.Add([]byte{1, 0, 0, 50, 1, 250, 1, 100, 4, 1, 1, 1}, uint8(0), false)
 	f.Add([]byte{2, 10, 1, 10, 1, 200, 7, 0}, uint8(3), true)
 	f.Fuzz(func(t *testing.T, in []byte, timeout uint8, el bool) {
-		sw := Switch{ELAvailable: el, HoverTimeoutS: float64(timeout)}
-		events := make([]HealthEvent, 0, len(in)/2)
+		d := Decide{Switch: Switch{ELAvailable: el, HoverTimeoutS: float64(timeout)}}
 		ts := 0.0
+		prev := NoFailure
+		escalated := false
 		for i := 0; i+1 < len(in); i += 2 {
 			ts += float64(in[i+1]) / 10
-			events = append(events, HealthEvent{T: ts, Failure: FailureKind(int(in[i]) % (int(FlightControlFault) + 1))})
-		}
-
-		var want []Decision
-		d := Decide{Switch: sw}
-		last := ContinueMission
-		escalated := false
-		for i, ev := range events {
-			m := d.Step(ev.T, ev.Failure)
-			if i > 0 && ev.Failure != events[i-1].Failure {
+			failure := FailureKind(int(in[i]) % (int(FlightControlFault) + 1))
+			m := d.Step(ts, failure)
+			if m < ContinueMission || m > FlightTermination {
+				t.Fatalf("t=%v %v: undefined maneuver %v", ts, failure, m)
+			}
+			if failure != prev {
 				escalated = false
 			}
 			if escalated && m == Hover {
-				t.Fatalf("event %d (t=%v): an escalated %v dropped back to Hover", i, ev.T, ev.Failure)
+				t.Fatalf("t=%v: an escalated %v dropped back to Hover", ts, failure)
 			}
-			if ev.Failure == CommLossTemporary && m == ReturnToBase {
+			if failure == CommLossTemporary && m == ReturnToBase {
 				escalated = true
 			}
-			if m != last {
-				want = append(want, Decision{T: ev.T, Failure: d.current, Maneuver: m})
-				last = m
-			}
-		}
-
-		ch := make(chan HealthEvent, len(events))
-		for _, ev := range events {
-			ch <- ev
-		}
-		close(ch)
-		decisions := make(chan Decision, len(events))
-		sw.Run(context.Background(), ch, decisions)
-		var got []Decision
-		for dec := range decisions {
-			got = append(got, dec)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("Run emitted %d decisions %+v, Step changed %d times %+v", len(got), got, len(want), want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("decision %d: Run %+v, Step %+v", i, got[i], want[i])
-			}
+			prev = failure
 		}
 	})
 }

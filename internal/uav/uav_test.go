@@ -43,20 +43,6 @@ func TestBallisticEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBallisticWithDrag(t *testing.T) {
-	noDrag := BallisticImpactSpeed(120)
-	withDrag := BallisticImpactSpeedWithDrag(120, 7, 0.05, 0)
-	if withDrag >= noDrag {
-		t.Errorf("drag should slow the fall: %v >= %v", withDrag, noDrag)
-	}
-	if withDrag < noDrag*0.5 {
-		t.Errorf("modest drag slowed the fall implausibly: %v", withDrag)
-	}
-	if got := BallisticImpactSpeedWithDrag(120, 7, 0, 0); math.Abs(got-noDrag) > 1e-9 {
-		t.Error("zero drag should match the analytic fall")
-	}
-}
-
 func TestWindDeterministicAndStationary(t *testing.T) {
 	a := NewWind(3, -1, 1.5, 42)
 	b := NewWind(3, -1, 1.5, 42)
@@ -148,45 +134,6 @@ func TestSelectManeuverMatchesFigure1(t *testing.T) {
 			t.Errorf("SelectManeuver(%v, el=%v) = %v, want %v", tt.k, tt.el, got, tt.want)
 		}
 	}
-}
-
-func TestSwitchRunEscalatesHover(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := make(chan HealthEvent)
-	decisions := make(chan Decision, 8)
-	sw := &Switch{ELAvailable: true, HoverTimeoutS: 10}
-	done := make(chan struct{})
-	go func() {
-		sw.Run(ctx, events, decisions)
-		close(done)
-	}()
-	events <- HealthEvent{T: 0, Failure: CommLossTemporary}
-	events <- HealthEvent{T: 5, Failure: CommLossTemporary}
-	events <- HealthEvent{T: 11, Failure: CommLossTemporary} // past timeout
-	close(events)
-	<-done
-	var got []Maneuver
-	for d := range decisions {
-		got = append(got, d.Maneuver)
-	}
-	if len(got) != 2 || got[0] != Hover || got[1] != ReturnToBase {
-		t.Fatalf("decisions = %v, want [Hover ReturnToBase]", got)
-	}
-}
-
-func TestSwitchRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	events := make(chan HealthEvent)
-	decisions := make(chan Decision) // unbuffered, never drained
-	sw := &Switch{ELAvailable: false}
-	done := make(chan struct{})
-	go func() {
-		sw.Run(ctx, events, decisions)
-		close(done)
-	}()
-	cancel()
-	<-done // must terminate promptly without deadlock
 }
 
 // plannerFunc adapts a function to the LandingPlanner interface.

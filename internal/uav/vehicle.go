@@ -59,31 +59,6 @@ func BallisticImpactSpeed(heightM float64) float64 {
 	return math.Sqrt(2 * G * heightM)
 }
 
-// BallisticImpactSpeedWithDrag integrates the fall with quadratic drag,
-// capping the speed at terminal velocity. cdAm2 is the drag coefficient
-// times frontal area (m²); airDensity defaults to 1.225 when zero.
-func BallisticImpactSpeedWithDrag(heightM, massKg, cdAm2, airDensity float64) float64 {
-	if heightM <= 0 || massKg <= 0 {
-		return 0
-	}
-	if cdAm2 <= 0 {
-		return BallisticImpactSpeed(heightM)
-	}
-	if airDensity <= 0 {
-		airDensity = 1.225
-	}
-	// dv/dt = g − (k/m)·v², integrated over height with dt steps.
-	k := 0.5 * airDensity * cdAm2
-	v, h := 0.0, heightM
-	const dt = 0.01
-	for h > 0 {
-		a := G - k*v*v/massKg
-		v += a * dt
-		h -= v * dt
-	}
-	return v
-}
-
 // KineticEnergy returns ½mv² in joules — 8.23 kJ for the paper's 7 kg at
 // 48.5 m/s.
 func KineticEnergy(massKg, speedMS float64) float64 {

@@ -29,9 +29,6 @@ func NewWind(meanX, meanY, gustStd float64, seed int64) *Wind {
 	}
 }
 
-// Speed returns the magnitude of the mean wind.
-func (w *Wind) Speed() float64 { return math.Hypot(w.MeanX, w.MeanY) }
-
 // At returns the wind vector at simulation time t (seconds, non-decreasing
 // across calls). The zero value returns calm air.
 func (w *Wind) At(t float64) (wx, wy float64) {
@@ -78,10 +75,10 @@ func ParachuteDescent(altM, sinkMS float64, w *Wind, t0 float64) (driftX, driftY
 
 // DriftBuffer returns a conservative bound (m) on parachute drift from the
 // given altitude: mean wind carries the canopy for the whole descent and the
-// gusts add kSigma standard deviations of integrated turbulence. Landing
-// zone selection enlarges its road buffer by this amount — the Table III
-// low-integrity geometry requirement ("the buffer from roads must take into
-// account the typical parachute drift").
+// gusts add kSigma standard deviations of integrated turbulence. It sizes
+// the landing zones' road buffer (core.DefaultZoneConfig) — the Table III
+// geometry requirement ("the buffer from roads must take into account the
+// typical parachute drift").
 func DriftBuffer(altM, sinkMS, windSpeed, gustStd, kSigma float64) float64 {
 	if altM <= 0 || sinkMS <= 0 {
 		return 0

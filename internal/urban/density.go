@@ -78,22 +78,3 @@ func gaussianBump(x, mu, sigma float64) float64 {
 func ClassDensity(c imaging.Class, hour float64) float64 {
 	return basePeoplePerM2(c) * DiurnalFactor(hour)
 }
-
-// PopulationDensity computes a people/m² field over the labels at the given
-// local time. It exercises the same code path as an authoritative external
-// density map would (SORA M1-Medium: "authoritative density data relevant
-// for the area and time of operation").
-func PopulationDensity(labels *imaging.LabelMap, hour float64) *imaging.Map {
-	f := DiurnalFactor(hour)
-	out := imaging.NewMap(labels.W, labels.H)
-	for i, c := range labels.Pix {
-		out.Pix[i] = float32(basePeoplePerM2(c) * f)
-	}
-	return out
-}
-
-// MeanDensity returns the average people/m² of a scene at the given hour —
-// the scalar the SORA intrinsic GRC bases its population-density column on.
-func MeanDensity(labels *imaging.LabelMap, hour float64) float64 {
-	return float64(PopulationDensity(labels, hour).Mean())
-}

@@ -317,8 +317,8 @@ func fillPark(lay *Layout, p *painter, cfg Config, cond Conditions, r RectM, rng
 	nTrees := int(area/120) + rng.Intn(4)
 	for i := 0; i < nTrees; i++ {
 		tr := 2 + rng.Float64()*3.5
-		cx := r.X0 + tr + rng.Float64()*max64(r.X1-r.X0-2*tr, 1)
-		cy := r.Y0 + tr + rng.Float64()*max64(r.Y1-r.Y0-2*tr, 1)
+		cx := r.X0 + tr + rng.Float64()*max(r.X1-r.X0-2*tr, 1)
+		cy := r.Y0 + tr + rng.Float64()*max(r.Y1-r.Y0-2*tr, 1)
 		p.paintDisk(cx, cy, tr, imaging.Tree, treeColor(cond.Season, rng), 5+rng.Float64()*7)
 	}
 	placeHumans(lay, p, cfg, r, rng, rng.Intn(cfg.HumansPerBlockMax+1))
@@ -484,25 +484,4 @@ func poissonish(mean float64, rng *rand.Rand) int {
 		}
 		k++
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

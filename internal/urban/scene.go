@@ -64,16 +64,6 @@ type Dataset struct {
 	OOD   []*Scene
 }
 
-// BuildDataset generates nTrain+nTest in-distribution scenes (under cond)
-// and nOOD scenes under oodCond, with disjoint deterministic seeds.
-func BuildDataset(cfg Config, cond, oodCond Conditions, nTrain, nTest, nOOD int, baseSeed int64) *Dataset {
-	return &Dataset{
-		Train: GenerateSet(cfg, cond, nTrain, baseSeed),
-		Test:  GenerateSet(cfg, cond, nTest, baseSeed+1_000),
-		OOD:   GenerateSet(cfg, oodCond, nOOD, baseSeed+2_000),
-	}
-}
-
 // AsciiRender returns a compact ASCII view of a label map (one character per
 // cell, majority class per cell), for terminal-friendly qualitative output —
 // the stand-in for the paper's Figure 3/4 visuals.

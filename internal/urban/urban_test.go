@@ -167,27 +167,6 @@ func TestLightingStrings(t *testing.T) {
 	}
 }
 
-func TestBuildDatasetSplits(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.W, cfg.H = 64, 64
-	ds := BuildDataset(cfg, DefaultConditions(), SunsetConditions(), 3, 2, 2, 50)
-	if len(ds.Train) != 3 || len(ds.Test) != 2 || len(ds.OOD) != 2 {
-		t.Fatalf("split sizes = %d/%d/%d", len(ds.Train), len(ds.Test), len(ds.OOD))
-	}
-	seeds := map[int64]bool{}
-	for _, s := range append(append(append([]*Scene{}, ds.Train...), ds.Test...), ds.OOD...) {
-		if seeds[s.Seed] {
-			t.Fatalf("duplicate seed %d across splits", s.Seed)
-		}
-		seeds[s.Seed] = true
-	}
-	for _, s := range ds.OOD {
-		if s.Cond.Lighting != Sunset {
-			t.Error("OOD scene not under sunset conditions")
-		}
-	}
-}
-
 func TestDiurnalFactors(t *testing.T) {
 	if DiurnalFactor(3) >= DiurnalFactor(14) {
 		t.Error("3am activity should be below 2pm")
@@ -212,19 +191,15 @@ func TestDiurnalFactors(t *testing.T) {
 }
 
 func TestPopulationDensity(t *testing.T) {
-	lm := imaging.NewLabelMap(10, 10)
-	lm.FillRect(0, 0, 5, 10, imaging.Road)
-	lm.FillRect(5, 0, 10, 10, imaging.Tree)
-	noon := PopulationDensity(lm, 12)
-	night := PopulationDensity(lm, 3)
-	if noon.At(0, 0) <= noon.At(7, 0) {
+	road, tree := ClassDensity(imaging.Road, 12), ClassDensity(imaging.Tree, 12)
+	if road <= tree {
 		t.Error("road density should exceed tree density")
 	}
-	if noon.At(0, 0) <= night.At(0, 0) {
+	if road <= ClassDensity(imaging.Road, 3) {
 		t.Error("noon density should exceed 3am density")
 	}
-	if MeanDensity(lm, 12) <= 0 {
-		t.Error("mean density should be positive")
+	if tree <= 0 {
+		t.Error("density should be positive")
 	}
 }
 

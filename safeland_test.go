@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"safeland/internal/core"
+	"safeland/internal/imaging"
 	"safeland/internal/sora"
 	"safeland/internal/uav"
 	"safeland/internal/urban"
@@ -151,5 +152,60 @@ func TestEngineAsMissionPlanner(t *testing.T) {
 	}
 	if !out.Impacted {
 		t.Fatal("navigation loss must end on the ground")
+	}
+}
+
+// TestEnginePlanLanding pins the Engine as the mission simulator's landing
+// planner on both monitored selectors: a planned target lies inside the
+// world and off busy road in ground truth; the home bias rides on the
+// request and leaks into no later planning; and the same planning under a
+// cancelled context, or on an odd frame, reports no zone.
+func TestEnginePlanLanding(t *testing.T) {
+	s := quickSystem(t)
+	scenes := urban.GenerateSet(urban.DefaultConfig(), urban.DefaultConditions(), 4, 300)
+	odd := &urban.Scene{Image: imaging.NewImage(63, 64), MPP: 0.5}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+	for _, factory := range []SelectorFactory{PipelineSelector(), HybridSelector()} {
+		eng, err := NewEngine(WithSystem(s), WithWorkers(1), WithSelector(factory))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := eng.SelectorName()
+		planned := false
+		for _, sc := range scenes {
+			x, y := sc.Layout.WorldW/2, sc.Layout.WorldH/2
+			tx, ty, ok := eng.PlanLanding(ctx, sc, x, y)
+			if !ok {
+				continue
+			}
+			planned = true
+			if tx < 0 || ty < 0 || tx > sc.Layout.WorldW || ty > sc.Layout.WorldH {
+				t.Fatalf("%s: landing target (%.1f, %.1f) outside world", name, tx, ty)
+			}
+			if sc.Labels.At(int(tx/sc.MPP), int(ty/sc.MPP)).BusyRoad() {
+				t.Errorf("%s: planned landing point is on a busy road in ground truth", name)
+			}
+			eng.PlanLanding(ctx, sc, 0, 0)
+			if tx2, ty2, ok := eng.PlanLanding(ctx, sc, x, y); !ok || tx2 != tx || ty2 != ty {
+				t.Errorf("%s: planning from (0, 0) changed a later planning: (%.1f, %.1f) %v, want (%.1f, %.1f)",
+					name, tx2, ty2, ok, tx, ty)
+			}
+			if _, _, ok := eng.PlanLanding(cancelled, sc, x, y); ok {
+				t.Errorf("%s: plans a zone under a cancelled context", name)
+			}
+			break
+		}
+		if !planned {
+			t.Fatalf("%s planned no zone on any scene, so the planner is untested", name)
+		}
+		if s.Pipeline.Zones.HomeX != 0 || s.Pipeline.Zones.HomeY != 0 {
+			t.Errorf("%s: planning leaked the home bias into the system's zone settings", name)
+		}
+		if _, _, ok := eng.PlanLanding(ctx, odd, 10, 10); ok {
+			t.Errorf("%s: plans a zone on an odd frame", name)
+		}
+		eng.Close()
 	}
 }
